@@ -48,6 +48,7 @@ from .gp import (
     save_model,
 )
 from .measure import export_indicatrix_csv, export_volume_field_csv, indicatrix, volume_field
+from .specfun import ConvergenceError
 
 METRIC_CHOICES = ("riemann", "finsler", "euclid")
 
@@ -342,7 +343,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return args.func(args)
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ParseError, ValueError) as exc:

@@ -20,8 +20,8 @@ from scipy.sparse.csgraph import dijkstra
 
 from .data import write_csv
 from .fields import as_field
-from .metric import DETERMINISTIC_SIGMA, alpha_coefficient
-from .specfun import kummer_1f1, kummer_1f1_derivative, log_gamma_ratio
+from .metric import DETERMINISTIC_SIGMA, alpha_coefficient, norms_sq
+from .specfun import kummer_1f1_array
 
 __all__ = [
     "METRIC_KINDS",
@@ -144,23 +144,7 @@ def _segment_norms_sq(field, mids: np.ndarray, vels: np.ndarray, kind: str) -> n
     if kind == EUCLID:
         return np.einsum("nq,nq->n", vels, vels)
     means, covs = field.jacobian_batch(mids)
-    d = field.data_dim
-    sigma = np.maximum(np.einsum("nq,nqp,np->n", vels, covs, vels), 0.0)
-    if kind == ALPHA_SIGMA:
-        return alpha_coefficient(d) * sigma
-    jv = np.einsum("ndq,nq->nd", means, vels)
-    signal = np.einsum("nd,nd->n", jv, jv)
-    if kind == RIEMANN:
-        return signal + d * sigma
-    out = np.empty(len(vels))
-    b = 0.5 * d
-    c2 = 2.0 * math.exp(2.0 * log_gamma_ratio(b + 0.5, b))
-    for i in range(len(vels)):
-        if sigma[i] < DETERMINISTIC_SIGMA:
-            out[i] = signal[i]
-        else:
-            out[i] = c2 * sigma[i] * kummer_1f1(-0.5, b, -0.5 * signal[i] / sigma[i]) ** 2
-    return out
+    return norms_sq(means, covs, field.data_dim, vels[:, None, :], kind)[:, 0]
 
 
 def _warn_if_outside(field, curve: DiscreteCurve) -> None:
@@ -220,19 +204,17 @@ def _velocity_gradient(field, mids, vels, kind):
         return 2.0 * (jtjv + d * sv)
     sigma = np.maximum(np.einsum("nq,nq->n", vels, sv), 0.0)
     signal = np.einsum("nd,nd->n", jv, jv)
+    grad = 2.0 * jtjv  # the deterministic limit
+    live = sigma >= DETERMINISTIC_SIGMA
+    w = signal[live] / sigma[live]
+    x = -0.5 * w
     b = 0.5 * d
-    c2 = 2.0 * math.exp(2.0 * log_gamma_ratio(b + 0.5, b))
-    grad = np.empty_like(vels)
-    for i in range(len(vels)):
-        if sigma[i] < DETERMINISTIC_SIGMA:
-            grad[i] = 2.0 * jtjv[i]
-            continue
-        w = signal[i] / sigma[i]
-        x = -0.5 * w
-        h = kummer_1f1(-0.5, b, x)
-        hx = kummer_1f1_derivative(-0.5, b, x)  # d 1F1 / dx at x = -w/2
-        # norm^2 = c2 sigma h(w)^2 with dh/dw = -hx/2
-        grad[i] = 2.0 * c2 * ((h * h + h * hx * w) * sv[i] - h * hx * jtjv[i])
+    h = kummer_1f1_array(-0.5, b, x)
+    hx = (-0.5 / b) * kummer_1f1_array(0.5, b + 1.0, x)  # d 1F1 / dx at x = -w/2
+    # norm^2 = alpha sigma h(w)^2 with dh/dw = -hx/2
+    grad[live] = (2.0 * alpha_coefficient(d)) * (
+        (h * h + h * hx * w)[:, None] * sv[live] - (h * hx)[:, None] * jtjv[live]
+    )
     return grad
 
 

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
+from .data import ParseError
+
 __all__ = [
     "RBF",
     "MATERN52",
@@ -41,6 +43,10 @@ _FAMILIES = (RBF, MATERN52)
 
 _JITTER0 = 1e-8
 _JITTER_ESCALATIONS = 5
+
+# what load_model needs from a model file; output_means is recomputed
+_MODEL_KEYS = ("kernel", "noise", "latent_inputs", "outputs")
+_KERNEL_KEYS = ("family", "lengthscale", "variance")
 
 
 @dataclass(frozen=True)
@@ -522,17 +528,35 @@ def save_model(m: GpModel, path: str) -> None:
 
 
 def load_model(path: str) -> GpModel:
-    """Rebuild a model from JSON; the Cholesky factor is recomputed."""
+    """Rebuild a model from JSON; the Cholesky factor is recomputed.
+
+    Raises ParseError when a key is missing, a value is not a number, or
+    latent_inputs and outputs are not N x q and N x D matrices with the
+    same N.
+    """
     with open(path) as fh:
         doc = json.load(fh)
-    kernel = Kernel(
-        family=doc["kernel"]["family"],
-        lengthscale=float(doc["kernel"]["lengthscale"]),
-        variance=float(doc["kernel"]["variance"]),
-    )
-    return make_model(
-        np.asarray(doc["latent_inputs"], dtype=float),
-        np.asarray(doc["outputs"], dtype=float),
-        kernel,
-        float(doc["noise"]),
-    )
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: a model file holds one JSON object")
+    missing = [key for key in _MODEL_KEYS if key not in doc]
+    if isinstance(doc.get("kernel"), dict):
+        missing += [f"kernel.{key}" for key in _KERNEL_KEYS if key not in doc["kernel"]]
+    if missing:
+        raise ParseError(f"{path}: model file lacks {', '.join(missing)}")
+    try:
+        kernel = Kernel(
+            family=doc["kernel"]["family"],
+            lengthscale=float(doc["kernel"]["lengthscale"]),
+            variance=float(doc["kernel"]["variance"]),
+        )
+        X = np.asarray(doc["latent_inputs"], dtype=float)
+        Y = np.asarray(doc["outputs"], dtype=float)
+        noise = float(doc["noise"])
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed model file: {exc}")
+    if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
+        raise ParseError(
+            f"{path}: latent_inputs and outputs must be N x q and N x D matrices "
+            f"with the same N, got shapes {X.shape} and {Y.shape}"
+        )
+    return make_model(X, Y, kernel, noise)

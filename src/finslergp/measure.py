@@ -5,6 +5,11 @@ The indicatrix at a point is the unit ball boundary {v : norm(v) = 1}; by
 extraction is needed. Volumes follow the unit-ball-ratio convention
 pi / area(indicatrix), evaluated with polygonal polar quadrature; for the
 expected-norm (Riemannian) metric this reproduces sqrt(det E[G]).
+
+Radii come from `metric.norms_sq`, which evaluates all K angles of all
+points in one call: one point for `indicatrix`, `bh_volume` and
+`volume_ratio_bound`, every grid point for `volume_field`. The per-point
+functions take a `MetricPoint` or a `JacobianPosterior`.
 """
 
 from __future__ import annotations
@@ -17,19 +22,14 @@ import numpy as np
 from .data import write_csv
 from .fields import as_field
 from .gp import JacobianPosterior
-from .metric import (
-    MetricPoint,
-    alpha_sigma_norm,
-    finsler_norm,
-    omega,
-    riemannian_norm,
-)
+from .metric import MetricPoint, gap_bound, norms_sq
 
 __all__ = [
     "Indicatrix",
     "VolumeField",
     "indicatrix",
     "bh_volume",
+    "bh_volumes",
     "volume_field",
     "volume_ratio_bound",
     "export_indicatrix_csv",
@@ -39,12 +39,7 @@ __all__ = [
 PLOT_ANGLES = 64
 QUADRATURE_ANGLES = 256
 
-_NORMS = {
-    "riemann": riemannian_norm,
-    "finsler": finsler_norm,
-    "alpha_sigma": alpha_sigma_norm,
-    "euclid": lambda p, v: float(np.linalg.norm(v)),
-}
+_METRIC_KINDS = ("riemann", "finsler", "alpha_sigma", "euclid")
 
 
 def _unit_directions(K: int) -> np.ndarray:
@@ -57,6 +52,13 @@ def _unit_directions(K: int) -> np.ndarray:
     if K % 2 == 0:
         dirs = np.vstack([dirs, -dirs])
     return dirs
+
+
+def _polygon_area(radii: np.ndarray) -> np.ndarray:
+    """Area of the polygon with the given radii at equal angle steps, over
+    the last axis."""
+    step = 2.0 * math.pi / radii.shape[-1]
+    return 0.5 * math.sin(step) * np.sum(radii * np.roll(radii, -1, axis=-1), axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,9 +81,7 @@ class Indicatrix:
 
     @property
     def area(self) -> float:
-        r = self.radii
-        step = 2.0 * math.pi / len(r)
-        return float(0.5 * math.sin(step) * np.sum(r * np.roll(r, -1)))
+        return float(_polygon_area(self.radii))
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,45 +96,57 @@ class VolumeField:
     ratio_bound: np.ndarray
 
 
-def _as_metric_point(p) -> MetricPoint:
+def _posterior_arrays(p) -> tuple[np.ndarray, np.ndarray, int]:
+    """One point's posterior as a batch of one: means, covs and D."""
     if isinstance(p, MetricPoint):
-        return p
-    if isinstance(p, JacobianPosterior):
-        return MetricPoint(p)
-    raise TypeError("expected a MetricPoint or JacobianPosterior")
+        p = p.jac
+    if not isinstance(p, JacobianPosterior):
+        raise TypeError("expected a MetricPoint or JacobianPosterior")
+    return p.mean[None], p.cov[None], p.dim_data
+
+
+def _radii(means, covs, dim_data: int, K: int, metric_kind: str) -> np.ndarray:
+    """Indicatrix radii 1/norm(e(theta)) at K angles for n points, (n, K)."""
+    if means.shape[-1] != 2:
+        raise ValueError("indicatrices are only defined for 2-d latent spaces")
+    if K < 16:
+        raise ValueError("need at least 16 angles")
+    if metric_kind not in _METRIC_KINDS:
+        raise ValueError(f"unknown metric kind {metric_kind!r}")
+    values = np.sqrt(norms_sq(means, covs, dim_data, _unit_directions(K), metric_kind))
+    if not (np.all(np.isfinite(values)) and np.all(values > 0.0)):
+        raise ValueError("metric is degenerate along a sampled direction")
+    return 1.0 / values
+
+
+def _ratio_bounds(means, covs, dim_data: int, K: int) -> np.ndarray:
+    """Volume-ratio bound of each point; see `volume_ratio_bound`."""
+    w = norms_sq(means, covs, dim_data, _unit_directions(K), "omega")
+    m = np.max(gap_bound(dim_data, w), axis=1)
+    return 1.0 - (1.0 - m) ** 2
 
 
 def indicatrix(p, K: int = PLOT_ANGLES, metric_kind: str = "finsler") -> Indicatrix:
     """Unit-ball boundary radii r(theta) = 1/norm(e(theta)) at K angles."""
-    p = _as_metric_point(p)
-    if p.dim_latent != 2:
-        raise ValueError("indicatrices are only defined for 2-d latent spaces")
-    if K < 16:
-        raise ValueError("need at least 16 angles")
-    if metric_kind not in _NORMS:
-        raise ValueError(f"unknown metric kind {metric_kind!r}")
-    norm = _NORMS[metric_kind]
-    values = np.array([norm(p, d) for d in _unit_directions(K)])
-    if not (np.all(np.isfinite(values)) and np.all(values > 0.0)):
-        raise ValueError("metric is degenerate along a sampled direction")
     return Indicatrix(
         center=np.zeros(2),
         angles=2.0 * math.pi * np.arange(K) / K,
-        radii=1.0 / values,
+        radii=_radii(*_posterior_arrays(p), K, metric_kind)[0],
         metric_kind=metric_kind,
     )
 
 
 def bh_volume(p, K: int = QUADRATURE_ANGLES, metric_kind: str = "finsler") -> float:
     """Unit-ball-ratio volume pi / area of the indicatrix polygon."""
-    return math.pi / indicatrix(p, K, metric_kind).area
+    return float(bh_volumes(*_posterior_arrays(p), K, metric_kind)[0])
 
 
-def _norm_gap_bound(d: int, w: float) -> float:
-    """Per-direction bound on (riemann - finsler) / riemann; decreasing in w."""
-    if math.isinf(w):
-        return 0.0
-    return 1.0 / (d + w) + w / (d + w) ** 2
+def bh_volumes(
+    means, covs, dim_data: int, K: int = QUADRATURE_ANGLES, metric_kind: str = "finsler"
+) -> np.ndarray:
+    """`bh_volume` of n points at once, from their Jacobian posteriors:
+    means (n, D, q) and covs (n, q, q); returns shape (n,)."""
+    return math.pi / _polygon_area(_radii(means, covs, dim_data, K, metric_kind))
 
 
 def volume_ratio_bound(p, K: int = QUADRATURE_ANGLES) -> float:
@@ -146,9 +158,7 @@ def volume_ratio_bound(p, K: int = QUADRATURE_ANGLES) -> float:
     finsler polygon area is at most area_r / (1 - M)**2 and the volume ratio
     is at most 1 - (1 - M)**2.
     """
-    p = _as_metric_point(p)
-    m = max(_norm_gap_bound(p.dim_data, omega(p, d)) for d in _unit_directions(K))
-    return 1.0 - (1.0 - m) ** 2
+    return float(_ratio_bounds(*_posterior_arrays(p), K)[0])
 
 
 def volume_field(m, grid: int = 32, K: int = QUADRATURE_ANGLES) -> VolumeField:
@@ -156,7 +166,8 @@ def volume_field(m, grid: int = 32, K: int = QUADRATURE_ANGLES) -> VolumeField:
 
     The lattice covers the latent bounding box plus a 10% margin. All
     volumes use the same polar quadrature, so the shared discretization
-    bias cancels in the ratio and the pointwise orderings are exact.
+    bias cancels in the ratio and the pointwise orderings are exact. Each
+    quantity is one batched evaluation over all grid points and angles.
     """
     field = as_field(m)
     if field.latent_dim != 2:
@@ -171,26 +182,16 @@ def volume_field(m, grid: int = 32, K: int = QUADRATURE_ANGLES) -> VolumeField:
     ys = np.linspace(lo[1], hi[1], grid)
     pts = np.array([[x, y] for x in xs for y in ys])
     means, covs = field.jacobian_batch(pts)
-
-    n = len(pts)
-    v_r = np.empty(n)
-    v_f = np.empty(n)
-    v_a = np.empty(n)
-    bound = np.empty(n)
-    for i in range(n):
-        p = MetricPoint(JacobianPosterior(mean=means[i], cov=covs[i], dim_data=field.data_dim))
-        v_r[i] = bh_volume(p, K, "riemann")
-        v_f[i] = bh_volume(p, K, "finsler")
-        v_a[i] = bh_volume(p, K, "alpha_sigma")
-        bound[i] = volume_ratio_bound(p, K)
-    ratio = (v_r - v_f) / v_r
+    d = field.data_dim
+    v_r = bh_volumes(means, covs, d, K, "riemann")
+    v_f = bh_volumes(means, covs, d, K, "finsler")
     return VolumeField(
         grid_points=pts,
         v_riemann=v_r,
         v_finsler=v_f,
-        v_alpha_sigma=v_a,
-        ratio=ratio,
-        ratio_bound=bound,
+        v_alpha_sigma=bh_volumes(means, covs, d, K, "alpha_sigma"),
+        ratio=(v_r - v_f) / v_r,
+        ratio_bound=_ratio_bounds(means, covs, d, K),
     )
 
 

@@ -6,10 +6,17 @@ provides the sampled stochastic norm sqrt(v^T G v), the expected-Riemannian
 norm sqrt(v^T E[G] v), and the Finsler norm E[sqrt(v^T G v)] in closed form,
 together with the coefficients (alpha, omega) and the bounds that relate
 them.
+
+The scalar functions take one `MetricPoint` and one vector. `norms_sq`
+evaluates a norm kind for many points and directions at once, on arrays of
+Jacobian posteriors; indicatrices, volume fields, geodesic energies and the
+truncation sweep go through it. `gap_bound` is the Wishart bound on the
+relative gap, for scalars or arrays.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,11 +24,14 @@ import numpy as np
 
 from .gp import JacobianPosterior
 from .randmat import ScalarWishart, WishartSpec, sample_jacobian, wishart_scalar_moments
-from .specfun import kummer_1f1, log_gamma_ratio
+from .specfun import kummer_1f1, kummer_1f1_array, log_gamma_ratio
 
 __all__ = [
     "MetricPoint",
     "BoundReport",
+    "NORM_KINDS",
+    "norms_sq",
+    "gap_bound",
     "riemannian_norm",
     "finsler_norm",
     "alpha_sigma_norm",
@@ -38,6 +48,11 @@ __all__ = [
 DETERMINISTIC_SIGMA = 1e-14
 
 BOUND_SLACK = 1e-9
+
+NORM_KINDS = ("riemann", "finsler", "alpha_sigma", "euclid", "omega")
+
+# points per norms_sq block times directions per point
+_BLOCK_VALUES = 16384
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,6 +165,91 @@ def omega(p: MetricPoint, v: np.ndarray) -> float:
         return math.inf
     return signal / sigma
 
+
+def gap_bound(d: int, omega):
+    """Wishart bound 1/(D + omega) + omega/(D + omega)^2 on the relative gap
+    (riemann - finsler) / riemann of a direction with noncentrality omega.
+
+    Decreasing in omega, and 0 in the deterministic limit omega = +inf.
+    Takes a scalar (returns a float) or an array (returns an array).
+    """
+    w = np.asarray(omega, dtype=float)
+    finite = np.isfinite(w)
+    safe = np.where(finite, w, 0.0)
+    out = np.where(finite, 1.0 / (d + safe) + safe / (d + safe) ** 2, 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def _sigma_and_signal_batch(means, covs, V) -> tuple[np.ndarray, np.ndarray]:
+    # (n, K) arrays of v^T Sigma v and ||E[J] v||^2, both clamped at zero.
+    # With one direction per point (a curve's segment velocities) the signal
+    # is the exact sum of squares, an (n, D) array like the means: the
+    # geodesic optimizer amplifies any last-bit change of its energy. With
+    # more, it comes from the q x q Gram, so no (n, K, D) array is formed.
+    spec = "kq,nqp,kp->nk" if V.ndim == 2 else "nkq,nqp,nkp->nk"
+    sigma = np.maximum(np.einsum(spec, V, covs, V), 0.0)
+    if V.shape[-2] == 1:
+        jv = np.einsum("ndq,q->nd" if V.ndim == 2 else "ndq,nq->nd", means, V[..., 0, :])
+        return sigma, np.einsum("nd,nd->n", jv, jv)[:, None]
+    gram = np.einsum("ndq,ndp->nqp", means, means)
+    return sigma, np.maximum(np.einsum(spec, V, gram, V), 0.0)
+
+
+def norms_sq(means, covs, dim_data: int, V, kind: str) -> np.ndarray:
+    """Squared norms of many directions at many points, shape (n, K).
+
+    means (n, D, q) and covs (n, q, q) are the Jacobian posteriors of n
+    points; V holds the directions, either (K, q) shared by every point or
+    (n, K, q) per point. kind is one of `NORM_KINDS`: the squares of
+    `riemannian_norm`, `finsler_norm`, `alpha_sigma_norm` or of the
+    Euclidean norm, or (kind "omega") the noncentrality `omega` itself,
+    +inf where v^T Sigma v < 1e-14. Finsler values take the same
+    deterministic limit there; the rest go through `kummer_1f1_array`.
+    Points are evaluated in blocks of about 16384 values, so the working
+    memory beyond the result does not grow with n.
+    """
+    if kind not in NORM_KINDS:
+        raise ValueError(f"unknown norm kind {kind!r}, expected one of {NORM_KINDS}")
+    means = np.asarray(means, dtype=float)
+    covs = np.asarray(covs, dtype=float)
+    V = np.asarray(V, dtype=float)
+    n, k = means.shape[0], V.shape[-2]
+    if kind == "euclid":
+        return np.broadcast_to(np.sum(V * V, axis=-1), (n, k)).copy()
+    out = np.empty((n, k))
+    step = max(1, _BLOCK_VALUES // max(k, 1))
+    for lo in range(0, n, step):
+        block = slice(lo, lo + step)
+        out[block] = _norms_sq_block(
+            means[block], covs[block], dim_data, V if V.ndim == 2 else V[block], kind
+        )
+    return out
+
+
+def _norms_sq_block(means, covs, dim_data: int, V, kind: str) -> np.ndarray:
+    sigma, signal = _sigma_and_signal_batch(means, covs, V)
+    if kind == "alpha_sigma":
+        return alpha_coefficient(dim_data) * sigma
+    if kind == "riemann":
+        return signal + dim_data * sigma
+    live = sigma >= DETERMINISTIC_SIGMA
+    if kind == "omega":
+        out = np.full(sigma.shape, math.inf)
+        out[live] = signal[live] / sigma[live]
+        return out
+    out = signal
+    s = sigma[live]
+    h = kummer_1f1_array(-0.5, 0.5 * dim_data, -0.5 * signal[live] / s)
+    # squared by Python's float power (libm's pow), as a per-vector formula
+    # in Python floats squares: numpy's h * h differs from it in the last
+    # bit for about one value in a thousand, and the geodesic optimizer,
+    # which sums its energies from these values, turns a last-bit change
+    # into a visibly different curve
+    h_sq = np.fromiter(map(math.pow, h, itertools.repeat(2.0)), float, h.size)
+    out[live] = alpha_coefficient(dim_data) * s * h_sq
+    return out
+
+
 def bound_report(p: MetricPoint, v: np.ndarray) -> BoundReport:
     """All three norms of v with the sandwich inequality evaluated."""
     v = np.asarray(v, dtype=float)
@@ -185,7 +285,7 @@ def relative_gap(p: MetricPoint, v: np.ndarray) -> tuple[float, float, float]:
     if math.isinf(w):
         # deterministic limit: both bounds collapse to zero
         return gap, 0.0, 0.0
-    wishart_bound = 1.0 / (d + w) + w / (d + w) ** 2
+    wishart_bound = gap_bound(d, w)
     sigma, _ = _sigma_and_signal(p, v)
     m1, m2 = wishart_scalar_moments(ScalarWishart(dof=d, sigma=sigma, omega=w))
     jensen_bound = (m2 - m1 * m1) / (2.0 * m1 * m1)

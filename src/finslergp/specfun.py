@@ -3,18 +3,22 @@
 Log-gamma ratios and the confluent hypergeometric function 1F1 with its
 derivative, in the regime the expected-norm formula needs: first parameter
 a in [-3, 0], argument x <= 0 (and the transformed positive-argument series).
+`kummer_1f1` takes scalars; `kummer_1f1_array` evaluates it for an array of
+arguments, summing the series of all elements in lockstep.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy.special import gammaln
 
 __all__ = [
     "ConvergenceError",
     "log_gamma_ratio",
     "kummer_1f1",
+    "kummer_1f1_array",
     "kummer_1f1_derivative",
 ]
 
@@ -22,6 +26,9 @@ _REL_TOL = 1e-15
 _MAX_TERMS = 10_000
 # e^x underflows past ~-745; hand over to the asymptotic limit a bit early.
 _ASYMPTOTIC_CUTOFF = -700.0
+# fewest elements for which one numpy step of the lockstep series beats
+# summing each element's series in Python
+_LOCKSTEP_MIN = 64
 
 
 class ConvergenceError(RuntimeError):
@@ -39,12 +46,14 @@ def log_gamma_ratio(num: float, den: float) -> float:
     return float(gammaln(num) - gammaln(den))
 
 
-def _series_1f1(a: float, b: float, x: float) -> float:
+def _series_1f1(
+    a: float, b: float, x: float, start: int = 0, term: float = 1.0, total: float = 1.0
+) -> float:
     # Plain power series. Consecutive terms are related by
     # t_{k+1} = t_k * (a+k)/(b+k) * x/(k+1), so no Pochhammer overflow.
-    term = 1.0
-    total = 1.0
-    for k in range(_MAX_TERMS):
+    # start, term and total resume a sum whose terms up to start - 1 are
+    # already added (the lockstep sum hands its stragglers over this way).
+    for k in range(start, _MAX_TERMS):
         term *= (a + k) / (b + k) * x / (k + 1)
         if term == 0.0:
             # a hit a non-positive integer: the series terminates exactly
@@ -132,6 +141,57 @@ def kummer_1f1(a: float, b: float, x: float) -> float:
     if x < 0.0:
         return math.exp(x) * _series_1f1(b - a, b, -x)
     return _series_1f1(a, b, x)
+
+
+def _series_1f1_lockstep(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    # _series_1f1(a, b, x[i]) for every i: the same recurrence and stop rule
+    # per element, one term per step for all elements still active, each
+    # dropped from the active set once it has converged. When fewer than
+    # _LOCKSTEP_MIN remain, a numpy step costs more than their scalar terms,
+    # so _series_1f1 finishes each of them from where the lockstep stopped.
+    total = np.empty(x.size)
+    active = np.arange(x.size)
+    term = np.ones(x.size)
+    run = np.ones(x.size)
+    k = 0
+    while active.size >= _LOCKSTEP_MIN and k < _MAX_TERMS:
+        term *= (a + k) / (b + k) * x / (k + 1)
+        run += term
+        k += 1
+        done = (term == 0.0) | (np.abs(term) < _REL_TOL * np.abs(run))
+        if done.any():
+            total[active[done]] = run[done]
+            keep = ~done
+            active, x, term, run = active[keep], x[keep], term[keep], run[keep]
+    for i, xi, ti, ri in zip(active.tolist(), x.tolist(), term.tolist(), run.tolist()):
+        total[i] = _series_1f1(a, b, xi, k, ti, ri)
+    return total
+
+
+def kummer_1f1_array(a: float, b: float, x) -> np.ndarray:
+    """`kummer_1f1(a, b, x)` for every element of the array x.
+
+    Elements with -700 <= x <= 0 are summed together through the same
+    transformed series as the scalar function, one term per step for all of
+    them, with the same stop rule per element, so each result equals the
+    scalar one bit for bit. Every other element (x past the asymptotic
+    cutoff, or x > 0) goes through `kummer_1f1` itself.
+    """
+    a, b = float(a), float(b)
+    if b <= 0.0:
+        raise ValueError(f"kummer_1f1_array needs b > 0, got b={b}")
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
+    series = (x >= _ASYMPTOTIC_CUTOFF) & (x <= 0.0)
+    if not series.all():
+        for i in zip(*np.nonzero(~series)):
+            out[i] = kummer_1f1(a, b, float(x[i]))
+    xs = x[series]
+    # libm's exp through math.exp, as in kummer_1f1: numpy's own exp
+    # differs from it in the last bit for about one argument in twenty
+    scale = np.fromiter(map(math.exp, xs), float, xs.size)
+    out[series] = scale * _series_1f1_lockstep(b - a, b, -xs)
+    return out
 
 
 def kummer_1f1_derivative(a: float, b: float, x: float) -> float:

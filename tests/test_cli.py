@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from finslergp import specfun
 from finslergp.cli import _parse_dims, main
 from finslergp.gp import load_model
 
@@ -244,3 +245,42 @@ def test_indicatrix_near_data_and_nesting(circles_model, tmp_path):
     first = out.read_bytes()
     assert main(argv) == 0
     assert out.read_bytes() == first
+
+
+def _one_error_line(err: str) -> bool:
+    return err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_model_file_missing_key_exits_2(circles_model, tmp_path, capsys):
+    doc = json.loads(circles_model.read_text())
+    del doc["latent_inputs"]
+    bad = tmp_path / "no_latents.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["volume", "--model", str(bad), "--grid", "4", "--out", str(tmp_path / "v.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert _one_error_line(err) and "latent_inputs" in err
+
+
+def test_model_file_mismatched_rows_exits_2(circles_model, tmp_path, capsys):
+    doc = json.loads(circles_model.read_text())
+    doc["outputs"] = doc["outputs"][:-1]
+    bad = tmp_path / "short_outputs.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["indicatrix", "--model", str(bad), "--at", "0,0",
+               "--out", str(tmp_path / "i.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert _one_error_line(err) and "same N" in err
+
+
+def test_series_convergence_failure_exits_1(circles_model, tmp_path, monkeypatch, capsys):
+    def diverge(*args):
+        raise specfun.ConvergenceError("1F1 series did not converge")
+
+    monkeypatch.setattr(specfun, "_series_1f1_lockstep", diverge)
+    rc = main(["indicatrix", "--model", str(circles_model), "--at", "0,0",
+               "--out", str(tmp_path / "i.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert _one_error_line(err) and "did not converge" in err

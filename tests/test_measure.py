@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from finslergp.fields import ConstantField
+from finslergp.fields import ConstantField, as_field
 from finslergp.gp import JacobianPosterior, posterior_mean_var
 from finslergp.measure import (
     Indicatrix,
+    _radii,
     bh_volume,
     export_indicatrix_csv,
     export_volume_field_csv,
@@ -254,3 +255,27 @@ def test_indicatrix_dataclass_fields():
     assert ind.angles.shape == (64,) and ind.radii.shape == (64,)
     assert np.all(ind.radii > 0.0)
     assert np.all(np.diff(ind.angles) > 0.0)
+
+
+def test_volume_field_matches_per_point_functions(gp_model_2d):
+    # one batched evaluation over the grid gives, at each grid point, what
+    # the per-point functions give there
+    vf = volume_field(gp_model_2d, grid=5, K=64)
+    field = as_field(gp_model_2d)
+    for i, z in enumerate(vf.grid_points):
+        p = field.jacobian_posterior(z)
+        assert vf.v_riemann[i] == pytest.approx(bh_volume(p, 64, "riemann"), rel=1e-13)
+        assert vf.v_finsler[i] == pytest.approx(bh_volume(p, 64, "finsler"), rel=1e-13)
+        assert vf.v_alpha_sigma[i] == pytest.approx(bh_volume(p, 64, "alpha_sigma"), rel=1e-13)
+        assert vf.ratio_bound[i] == pytest.approx(volume_ratio_bound(p, 64), rel=1e-13)
+
+
+def test_batched_radii_exactly_even(gp_model_2d):
+    # every grid point's indicatrix, taken from the batched volume path, is
+    # symmetric bit for bit
+    field = as_field(gp_model_2d)
+    means, covs = field.jacobian_batch(np.random.default_rng(13).uniform(-2, 2, (30, 2)))
+    for kind in ("riemann", "finsler", "alpha_sigma"):
+        radii = _radii(means, covs, field.data_dim, 64, kind)
+        assert radii.shape == (30, 64)
+        assert np.array_equal(radii[:, :32], radii[:, 32:])

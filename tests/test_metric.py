@@ -17,6 +17,8 @@ from finslergp.metric import (
     bound_report,
     finsler_norm,
     fundamental_form,
+    gap_bound,
+    norms_sq,
     omega,
     relative_gap,
     riemannian_norm,
@@ -329,3 +331,76 @@ def test_fundamental_form_positive_definite_and_euler():
 def test_fundamental_form_rejects_zero_vector():
     with pytest.raises(ValueError):
         fundamental_form(central_point(3, 2), np.zeros(2))
+
+
+# ---------------------------------------------------------------------------
+# batched norms
+
+
+def _posterior_batch(rng, n, d, q):
+    points = [random_point(rng, d=d, q=q) for _ in range(n)]
+    means = np.stack([p.jac.mean for p in points])
+    covs = np.stack([p.jac.cov for p in points])
+    return points, means, covs
+
+
+SCALAR_NORMS = {
+    "riemann": riemannian_norm,
+    "finsler": finsler_norm,
+    "alpha_sigma": alpha_sigma_norm,
+}
+
+
+@pytest.mark.parametrize("d,q", [(1, 2), (3, 2), (40, 3), (512, 2)])
+def test_norms_sq_matches_scalar_norms_at_every_direction(d, q):
+    rng = np.random.default_rng(d + q)
+    points, means, covs = _posterior_batch(rng, 6, d, q)
+    shared = rng.standard_normal((70, q)) * rng.uniform(0.1, 10.0, (70, 1))
+    per_point = rng.standard_normal((6, 5, q))
+    for V in (shared, per_point, per_point[:, :1]):
+        for kind, scalar in SCALAR_NORMS.items():
+            got = np.sqrt(norms_sq(means, covs, d, V, kind))
+            assert got.shape == (6, V.shape[-2])
+            for i, p in enumerate(points):
+                for k in range(V.shape[-2]):
+                    v = V[k] if V.ndim == 2 else V[i, k]
+                    assert got[i, k] == pytest.approx(scalar(p, v), rel=1e-12)
+        w = norms_sq(means, covs, d, V, "omega")
+        for i, p in enumerate(points):
+            for k in range(V.shape[-2]):
+                v = V[k] if V.ndim == 2 else V[i, k]
+                assert w[i, k] == pytest.approx(omega(p, v), rel=1e-12)
+                assert gap_bound(d, w[i, k]) == pytest.approx(relative_gap(p, v)[1], rel=1e-12)
+
+
+def test_norms_sq_deterministic_limit_and_euclid():
+    mean = np.random.default_rng(41).uniform(-1.0, 1.0, (5, 2))
+    means, covs = mean[None], np.zeros((1, 2, 2))
+    V = np.array([[1.0, 0.0], [0.3, -2.0]])
+    signal = np.sum((mean @ V.T) ** 2, axis=0)
+    assert np.allclose(norms_sq(means, covs, 5, V, "finsler")[0], signal, rtol=1e-14)
+    assert np.all(np.isinf(norms_sq(means, covs, 5, V, "omega")))
+    assert np.array_equal(norms_sq(means, covs, 5, V, "euclid")[0], np.sum(V * V, axis=1))
+    with pytest.raises(ValueError, match="kind"):
+        norms_sq(means, covs, 5, V, "taxicab")
+
+
+def test_norms_sq_exactly_even():
+    # opposite directions give bit-identical values in every kind
+    rng = np.random.default_rng(43)
+    _, means, covs = _posterior_batch(rng, 20, 7, 2)
+    half = rng.standard_normal((64, 2))
+    V = np.vstack([half, -half])
+    for kind in ("riemann", "finsler", "alpha_sigma", "omega"):
+        values = norms_sq(means, covs, 7, V, kind)
+        assert np.array_equal(values[:, :64], values[:, 64:])
+
+
+def test_gap_bound_scalar_and_array():
+    assert gap_bound(4, 0.0) == 0.25
+    assert gap_bound(4, math.inf) == 0.0
+    w = np.array([0.0, 1.0, 10.0, math.inf])
+    got = gap_bound(4, w)
+    assert isinstance(got, np.ndarray)
+    assert np.array_equal(got, [gap_bound(4, x) for x in w])
+    assert np.all(np.diff(got) < 0.0)

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finslergp.specfun import kummer_1f1, kummer_1f1_derivative, log_gamma_ratio
+from finslergp.specfun import (
+    kummer_1f1,
+    kummer_1f1_array,
+    kummer_1f1_derivative,
+    log_gamma_ratio,
+)
 from oracles import hyp1f1_mp, hyp1f1_series, loggamma_mp
 
 
@@ -160,3 +165,37 @@ def test_derivative_matches_finite_differences():
         fd = (kummer_1f1(a, b, x + h) - kummer_1f1(a, b, x - h)) / (2 * h)
         got = kummer_1f1_derivative(a, b, x)
         assert math.isclose(got, fd, rel_tol=1e-5, abs_tol=1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    b=st.floats(min_value=0.5, max_value=512.0),
+    xs=st.lists(st.floats(min_value=-3e4, max_value=0.0), min_size=1, max_size=150),
+    near_cutoff=st.lists(st.floats(min_value=-701.0, max_value=-699.0), max_size=10),
+)
+def test_kummer_array_matches_scalar_property(b, xs, near_cutoff):
+    # both sides of the -700 handover, and enough elements for the lockstep
+    # sum as well as the scalar finish of its stragglers; (a, b) as in the
+    # Finsler norm and in its derivative
+    x = np.array(xs + near_cutoff)
+    for a, bb in ((-0.5, b), (0.5, b + 1.0)):
+        got = kummer_1f1_array(a, bb, x)
+        want = np.array([kummer_1f1(a, bb, float(v)) for v in x])
+        assert got.shape == x.shape
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+
+def test_kummer_array_is_bitwise_the_scalar_function():
+    rng = np.random.default_rng(13)
+    x = np.concatenate([-rng.uniform(0.0, 700.0, 3000), -rng.exponential(1.0, 300),
+                        [0.0, -700.0, -700.5, -5e3, 2.5]])
+    for b in (0.5, 1.5, 17.0, 512.0):
+        got = kummer_1f1_array(-0.5, b, x.reshape(5, -1))
+        want = np.array([kummer_1f1(-0.5, b, float(v)) for v in x]).reshape(5, -1)
+        assert np.array_equal(got, want)
+
+
+def test_kummer_array_empty_and_rejects_nonpositive_b():
+    assert kummer_1f1_array(-0.5, 2.0, np.array([])).shape == (0,)
+    with pytest.raises(ValueError):
+        kummer_1f1_array(-0.5, 0.0, np.array([-1.0]))
