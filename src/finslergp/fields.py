@@ -1,10 +1,19 @@
 """Metric fields: anything that yields a Jacobian posterior per latent point.
 
 A field must provide `latent_dim`, `data_dim`, `jacobian_posterior(z)`,
-`jacobian_batch(Z)` and `latent_box()`; fields that map latents to an
-ambient space additionally provide `decode(z)`. Geodesics, indicatrices and
-volumes are computed against this interface, so fitted models and analytic
-test surfaces are interchangeable.
+`jacobian_batch(Z)`, `jacobian_batch_dz(Z)` and `latent_box()`; fields that
+map latents to an ambient space additionally provide `decode(z)`.
+
+- `jacobian_batch(Z)` returns the posteriors at n points: means (n, D, q)
+  and covs (n, q, q).
+- `jacobian_batch_dz(Z)` returns the same two arrays plus their derivatives
+  in z from one pass: dmeans (n, D, q, q) and dcovs (n, q, q, q), the last
+  axis being the coordinate of z differentiated; dcovs differentiates the
+  covariance before any PSD clamp. Geodesic energy gradients take both the
+  velocity and the midpoint part from it.
+
+Geodesics, indicatrices and volumes are computed against this interface, so
+fitted models and analytic test surfaces are interchangeable.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from .gp import (
     GpModel,
     JacobianPosterior,
     _jacobian_posterior_batch,
+    _jacobian_posterior_batch_dz,
     _posterior_mean_var_batch,
     posterior_mean_var,
 )
@@ -34,15 +44,21 @@ __all__ = [
 ]
 
 
-def _batch_by_loop(field, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    means = np.empty((Z.shape[0], field.data_dim, field.latent_dim))
-    covs = np.empty((Z.shape[0], field.latent_dim, field.latent_dim))
-    for i, z in enumerate(Z):
-        jac = field.jacobian_posterior(z)
-        means[i] = jac.mean
-        covs[i] = jac.cov
-    return means, covs
+def _points(Z: np.ndarray) -> np.ndarray:
+    return np.atleast_2d(np.asarray(Z, dtype=float))
+
+
+def _posterior_at(field, z: np.ndarray) -> JacobianPosterior:
+    """The posterior at one point, as a one-row call of the field's batch."""
+    means, covs = field.jacobian_batch(_points(z))
+    return JacobianPosterior(mean=means[0], cov=covs[0], dim_data=field.data_dim)
+
+
+def _constant_batch_dz(field, Z: np.ndarray):
+    """`jacobian_batch_dz` of a field whose posterior does not depend on z."""
+    means, covs = field.jacobian_batch(Z)
+    n, d, q = means.shape
+    return means, covs, np.zeros((n, d, q, q)), np.zeros((n, q, q, q))
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,11 +76,13 @@ class GpField:
         return self.model.dim_data
 
     def jacobian_posterior(self, z: np.ndarray) -> JacobianPosterior:
-        means, covs = _jacobian_posterior_batch(self.model, np.atleast_2d(z))
-        return JacobianPosterior(mean=means[0], cov=covs[0], dim_data=self.data_dim)
+        return _posterior_at(self, z)
 
     def jacobian_batch(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _jacobian_posterior_batch(self.model, Z)
+
+    def jacobian_batch_dz(self, Z: np.ndarray):
+        return _jacobian_posterior_batch_dz(self.model, Z)
 
     def latent_box(self) -> tuple[np.ndarray, np.ndarray]:
         return self.model.latent_bounds
@@ -91,11 +109,14 @@ class EuclideanField:
         self._box = float(box)
 
     def jacobian_posterior(self, z: np.ndarray) -> JacobianPosterior:
-        q = self.latent_dim
-        return JacobianPosterior(mean=np.eye(q), cov=np.zeros((q, q)), dim_data=q)
+        return _posterior_at(self, z)
 
     def jacobian_batch(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _batch_by_loop(self, Z)
+        n, q = _points(Z).shape[0], self.latent_dim
+        return np.broadcast_to(np.eye(q), (n, q, q)).copy(), np.zeros((n, q, q))
+
+    def jacobian_batch_dz(self, Z: np.ndarray):
+        return _constant_batch_dz(self, Z)
 
     def latent_box(self) -> tuple[np.ndarray, np.ndarray]:
         q = self.latent_dim
@@ -123,6 +144,9 @@ class ConstantField:
             np.broadcast_to(self.jac.mean, (n, *self.jac.mean.shape)).copy(),
             np.broadcast_to(self.jac.cov, (n, *self.jac.cov.shape)).copy(),
         )
+
+    def jacobian_batch_dz(self, Z: np.ndarray):
+        return _constant_batch_dz(self, Z)
 
     def latent_box(self) -> tuple[np.ndarray, np.ndarray]:
         q = self.latent_dim
@@ -157,13 +181,28 @@ class SphereField:
         self._margin = float(polar_margin)
 
     def jacobian_posterior(self, z: np.ndarray) -> JacobianPosterior:
-        t, p = float(z[0]), float(z[1])
-        st, ct, sp, cp = math.sin(t), math.cos(t), math.sin(p), math.cos(p)
-        mean = np.array([[-st * sp, ct * cp], [ct * sp, st * cp], [0.0, -sp]])
-        return JacobianPosterior(mean=mean, cov=np.zeros((2, 2)), dim_data=3)
+        return _posterior_at(self, z)
 
     def jacobian_batch(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _batch_by_loop(self, Z)
+        means, covs, _, _ = self.jacobian_batch_dz(Z)
+        return means, covs
+
+    def jacobian_batch_dz(self, Z: np.ndarray):
+        Z = _points(Z)
+        n = Z.shape[0]
+        st, ct = np.sin(Z[:, 0]), np.cos(Z[:, 0])
+        sp, cp = np.sin(Z[:, 1]), np.cos(Z[:, 1])
+        means = np.zeros((n, 3, 2))
+        means[:, 0] = np.column_stack([-st * sp, ct * cp])
+        means[:, 1] = np.column_stack([ct * sp, st * cp])
+        means[:, 2, 1] = -sp
+        dmeans = np.zeros((n, 3, 2, 2))  # last axis: d/d azimuth, d/d polar
+        dmeans[:, 0, 0] = np.column_stack([-ct * sp, -st * cp])
+        dmeans[:, 0, 1] = np.column_stack([-st * cp, -ct * sp])
+        dmeans[:, 1, 0] = np.column_stack([-st * sp, ct * cp])
+        dmeans[:, 1, 1] = np.column_stack([ct * cp, -st * sp])
+        dmeans[:, 2, 1, 1] = -cp
+        return means, np.zeros((n, 2, 2)), dmeans, np.zeros((n, 2, 2, 2))
 
     def latent_box(self) -> tuple[np.ndarray, np.ndarray]:
         return (
@@ -201,16 +240,27 @@ class SyntheticField:
         self._phase_cov = rng.uniform(0.0, 2.0 * np.pi, (latent_dim, latent_dim))
 
     def jacobian_posterior(self, z: np.ndarray) -> JacobianPosterior:
-        z = np.asarray(z, dtype=float)
-        mean = self._amp_mean * np.sin(self._freq_mean @ z + self._phase_mean)
-        root = np.sin(self._freq_cov @ z + self._phase_cov)
-        cov = root @ root.T / self.latent_dim + self.noise_floor * np.eye(
-            self.latent_dim
-        )
-        return JacobianPosterior(mean=mean, cov=cov, dim_data=self.data_dim)
+        return _posterior_at(self, z)
 
     def jacobian_batch(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _batch_by_loop(self, Z)
+        means, covs, _, _ = self.jacobian_batch_dz(Z)
+        return means, covs
+
+    def jacobian_batch_dz(self, Z: np.ndarray):
+        # mean = A sin(F z + P) and cov = R R^T / q + floor I with
+        # R = sin(G z + Q), entry by entry; the stacked matmul with z as an
+        # (n, 1, q, 1) column computes F z exactly as F @ z does per point
+        Z = _points(Z)[:, None, :, None]
+        q = self.latent_dim
+        arg = (self._freq_mean @ Z)[..., 0] + self._phase_mean  # (n, D, q)
+        means = self._amp_mean * np.sin(arg)
+        dmeans = (self._amp_mean * np.cos(arg))[..., None] * self._freq_mean
+        arg = (self._freq_cov @ Z)[..., 0] + self._phase_cov  # (n, q, q)
+        root = np.sin(arg)
+        droot = np.cos(arg)[..., None] * self._freq_cov  # (n, q, q, q)
+        covs = root @ np.swapaxes(root, -1, -2) / q + self.noise_floor * np.eye(q)
+        cross = np.einsum("nakb,nck->nacb", droot, root)
+        return means, covs, dmeans, (cross + cross.transpose(0, 2, 1, 3)) / q
 
     def latent_box(self) -> tuple[np.ndarray, np.ndarray]:
         q = self.latent_dim

@@ -5,7 +5,11 @@ curve of N points has N-1 segments, velocity (p[i+1]-p[i])*(N-1) on each,
 and all metric quantities evaluated at segment midpoints (second-order
 quadrature). Geodesics come from gradient descent on the discretized
 energy with Armijo backtracking, optionally seeded by a shortest path on
-an 8-connected latent grid.
+an 8-connected latent grid. The energy gradient is exact: the field's
+posterior and its derivative in z at the midpoints come from one pass, and
+differentiating the norms through them gives both the velocity and the
+midpoint part. `energy_gradient_fd` differences the whole energy as the
+slow reference.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ METRIC_KINDS = (RIEMANN, FINSLER, EUCLID, ALPHA_SIGMA)
 
 _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
-_FD_STEP = 1e-5
 _CONVERGED_STREAK = 10
 
 
@@ -189,22 +192,34 @@ def curve_length(m, c: DiscreteCurve, metric_kind: str) -> float:
 # energy gradient
 
 
-def _velocity_gradient(field, mids, vels, kind):
-    """d(norm^2)/d(velocity) per segment, analytic in v; (n, q)."""
+def _segment_gradients(field, mids, vels, kind):
+    """d(norm^2)/d(velocity) and d(norm^2)/d(midpoint) per segment, (n, q) each.
+
+    Both come from one `jacobian_batch_dz` pass. With sigma = v^T Sigma v,
+    s = ||E[J] v||^2 and w = s / sigma, the midpoint part follows from the
+    derivatives of sigma and s in z: riemann ds + D dsigma; finsler
+    alpha ((h^2 + h hx w) dsigma - h hx ds), where h = 1F1(-1/2, D/2, -w/2)
+    and hx its derivative in the last argument, the same arrays as in the
+    velocity part; ds in the deterministic limit; alpha_sigma alpha dsigma.
+    """
     if kind == EUCLID:
-        return 2.0 * vels
-    means, covs = field.jacobian_batch(mids)
+        return 2.0 * vels, np.zeros_like(mids)
+    means, covs, dmeans, dcovs = field.jacobian_batch_dz(mids)
     d = field.data_dim
     sv = np.einsum("nqp,np->nq", covs, vels)
+    dsigma = np.einsum("nabc,na,nb->nc", dcovs, vels, vels)
     if kind == ALPHA_SIGMA:
-        return 2.0 * alpha_coefficient(d) * sv
+        a = alpha_coefficient(d)
+        return 2.0 * a * sv, a * dsigma
     jv = np.einsum("ndq,nq->nd", means, vels)
     jtjv = np.einsum("ndq,nd->nq", means, jv)
+    dsignal = 2.0 * np.einsum("nd,ndqc,nq->nc", jv, dmeans, vels)
     if kind == RIEMANN:
-        return 2.0 * (jtjv + d * sv)
+        return 2.0 * (jtjv + d * sv), dsignal + d * dsigma
     sigma = np.maximum(np.einsum("nq,nq->n", vels, sv), 0.0)
     signal = np.einsum("nd,nd->n", jv, jv)
-    grad = 2.0 * jtjv  # the deterministic limit
+    grad_v = 2.0 * jtjv  # the deterministic limit
+    grad_z = dsignal
     live = sigma >= DETERMINISTIC_SIGMA
     w = signal[live] / sigma[live]
     x = -0.5 * w
@@ -212,44 +227,31 @@ def _velocity_gradient(field, mids, vels, kind):
     h = kummer_1f1_array(-0.5, b, x)
     hx = (-0.5 / b) * kummer_1f1_array(0.5, b + 1.0, x)  # d 1F1 / dx at x = -w/2
     # norm^2 = alpha sigma h(w)^2 with dh/dw = -hx/2
-    grad[live] = (2.0 * alpha_coefficient(d)) * (
+    a = alpha_coefficient(d)
+    grad_v[live] = (2.0 * a) * (
         (h * h + h * hx * w)[:, None] * sv[live] - (h * hx)[:, None] * jtjv[live]
     )
-    return grad
+    grad_z[live] = a * (
+        (h * h + h * hx * w)[:, None] * dsigma[live] - (h * hx)[:, None] * dsignal[live]
+    )
+    return grad_v, grad_z
 
 
-def _midpoint_gradient(field, mids, vels, kind, step=_FD_STEP):
-    """d(norm^2)/d(midpoint) per segment by central differences; (n, q)."""
-    n, q = mids.shape
-    out = np.zeros((n, q))
-    if kind == EUCLID:
-        return out
-    for j in range(q):
-        e = np.zeros(q)
-        e[j] = step
-        plus = _segment_norms_sq(field, mids + e, vels, kind)
-        minus = _segment_norms_sq(field, mids - e, vels, kind)
-        out[:, j] = (plus - minus) / (2.0 * step)
-    return out
-
-
-def energy_gradient(m, c: DiscreteCurve, metric_kind: str, step: float = _FD_STEP) -> np.ndarray:
+def energy_gradient(m, c: DiscreteCurve, metric_kind: str) -> np.ndarray:
     """Energy gradient at the interior points, shape (N-2, q).
 
-    Velocity dependence is differentiated analytically (including the
-    hypergeometric factor); the midpoint dependence of the Jacobian
-    posterior is differenced centrally with the given step.
+    Exact: the velocity and the midpoint dependence of every segment's
+    squared norm, including the hypergeometric factor, come from one pass
+    of the field's `jacobian_batch_dz` at the segment midpoints.
     """
     _check_kind(metric_kind)
     field = as_field(m)
-    mids, vels = c.midpoints, c.velocities
-    dv = _velocity_gradient(field, mids, vels, metric_kind)
-    dz = _midpoint_gradient(field, mids, vels, metric_kind, step)
+    dv, dz = _segment_gradients(field, c.midpoints, c.velocities, metric_kind)
     n1 = c.n_points - 1
     return (0.5 * (dz[:-1] + dz[1:]) + n1 * (dv[:-1] - dv[1:])) / n1
 
 
-def energy_gradient_fd(m, c: DiscreteCurve, metric_kind: str, step: float = _FD_STEP) -> np.ndarray:
+def energy_gradient_fd(m, c: DiscreteCurve, metric_kind: str, step: float = 1e-5) -> np.ndarray:
     """All-finite-difference energy gradient; the slow reference path."""
     _check_kind(metric_kind)
     field = as_field(m)

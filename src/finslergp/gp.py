@@ -131,16 +131,29 @@ def _kernel_matrix(k: Kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return k.variance * (1.0 + u * r + (u * r) ** 2 / 3.0) * np.exp(-u * r)
 
 
+def _radial_coefficients(k: Kernel, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and second radial coefficients (c, e) of k at squared distances r2.
+
+    With d = z1 - z2 and r = |d|, the gradient of k(z1, z2) in z1 is c d and
+    its Hessian in z1 is c I + e d d^T, where c = k'(r)/r and e = c'(r)/r.
+    RBF: c = -sigma^2/l^2 exp(-r^2/(2 l^2)), e = -c/l^2. Matern-5/2 with
+    u = sqrt(5)/l: c = -(sigma^2 u^2/3)(1 + u r) exp(-u r),
+    e = (sigma^2 u^4/3) exp(-u r); both are finite at r = 0.
+    """
+    if k.family == RBF:
+        c = -(k.variance / k.lengthscale**2) * np.exp(-0.5 * r2 / k.lengthscale**2)
+        return c, -c / k.lengthscale**2
+    u = math.sqrt(5.0) / k.lengthscale
+    r = np.sqrt(r2)
+    decay = np.exp(-u * r)
+    c = -(k.variance * u**2 / 3.0) * (1.0 + u * r) * decay
+    return c, (k.variance * u**4 / 3.0) * decay
+
+
 def _kernel_grad_first(k: Kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Gradient of k(z1, z2) in z1, for all pairs: shape (n, m, q)."""
     diff = a[:, None, :] - b[None, :, :]
-    r2 = np.einsum("nmq,nmq->nm", diff, diff)
-    if k.family == RBF:
-        c = -(k.variance / k.lengthscale**2) * np.exp(-0.5 * r2 / k.lengthscale**2)
-    else:
-        u = math.sqrt(5.0) / k.lengthscale
-        r = np.sqrt(r2)
-        c = -(k.variance * u**2 / 3.0) * (1.0 + u * r) * np.exp(-u * r)
+    c, _ = _radial_coefficients(k, np.einsum("nmq,nmq->nm", diff, diff))
     return c[:, :, None] * diff
 
 
@@ -278,6 +291,44 @@ def _jacobian_posterior_batch(m: GpModel, Z: np.ndarray) -> tuple[np.ndarray, np
     return means, _clamp_psd_batch(covs)
 
 
+def _jacobian_posterior_batch_dz(
+    m: GpModel, Z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Derivative posteriors at n points and their derivatives in z.
+
+    Returns means (n, D, q) and covs (n, q, q) as `_jacobian_posterior_batch`
+    does, plus dmeans (n, D, q, q) and dcovs (n, q, q, q), whose last axis
+    is the coordinate of z differentiated. dcovs is the derivative of the
+    covariance before the PSD clamp of covs. The kernel gradients and
+    Hessians against the training inputs share one triangular solve with
+    q + q^2 columns per point.
+    """
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    n, q = Z.shape
+    big_n = len(m.latent_inputs)
+    diff = Z[:, None, :] - m.latent_inputs[None, :, :]  # (n, N, q)
+    c, e = _radial_coefficients(m.kernel, np.einsum("nNq,nNq->nN", diff, diff))
+    grads = c[:, :, None] * diff
+    hess = e[:, :, None, None] * diff[:, :, :, None] * diff[:, :, None, :]
+    hess += c[:, :, None, None] * np.eye(q)  # (n, N, q, q)
+    means = np.einsum("nNq,ND->nDq", grads, m.alpha)
+    dmeans = np.einsum("nNqp,ND->nDqp", hess, m.alpha)
+    cols = q + q * q
+    rhs = np.concatenate([grads, hess.reshape(n, big_n, q * q)], axis=2)
+    w = solve_triangular(
+        m.chol, rhs.transpose(1, 0, 2).reshape(big_n, n * cols), lower=True
+    ).reshape(big_n, n, cols)
+    wg = w[:, :, :q]
+    wh = w[:, :, q:].reshape(big_n, n, q, q)
+    covs = _prior_derivative_cov(m.kernel, q)[None, :, :] - np.einsum(
+        "Nnq,Nnp->nqp", wg, wg
+    )
+    # d/dz_c of -(W^T W)_ab with dW/dz_c = L^-1 (Hessian column c)
+    cross = np.einsum("Nnac,Nnb->nabc", wh, wg)
+    dcovs = -(cross + cross.transpose(0, 2, 1, 3))
+    return means, _clamp_psd_batch(covs), dmeans, dcovs
+
+
 def jacobian_posterior_closed_form(m: GpModel, z: np.ndarray) -> JacobianPosterior:
     """Jacobian posterior at z via analytic kernel derivatives."""
     means, covs = _jacobian_posterior_batch(m, np.asarray(z, dtype=float)[None, :])
@@ -320,6 +371,18 @@ def jacobian_posterior_discretized(m: GpModel, z: np.ndarray, h: float) -> Jacob
 def _log_marginal_and_grad(
     X: np.ndarray, Yc: np.ndarray, kernel: Kernel, noise: float
 ) -> tuple[float, np.ndarray]:
+    """Log marginal likelihood and its gradient in (log lengthscale,
+    log variance, log noise)."""
+    lml, grad, _ = _log_marginal_grad_mmat(X, Yc, kernel, noise)
+    return lml, grad
+
+
+def _log_marginal_grad_mmat(
+    X: np.ndarray, Yc: np.ndarray, kernel: Kernel, noise: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """`_log_marginal_and_grad` plus M = alpha alpha^T - D K^-1, from which
+    the gradient in the latents follows (`_latent_gradient`), so a step
+    that moves the latents factorizes the kernel matrix once."""
     n, d = Yc.shape
     gram = _kernel_matrix(kernel, X, X)
     chol = _robust_cholesky(gram, noise, kernel.variance)
@@ -347,7 +410,7 @@ def _log_marginal_and_grad(
             0.5 * noise * float(np.trace(mmat)),
         ]
     )
-    return lml, grad
+    return lml, grad, mmat
 
 
 def fit_hyperparameters(
@@ -418,14 +481,7 @@ def pca_latents(Y: np.ndarray, q: int) -> np.ndarray:
 
 def _latent_gradient(X: np.ndarray, mmat: np.ndarray, kernel: Kernel) -> np.ndarray:
     # d lml / d x_n = sum_m M[n, m] * grad_z1 k(x_n, x_m), using symmetry of M
-    diff = X[:, None, :] - X[None, :, :]
-    r2 = np.einsum("nmq,nmq->nm", diff, diff)
-    if kernel.family == RBF:
-        c = -(kernel.variance / kernel.lengthscale**2) * np.exp(-0.5 * r2 / kernel.lengthscale**2)
-    else:
-        u = math.sqrt(5.0) / kernel.lengthscale
-        r = np.sqrt(r2)
-        c = -(kernel.variance * u**2 / 3.0) * (1.0 + u * r) * np.exp(-u * r)
+    c, _ = _radial_coefficients(kernel, _sqdist(X, X))
     w = mmat * c
     np.fill_diagonal(w, 0.0)
     return w.sum(axis=1)[:, None] * X - w @ X
@@ -453,7 +509,6 @@ def fit_gplvm(
         return fit_hyperparameters(X, Y, k0, noise0, steps=steps, lr=lr)
 
     Yc = Y - Y.mean(axis=0)
-    n, d = Yc.shape
     theta = np.log(np.array([k0.lengthscale, k0.variance, max(noise0, 1e-12)]))
     best = (-np.inf, theta.copy(), X.copy())
     mt = np.zeros(3)
@@ -465,16 +520,12 @@ def fit_gplvm(
     for step in range(steps + 1):
         ell, var, noise = np.exp(theta)
         kernel = Kernel(k0.family, ell, var)
-        lml, grad = _log_marginal_and_grad(X, Yc, kernel, noise)
+        lml, grad, mmat = _log_marginal_grad_mmat(X, Yc, kernel, noise)
         objective = lml - 0.5 * float(np.sum(X * X))
         if objective > best[0]:
             best = (objective, theta.copy(), X.copy())
         if step == steps:
             break
-        gram = _kernel_matrix(kernel, X, X)
-        chol = _robust_cholesky(gram, noise, var)
-        alpha = cho_solve((chol, True), Yc)
-        mmat = alpha @ alpha.T - d * cho_solve((chol, True), np.eye(n))
         gx = _latent_gradient(X, mmat, kernel) - X
 
         mt = beta1 * mt + (1.0 - beta1) * grad

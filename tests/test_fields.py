@@ -1,5 +1,7 @@
 """Field adapters: analytic test surfaces and the fitted-model wrapper."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,14 @@ from finslergp.fields import (
     sphere_chart,
     sphere_chart_inverse,
 )
-from finslergp.gp import JacobianPosterior, jacobian_posterior_closed_form
+from finslergp.gp import (
+    MATERN52,
+    RBF,
+    JacobianPosterior,
+    Kernel,
+    jacobian_posterior_closed_form,
+    make_model,
+)
 
 
 def test_sphere_chart_unit_norm_and_inverse():
@@ -141,3 +150,87 @@ def test_gp_field_batch_consistency(gp_model_2d):
         jac = f.jacobian_posterior(z)
         assert np.allclose(means[i], jac.mean, atol=1e-12)
         assert np.allclose(covs[i], jac.cov, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# batches and their derivative pass
+
+
+def _gp_field(family):
+    rng = np.random.default_rng(31)
+    X = rng.uniform(-1.5, 1.5, (30, 2))
+    Y = np.column_stack([np.sin(X @ w + j) for j, w in enumerate(rng.normal(0, 1, (4, 2)))])
+    return GpField(make_model(X, Y, Kernel(family, 0.9, 1.3), 1e-4))
+
+
+DZ_FIELDS = {
+    "gp_rbf": lambda: _gp_field(RBF),
+    "gp_matern52": lambda: _gp_field(MATERN52),
+    "sphere": SphereField,
+    "synthetic": lambda: SyntheticField(seed=4, latent_dim=3, data_dim=5),
+    "euclidean": lambda: EuclideanField(dim=3),
+    "constant": lambda: ConstantField(
+        JacobianPosterior(mean=np.arange(6.0).reshape(3, 2), cov=np.eye(2), dim_data=3)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DZ_FIELDS))
+def test_batch_dz_matches_central_differences(name):
+    f = DZ_FIELDS[name]()
+    q = f.latent_dim
+    lo, hi = f.latent_box()
+    Z = np.random.default_rng(32).uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), (6, q))
+    if isinstance(f, GpField):
+        # points that coincide with training inputs, where r = 0
+        Z = np.vstack([Z, f.model.latent_inputs[:2]])
+    means, covs, dmeans, dcovs = f.jacobian_batch_dz(Z)
+    ref_means, ref_covs = f.jacobian_batch(Z)
+    assert np.array_equal(means, ref_means) and np.array_equal(covs, ref_covs)
+    assert dmeans.shape == (len(Z), f.data_dim, q, q)
+    assert dcovs.shape == (len(Z), q, q, q)
+    h = 1e-6
+    for j in range(q):
+        e = h * np.eye(q)[j]
+        mp, cp = f.jacobian_batch(Z + e)
+        mm, cm = f.jacobian_batch(Z - e)
+        fd_means = (mp - mm) / (2.0 * h)
+        fd_covs = (cp - cm) / (2.0 * h)
+        assert np.max(np.abs(dmeans[..., j] - fd_means)) <= 1e-6 * (1.0 + np.max(np.abs(fd_means)))
+        assert np.max(np.abs(dcovs[..., j] - fd_covs)) <= 1e-6 * (1.0 + np.max(np.abs(fd_covs)))
+
+
+@pytest.mark.parametrize("name", ["sphere", "euclidean"])
+def test_batch_rows_equal_single_point_posteriors(name):
+    f = DZ_FIELDS[name]()
+    lo, hi = f.latent_box()
+    Z = np.random.default_rng(33).uniform(lo, hi, (9, f.latent_dim))
+    means, covs = f.jacobian_batch(Z)
+    for i, z in enumerate(Z):
+        jac = f.jacobian_posterior(z)
+        assert np.array_equal(means[i], jac.mean)
+        assert np.array_equal(covs[i], jac.cov)
+
+
+def test_sphere_batch_equals_chart_formula():
+    Z = np.random.default_rng(34).uniform([-np.pi, 0.3], [np.pi, np.pi - 0.3], (11, 2))
+    means, covs = SphereField().jacobian_batch(Z)
+    for (t, p), mean in zip(Z, means):
+        st, ct, sp, cp = math.sin(t), math.cos(t), math.sin(p), math.cos(p)
+        assert np.array_equal(mean, [[-st * sp, ct * cp], [ct * sp, st * cp], [0.0, -sp]])
+    assert not np.any(covs)
+
+
+def test_synthetic_batch_equals_per_point_formula():
+    # the trigonometric field evaluated one point at a time, as a reference
+    # for the vectorized pass: same arithmetic, so the same bits
+    for seed, q, d in [(2, 2, 8), (5, 3, 17), (9, 2, 31)]:
+        f = SyntheticField(seed=seed, latent_dim=q, data_dim=d)
+        Z = np.random.default_rng(seed).uniform(-2.5, 2.5, (13, q))
+        means, covs = f.jacobian_batch(Z)
+        for i, z in enumerate(Z):
+            mean = f._amp_mean * np.sin(f._freq_mean @ z + f._phase_mean)
+            root = np.sin(f._freq_cov @ z + f._phase_cov)
+            cov = root @ root.T / q + f.noise_floor * np.eye(q)
+            assert np.array_equal(means[i], mean)
+            assert np.array_equal(covs[i], cov)

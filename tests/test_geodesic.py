@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from finslergp.fields import EuclideanField, GpField, SphereField, SyntheticField, sphere_chart
+from finslergp.gp import MATERN52, Kernel, make_model
 from finslergp.geodesic import (
     DiscreteCurve,
     GeodesicResult,
@@ -172,6 +173,32 @@ def test_energy_gradient_matches_all_finite_differences(kind):
         fd = energy_gradient_fd(field, c, kind)
         scale = np.max(np.abs(fd)) + 1e-12
         assert np.max(np.abs(g - fd)) / scale < 1e-4
+
+
+def _matern_field():
+    rng = np.random.default_rng(14)
+    X = rng.uniform(-1.5, 1.5, (30, 2))
+    Y = np.column_stack([np.sin(X @ w + j) for j, w in enumerate(rng.normal(0, 1, (4, 2)))])
+    return GpField(make_model(X, Y, Kernel(MATERN52, 0.9, 1.3), 1e-4))
+
+
+@pytest.mark.parametrize("kind", ["riemann", "finsler", "alpha_sigma", "euclid"])
+@pytest.mark.parametrize("family", ["rbf", "matern52", "sphere"])
+def test_exact_energy_gradient_matches_finite_differences(family, kind, gp_model_2d):
+    # the exact gradient against the all-difference oracle, at 1e-6
+    if family == "sphere":
+        field, span, center = SphereField(), 0.8, np.array([0.0, 0.5 * math.pi])
+    else:
+        field = GpField(gp_model_2d) if family == "rbf" else _matern_field()
+        span, center = 1.2, np.zeros(2)
+    rng = np.random.default_rng(15)
+    for _ in range(4):
+        c = wiggly_curve(rng, n=7, span=span)
+        c = DiscreteCurve(c.points + center)
+        g = energy_gradient(field, c, kind)
+        fd = energy_gradient_fd(field, c, kind)
+        scale = np.max(np.abs(fd)) + 1e-12
+        assert np.max(np.abs(g - fd)) / scale < 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,13 @@ from finslergp.gp import (
     GpModel,
     Kernel,
     _jacobian_posterior_batch,
+    _jacobian_posterior_batch_dz,
     _kernel_grad_first,
     _kernel_matrix,
     _log_marginal_and_grad,
+    _log_marginal_grad_mmat,
     _prior_derivative_cov,
+    _radial_coefficients,
     fit_gplvm,
     fit_hyperparameters,
     jacobian_posterior_closed_form,
@@ -375,3 +378,53 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(a_mean, b_mean)
     assert a_var == b_var
     assert m2.kernel == m.kernel
+
+
+# ---------------------------------------------------------------------------
+# radial derivative coefficients and the derivative pass
+
+
+@pytest.mark.parametrize("family", [RBF, MATERN52])
+def test_radial_coefficients_give_the_kernel_hessian(family):
+    # c d is the gradient and c I + e d d^T the Hessian of k(., x) at z;
+    # the Hessian is checked against differences of the gradient, r = 0
+    # included
+    k = Kernel(family, 0.8, 1.7)
+    x = np.array([[0.3, -0.2]])
+    h = 1e-6
+    for z in [np.array([0.9, 0.4]), np.array([0.35, -0.1]), x[0].copy()]:
+        d = z - x[0]
+        c, e = _radial_coefficients(k, np.array([d @ d]))
+        assert np.allclose(_kernel_grad_first(k, z[None], x)[0, 0], c[0] * d, rtol=0, atol=1e-15)
+        hess = c[0] * np.eye(2) + e[0] * np.outer(d, d)
+        for j in range(2):
+            step = h * np.eye(2)[j]
+            fd = (
+                _kernel_grad_first(k, (z + step)[None], x)[0, 0]
+                - _kernel_grad_first(k, (z - step)[None], x)[0, 0]
+            ) / (2.0 * h)
+            assert np.allclose(hess[:, j], fd, rtol=0, atol=1e-8)
+
+
+def test_jacobian_batch_dz_values_are_the_batch():
+    for family in (RBF, MATERN52):
+        m = make_smooth_model(family=family, noise=1e-6, seed=9)
+        Z = np.vstack([np.random.default_rng(10).uniform(-1.5, 1.5, (7, 2)), m.latent_inputs[:1]])
+        means, covs, dmeans, dcovs = _jacobian_posterior_batch_dz(m, Z)
+        ref_means, ref_covs = _jacobian_posterior_batch(m, Z)
+        assert np.array_equal(means, ref_means) and np.array_equal(covs, ref_covs)
+        # the Hessian of k is symmetric, and so is d mean / dz in (q, z)
+        assert np.allclose(dmeans, np.swapaxes(dmeans, -1, -2), rtol=0, atol=1e-12)
+        assert np.allclose(dcovs, np.swapaxes(dcovs, 1, 2), rtol=0, atol=1e-15)
+
+
+def test_log_marginal_mmat_is_alpha_alpha_minus_d_kinv():
+    m = make_smooth_model(noise=1e-3, seed=3)
+    Yc = m.outputs - m.outputs.mean(axis=0)
+    lml, grad, mmat = _log_marginal_grad_mmat(m.latent_inputs, Yc, m.kernel, m.noise)
+    ref_lml, ref_grad = _log_marginal_and_grad(m.latent_inputs, Yc, m.kernel, m.noise)
+    assert lml == ref_lml and np.array_equal(grad, ref_grad)
+    kmat = _kernel_matrix(m.kernel, m.latent_inputs, m.latent_inputs) + m.noise * np.eye(25)
+    alpha = np.linalg.solve(kmat, Yc)
+    dense = alpha @ alpha.T - Yc.shape[1] * np.linalg.inv(kmat)
+    assert np.allclose(mmat, dense, rtol=1e-8, atol=1e-8 * np.max(np.abs(dense)))
