@@ -33,7 +33,7 @@ def main():
          "--seed", str(args.seed), "--out", data])
     run(["fit", "--data", data, "--out", model, "--kernel", "rbf",
          "--steps", str(args.fit_steps), "--noise", "0.005",
-         "--lengthscale", "0.6", "--seed", str(args.seed)])
+         "--lengthscale", "0.6"])
 
     # endpoint pairs that cross the low-density voids between arms
     pairs = os.path.join(args.out, "pairs.csv")

@@ -292,7 +292,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--latent-dim", type=int, default=2)
     p_fit.add_argument("--optimize-latents", action="store_true")
     p_fit.add_argument("--labels", choices=("auto", "yes", "no"), default="auto")
-    p_fit.add_argument("--seed", type=int, default=0)
     p_fit.set_defaults(func=cmd_fit)
 
     p_geo = sub.add_parser("geodesic", help="optimize curves between endpoints")

@@ -193,9 +193,10 @@ def curve_length(m, c: DiscreteCurve, metric_kind: str) -> float:
 
 
 def _segment_gradients(field, mids, vels, kind):
-    """d(norm^2)/d(velocity) and d(norm^2)/d(midpoint) per segment, (n, q) each.
+    """norm^2 per segment, (n,), with d(norm^2)/d(velocity) and
+    d(norm^2)/d(midpoint), (n, q) each.
 
-    Both come from one `jacobian_batch_dz` pass. With sigma = v^T Sigma v,
+    All three come from one `jacobian_batch_dz` pass. With sigma = v^T Sigma v,
     s = ||E[J] v||^2 and w = s / sigma, the midpoint part follows from the
     derivatives of sigma and s in z: riemann ds + D dsigma; finsler
     alpha ((h^2 + h hx w) dsigma - h hx ds), where h = 1F1(-1/2, D/2, -w/2)
@@ -203,19 +204,20 @@ def _segment_gradients(field, mids, vels, kind):
     velocity part; ds in the deterministic limit; alpha_sigma alpha dsigma.
     """
     if kind == EUCLID:
-        return 2.0 * vels, np.zeros_like(mids)
+        return np.einsum("nq,nq->n", vels, vels), 2.0 * vels, np.zeros_like(mids)
     means, covs, dmeans, dcovs = field.jacobian_batch_dz(mids)
     d = field.data_dim
+    e = norms_sq(means, covs, d, vels[:, None, :], kind)[:, 0]
     sv = np.einsum("nqp,np->nq", covs, vels)
     dsigma = np.einsum("nabc,na,nb->nc", dcovs, vels, vels)
     if kind == ALPHA_SIGMA:
         a = alpha_coefficient(d)
-        return 2.0 * a * sv, a * dsigma
+        return e, 2.0 * a * sv, a * dsigma
     jv = np.einsum("ndq,nq->nd", means, vels)
     jtjv = np.einsum("ndq,nd->nq", means, jv)
     dsignal = 2.0 * np.einsum("nd,ndqc,nq->nc", jv, dmeans, vels)
     if kind == RIEMANN:
-        return 2.0 * (jtjv + d * sv), dsignal + d * dsigma
+        return e, 2.0 * (jtjv + d * sv), dsignal + d * dsigma
     sigma = np.maximum(np.einsum("nq,nq->n", vels, sv), 0.0)
     signal = np.einsum("nd,nd->n", jv, jv)
     grad_v = 2.0 * jtjv  # the deterministic limit
@@ -234,7 +236,14 @@ def _segment_gradients(field, mids, vels, kind):
     grad_z[live] = a * (
         (h * h + h * hx * w)[:, None] * dsigma[live] - (h * hx)[:, None] * dsignal[live]
     )
-    return grad_v, grad_z
+    return e, grad_v, grad_z
+
+
+def _energy_and_gradient(field, c: DiscreteCurve, kind: str) -> tuple[float, np.ndarray]:
+    """Energy of c and its gradient at the interior points, from one pass."""
+    e, dv, dz = _segment_gradients(field, c.midpoints, c.velocities, kind)
+    n1 = c.n_points - 1
+    return float(np.sum(e)) / n1, (0.5 * (dz[:-1] + dz[1:]) + n1 * (dv[:-1] - dv[1:])) / n1
 
 
 def energy_gradient(m, c: DiscreteCurve, metric_kind: str) -> np.ndarray:
@@ -245,10 +254,7 @@ def energy_gradient(m, c: DiscreteCurve, metric_kind: str) -> np.ndarray:
     of the field's `jacobian_batch_dz` at the segment midpoints.
     """
     _check_kind(metric_kind)
-    field = as_field(m)
-    dv, dz = _segment_gradients(field, c.midpoints, c.velocities, metric_kind)
-    n1 = c.n_points - 1
-    return (0.5 * (dz[:-1] + dz[1:]) + n1 * (dv[:-1] - dv[1:])) / n1
+    return _energy_and_gradient(as_field(m), c, metric_kind)[1]
 
 
 def energy_gradient_fd(m, c: DiscreteCurve, metric_kind: str, step: float = 1e-5) -> np.ndarray:
@@ -373,8 +379,9 @@ def minimize_energy(
     _check_kind(metric_kind)
     field = as_field(m)
     cur = DiscreteCurve(np.array(init.points, dtype=float))
-    energy = _segment_norms_sq(field, cur.midpoints, cur.velocities, metric_kind).sum()
-    energy /= cur.n_points - 1
+    # energy and gradient come from one pass per curve; the accepted trial's
+    # gradient is the next iteration's
+    energy, grad = _energy_and_gradient(field, cur, metric_kind)
     trial = None
     prev_interior = None
     prev_grad = None
@@ -383,7 +390,6 @@ def minimize_energy(
     converged = False
 
     for it in range(max_iter):
-        grad = energy_gradient(field, cur, metric_kind)
         gnorm2 = float(np.sum(grad * grad))
         if gnorm2 == 0.0:
             converged = True
@@ -405,9 +411,7 @@ def minimize_energy(
         accepted = False
         for _ in range(60):
             cand = cur.with_interior(prev_interior - step * grad)
-            e_new = _segment_norms_sq(
-                field, cand.midpoints, cand.velocities, metric_kind
-            ).sum() / (cand.n_points - 1)
+            e_new, g_new = _energy_and_gradient(field, cand, metric_kind)
             if e_new <= energy - _ARMIJO_C * step * gnorm2:
                 accepted = True
                 break
@@ -418,7 +422,7 @@ def minimize_energy(
             converged = True
             break
         rel = abs(energy - e_new) / max(energy, 1e-300)
-        cur, energy = cand, e_new
+        cur, energy, grad = cand, e_new, g_new
         trial = 2.0 * step
         if on_step is not None:
             on_step(energy)

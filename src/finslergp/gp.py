@@ -89,19 +89,11 @@ class JacobianPosterior:
         if self.dim_data != mean.shape[0]:
             raise ValueError("dim_data must equal the row count of mean")
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", _clamp_psd(cov))
+        object.__setattr__(self, "cov", _clamp_psd_batch(cov[None])[0])
 
     @property
     def dim_latent(self) -> int:
         return self.mean.shape[1]
-
-
-def _clamp_psd(cov: np.ndarray) -> np.ndarray:
-    sym = 0.5 * (cov + cov.T)
-    vals, vecs = np.linalg.eigh(sym)
-    if vals[0] >= 0.0:
-        return sym
-    return (vecs * np.clip(vals, 0.0, None)) @ vecs.T
 
 
 def _clamp_psd_batch(covs: np.ndarray) -> np.ndarray:
@@ -123,7 +115,11 @@ def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _kernel_matrix(k: Kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    r2 = _sqdist(a, b)
+    return _kernel_of_r2(k, _sqdist(a, b))
+
+
+def _kernel_of_r2(k: Kernel, r2: np.ndarray) -> np.ndarray:
+    """k at squared distances r2."""
     if k.family == RBF:
         return k.variance * np.exp(-0.5 * r2 / k.lengthscale**2)
     u = math.sqrt(5.0) / k.lengthscale
@@ -159,9 +155,7 @@ def _kernel_grad_first(k: Kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _prior_derivative_cov(k: Kernel, q: int) -> np.ndarray:
     """Cross derivative of k in both arguments at coincident points, q x q."""
-    if k.family == RBF:
-        return (k.variance / k.lengthscale**2) * np.eye(q)
-    return (5.0 * k.variance / (3.0 * k.lengthscale**2)) * np.eye(q)
+    return -_radial_coefficients(k, np.zeros(()))[0] * np.eye(q)
 
 
 def kernel_eval(k: Kernel, z1: np.ndarray, z2: np.ndarray) -> float:
@@ -368,41 +362,36 @@ def jacobian_posterior_discretized(m: GpModel, z: np.ndarray, h: float) -> Jacob
 # fitting
 
 
+def _log_marginal(chol: np.ndarray, alpha: np.ndarray, yc: np.ndarray) -> float:
+    """Log marginal likelihood from the Cholesky factor, alpha and the centred outputs."""
+    n, d = yc.shape
+    return (
+        -0.5 * float(np.sum(yc * alpha))
+        - d * float(np.sum(np.log(np.diag(chol))))
+        - 0.5 * n * d * math.log(2.0 * math.pi)
+    )
+
+
 def _log_marginal_and_grad(
     X: np.ndarray, Yc: np.ndarray, kernel: Kernel, noise: float
 ) -> tuple[float, np.ndarray]:
     """Log marginal likelihood and its gradient in (log lengthscale,
     log variance, log noise)."""
-    lml, grad, _ = _log_marginal_grad_mmat(X, Yc, kernel, noise)
-    return lml, grad
+    return _log_marginal_grad_mmat(X, Yc, kernel, noise)[:2]
 
 
 def _log_marginal_grad_mmat(
     X: np.ndarray, Yc: np.ndarray, kernel: Kernel, noise: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """`_log_marginal_and_grad` plus M = alpha alpha^T - D K^-1, from which
-    the gradient in the latents follows (`_latent_gradient`), so a step
+    the gradient in the latents follows (`_fit_objective`), so a step
     that moves the latents factorizes the kernel matrix once."""
-    n, d = Yc.shape
-    gram = _kernel_matrix(kernel, X, X)
+    r2 = _sqdist(X, X)
+    gram = _kernel_of_r2(kernel, r2)
     chol = _robust_cholesky(gram, noise, kernel.variance)
     alpha = cho_solve((chol, True), Yc)
-    lml = (
-        -0.5 * float(np.sum(Yc * alpha))
-        - d * float(np.sum(np.log(np.diag(chol))))
-        - 0.5 * n * d * math.log(2.0 * math.pi)
-    )
-
-    kinv = cho_solve((chol, True), np.eye(n))
-    mmat = alpha @ alpha.T - d * kinv
-
-    r2 = _sqdist(X, X)
-    if kernel.family == RBF:
-        dk_dlog_ell = gram * r2 / kernel.lengthscale**2
-    else:
-        u = math.sqrt(5.0) / kernel.lengthscale
-        r = np.sqrt(r2)
-        dk_dlog_ell = (kernel.variance * u**2 / 3.0) * r2 * (1.0 + u * r) * np.exp(-u * r)
+    mmat = alpha @ alpha.T - Yc.shape[1] * cho_solve((chol, True), np.eye(len(X)))
+    dk_dlog_ell = -_radial_coefficients(kernel, r2)[0] * r2
     grad = np.array(
         [
             0.5 * float(np.sum(mmat * dk_dlog_ell)),
@@ -410,7 +399,67 @@ def _log_marginal_grad_mmat(
             0.5 * noise * float(np.trace(mmat)),
         ]
     )
-    return lml, grad, mmat
+    return _log_marginal(chol, alpha, Yc), grad, mmat
+
+
+def _fit_objective(params, X, Yc, family, optimize_latents) -> tuple[float, np.ndarray]:
+    """`_adam_ascent`'s objective and gradient at params = [log theta], or [log theta, X]
+    with optimize_latents: the log marginal likelihood, less |X|^2/2 when X moves. Its
+    own function, so its N x N arrays are freed before the next step factorizes."""
+    ell, var, noise = np.exp(params[:3])
+    kernel = Kernel(family, ell, var)
+    if not optimize_latents:
+        return _log_marginal_and_grad(X, Yc, kernel, noise)
+    X = params[3:].reshape(X.shape)
+    lml, grad, mmat = _log_marginal_grad_mmat(X, Yc, kernel, noise)
+    # d lml / d x_n = sum_m M[n, m] grad_z1 k(x_n, x_m), using symmetry of M
+    w = mmat * _radial_coefficients(kernel, _sqdist(X, X))[0]
+    np.fill_diagonal(w, 0.0)
+    gx = w.sum(axis=1)[:, None] * X - w @ X - X
+    return lml - 0.5 * float(np.sum(X * X)), np.concatenate([grad, gx.ravel()])
+
+
+def _adam_ascent(
+    X: np.ndarray,
+    Y: np.ndarray,
+    k0: Kernel,
+    noise0: float,
+    steps: int,
+    lr: float,
+    optimize_latents: bool,
+) -> GpModel:
+    """Adam ascent of `_fit_objective` from k0, noise0 and X; returns the
+    model of the best step seen."""
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if steps == 0:
+        return make_model(X, Y, k0, noise0)
+    Yc = Y - Y.mean(axis=0)
+    # one state vector [log theta, X]: every Adam operation is elementwise,
+    # so each entry follows exactly the update it would get on its own
+    params = np.log(np.array([k0.lengthscale, k0.variance, max(noise0, 1e-12)]))
+    if optimize_latents:
+        params = np.concatenate([params, X.ravel()])
+    best, best_objective = params, -np.inf
+    m1 = m2 = np.zeros_like(params)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    for step in range(steps + 1):
+        objective, grad = _fit_objective(params, X, Yc, k0.family, optimize_latents)
+        if objective > best_objective:
+            best, best_objective = params, objective
+        if step == steps:
+            break
+        m1 = beta1 * m1 + (1.0 - beta1) * grad
+        m2 = beta2 * m2 + (1.0 - beta2) * grad**2
+        m1_hat = m1 / (1.0 - beta1 ** (step + 1))
+        m2_hat = m2 / (1.0 - beta2 ** (step + 1))
+        params = params + lr * m1_hat / (np.sqrt(m2_hat) + eps)
+
+    ell, var, noise = np.exp(best[:3])
+    if optimize_latents:
+        X = best[3:].reshape(X.shape)
+    return make_model(X, Y, Kernel(k0.family, ell, var), noise)
 
 
 def fit_hyperparameters(
@@ -427,35 +476,7 @@ def fit_hyperparameters(
     model carries the best parameters seen, so its likelihood is never below
     the initial one. steps=0 returns the initial hyperparameters unchanged.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if steps == 0:
-        return make_model(X, Y, k0, noise0)
-    Yc = Y - Y.mean(axis=0)
-
-    theta = np.log(np.array([k0.lengthscale, k0.variance, max(noise0, 1e-12)]))
-    best_theta = theta.copy()
-    best_lml = -np.inf
-    m1 = np.zeros(3)
-    m2 = np.zeros(3)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-
-    for step in range(steps + 1):
-        ell, var, noise = np.exp(theta)
-        lml, grad = _log_marginal_and_grad(X, Yc, Kernel(k0.family, ell, var), noise)
-        if lml > best_lml:
-            best_lml = lml
-            best_theta = theta.copy()
-        if step == steps:
-            break
-        m1 = beta1 * m1 + (1.0 - beta1) * grad
-        m2 = beta2 * m2 + (1.0 - beta2) * grad**2
-        m1_hat = m1 / (1.0 - beta1 ** (step + 1))
-        m2_hat = m2 / (1.0 - beta2 ** (step + 1))
-        theta = theta + lr * m1_hat / (np.sqrt(m2_hat) + eps)
-
-    ell, var, noise = np.exp(best_theta)
-    return make_model(X, Y, Kernel(k0.family, ell, var), noise)
+    return _adam_ascent(X, Y, k0, noise0, steps, lr, optimize_latents=False)
 
 
 def pca_latents(Y: np.ndarray, q: int) -> np.ndarray:
@@ -479,14 +500,6 @@ def pca_latents(Y: np.ndarray, q: int) -> np.ndarray:
     return x / std
 
 
-def _latent_gradient(X: np.ndarray, mmat: np.ndarray, kernel: Kernel) -> np.ndarray:
-    # d lml / d x_n = sum_m M[n, m] * grad_z1 k(x_n, x_m), using symmetry of M
-    c, _ = _radial_coefficients(kernel, _sqdist(X, X))
-    w = mmat * c
-    np.fill_diagonal(w, 0.0)
-    return w.sum(axis=1)[:, None] * X - w @ X
-
-
 def fit_gplvm(
     Y: np.ndarray,
     q: int,
@@ -503,57 +516,13 @@ def fit_gplvm(
     plus a standard normal prior on the latents); by default they stay at
     the PCA initialization so fits are exactly reproducible.
     """
-    Y = np.asarray(Y, dtype=float)
-    X = pca_latents(Y, q)
-    if not optimize_latents or steps == 0:
-        return fit_hyperparameters(X, Y, k0, noise0, steps=steps, lr=lr)
-
-    Yc = Y - Y.mean(axis=0)
-    theta = np.log(np.array([k0.lengthscale, k0.variance, max(noise0, 1e-12)]))
-    best = (-np.inf, theta.copy(), X.copy())
-    mt = np.zeros(3)
-    vt = np.zeros(3)
-    mx = np.zeros_like(X)
-    vx = np.zeros_like(X)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-
-    for step in range(steps + 1):
-        ell, var, noise = np.exp(theta)
-        kernel = Kernel(k0.family, ell, var)
-        lml, grad, mmat = _log_marginal_grad_mmat(X, Yc, kernel, noise)
-        objective = lml - 0.5 * float(np.sum(X * X))
-        if objective > best[0]:
-            best = (objective, theta.copy(), X.copy())
-        if step == steps:
-            break
-        gx = _latent_gradient(X, mmat, kernel) - X
-
-        mt = beta1 * mt + (1.0 - beta1) * grad
-        vt = beta2 * vt + (1.0 - beta2) * grad**2
-        theta = theta + lr * (mt / (1.0 - beta1 ** (step + 1))) / (
-            np.sqrt(vt / (1.0 - beta2 ** (step + 1))) + eps
-        )
-        mx = beta1 * mx + (1.0 - beta1) * gx
-        vx = beta2 * vx + (1.0 - beta2) * gx**2
-        X = X + lr * (mx / (1.0 - beta1 ** (step + 1))) / (
-            np.sqrt(vx / (1.0 - beta2 ** (step + 1))) + eps
-        )
-
-    _, theta, X = best
-    ell, var, noise = np.exp(theta)
-    return make_model(X, Y, Kernel(k0.family, ell, var), noise)
+    return _adam_ascent(pca_latents(Y, q), Y, k0, noise0, steps, lr, optimize_latents)
 
 
 def log_marginal_likelihood(m: GpModel) -> float:
     """Log marginal likelihood of the model's own training data, from the
     cached factorization."""
-    yc = m.outputs - m.output_means
-    n, d = yc.shape
-    return (
-        -0.5 * float(np.sum(yc * m.alpha))
-        - d * float(np.sum(np.log(np.diag(m.chol))))
-        - 0.5 * n * d * math.log(2.0 * math.pi)
-    )
+    return _log_marginal(m.chol, m.alpha, m.outputs - m.output_means)
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,15 @@ def test_minimize_energy_respects_max_iter():
     assert not res.converged
 
 
+@pytest.mark.parametrize("kind", ["riemann", "finsler"])
+def test_minimize_energy_reports_the_energy_of_its_curve(kind, gp_model_2d):
+    field = GpField(gp_model_2d)
+    init = line_curve(np.array([-1.0, -0.5]), np.array([1.0, 0.5]), 12)
+    res = minimize_energy(field, init, kind, max_iter=40)
+    assert res.iterations > 0
+    assert res.energy == pytest.approx(curve_energy(field, res.curve, kind), rel=1e-12)
+
+
 def test_geodesic_result_length_energy_inequality():
     field = SyntheticField(seed=17)
     init = wiggly_curve(np.random.default_rng(18), n=10)

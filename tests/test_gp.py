@@ -29,6 +29,7 @@ from finslergp.gp import (
     jacobian_posterior_discretized,
     kernel_eval,
     load_model,
+    log_marginal_likelihood,
     make_model,
     pca_latents,
     posterior_mean_var,
@@ -428,3 +429,13 @@ def test_log_marginal_mmat_is_alpha_alpha_minus_d_kinv():
     alpha = np.linalg.solve(kmat, Yc)
     dense = alpha @ alpha.T - Yc.shape[1] * np.linalg.inv(kmat)
     assert np.allclose(mmat, dense, rtol=1e-8, atol=1e-8 * np.max(np.abs(dense)))
+
+
+@pytest.mark.parametrize("family", [RBF, MATERN52])
+def test_log_marginal_likelihood_is_the_fit_objective(family):
+    rng = np.random.default_rng(12)
+    X = rng.uniform(-2.0, 2.0, (20, 2))
+    Y = smooth_targets(X, 4) + 0.3
+    k = Kernel(family, 0.8, 1.3)
+    lml, _, _ = _log_marginal_grad_mmat(X, Y - Y.mean(axis=0), k, 1e-3)
+    assert log_marginal_likelihood(make_model(X, Y, k, 1e-3)) == lml
