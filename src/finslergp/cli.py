@@ -4,7 +4,11 @@ indicatrices and volume fields, and run the verification sweeps.
 Every command is deterministic given its full flag set (seeds included) and
 writes a JSON sidecar with the resolved configuration next to each output,
 so reruns are byte-identical and self-describing. Exit codes: 0 success,
-1 verification or numerical-convergence failure, 2 usage error.
+1 verification failure, a kernel matrix that cannot be factorized or a 1F1
+series that does not converge, 2 usage error. A geodesic that stops at
+--max-iter before converging is not an error: `geodesic` exits 0, prints
+"pair <i> <kind>: not converged" on stderr and writes converged = 0 in its
+table.
 """
 
 from __future__ import annotations

@@ -3,19 +3,20 @@
 Curves are piecewise linear with a uniform parameter grid on [0, 1]; a
 curve of N points has N-1 segments, velocity (p[i+1]-p[i])*(N-1) on each,
 and all metric quantities evaluated at segment midpoints (second-order
-quadrature). Geodesics come from gradient descent on the discretized
-energy with Armijo backtracking, optionally seeded by a shortest path on
-an 8-connected latent grid. The energy gradient is exact: the field's
-posterior and its derivative in z at the midpoints come from one pass, and
-differentiating the norms through them gives both the velocity and the
-midpoint part. `energy_gradient_fd` differences the whole energy as the
-slow reference.
+quadrature). Geodesics minimize the discretized energy by limited-memory
+BFGS (the two-loop recursion over the last 10 steps, in numpy) with Armijo
+backtracking, optionally seeded by a shortest path on an 8-connected
+latent grid. The energy gradient is exact: the field's posterior and its
+derivative in z at the midpoints come from one pass, and differentiating
+the norms through them gives both the velocity and the midpoint part.
+`energy_gradient_fd` differences the whole energy as the slow reference.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,7 @@ METRIC_KINDS = (RIEMANN, FINSLER, EUCLID, ALPHA_SIGMA)
 
 _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
+_LBFGS_MEMORY = 10
 _CONVERGED_STREAK = 10
 
 
@@ -360,6 +362,23 @@ def grid_initialize(
 # optimization
 
 
+def _lbfgs_direction(g: np.ndarray, history) -> np.ndarray:
+    """Two-loop recursion: minus the inverse-Hessian estimate of the
+    (s, y, 1/s^T y) pairs in history, oldest first, applied to g, with the
+    initial estimate scaled by s^T y / y^T y of the newest pair."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(history):
+        a = rho * float(s @ q)
+        q -= a * y
+        alphas.append(a)
+    s, y, _ = history[-1]
+    q *= float(s @ y) / float(y @ y)
+    for (s, y, rho), a in zip(history, reversed(alphas)):
+        q += (a - rho * float(y @ q)) * s
+    return -q
+
+
 def minimize_energy(
     m,
     init: DiscreteCurve,
@@ -368,62 +387,70 @@ def minimize_energy(
     tol: float = 1e-8,
     on_step=None,
 ) -> GeodesicResult:
-    """Gradient descent on the curve energy with Armijo backtracking.
+    """Limited-memory BFGS on the curve energy with Armijo backtracking.
 
-    Interior points move along the negative energy gradient; each step is
-    shrunk by half until the Armijo condition (c = 1e-4) holds, so accepted
-    energies never increase. Convergence is declared after 10 consecutive
-    iterations with relative energy change below tol; hitting max_iter
-    first returns the best curve with converged=False.
+    The interior points move along the two-loop L-BFGS direction built from
+    the last 10 accepted steps with positive curvature; each step starts at
+    length 1 and is halved until the Armijo condition (c = 1e-4) holds, so
+    accepted energies never increase. Without history (the first step, or
+    after a direction that does not descend) the step is steepest descent of
+    Euclidean length 0.01 (1 + max |z|); a failed line search clears the
+    history and retries once that way before the curve counts as
+    stationary. Convergence is declared after 10 consecutive iterations with
+    relative energy change below tol; hitting max_iter first returns the
+    best curve with converged=False. on_step(energy) is called after every
+    accepted step.
     """
     _check_kind(metric_kind)
     field = as_field(m)
     cur = DiscreteCurve(np.array(init.points, dtype=float))
-    # energy and gradient come from one pass per curve; the accepted trial's
-    # gradient is the next iteration's
+    # energy and gradient come from one pass per trial curve; the accepted
+    # trial's gradient is the next iteration's
     energy, grad = _energy_and_gradient(field, cur, metric_kind)
-    trial = None
-    prev_interior = None
-    prev_grad = None
+    history = deque(maxlen=_LBFGS_MEMORY)
     streak = 0
     iterations = 0
     converged = False
 
     for it in range(max_iter):
-        gnorm2 = float(np.sum(grad * grad))
+        g = grad.ravel()
+        gnorm2 = float(g @ g)
         if gnorm2 == 0.0:
             converged = True
             break
-        if prev_grad is not None:
-            s = (cur.points[1:-1] - prev_interior).ravel()
-            y = (grad - prev_grad).ravel()
-            sy = float(s @ y)
-            if sy > 1e-300:
-                trial = float(s @ s) / sy
-        if trial is None:
-            scale = 1.0 + float(np.max(np.abs(cur.points)))
-            trial = 0.01 * scale / math.sqrt(gnorm2)
-        trial = float(np.clip(trial, 1e-18, 1e12))
-        prev_interior = cur.points[1:-1].copy()
-        prev_grad = grad
-
-        step = trial
-        accepted = False
-        for _ in range(60):
-            cand = cur.with_interior(prev_interior - step * grad)
-            e_new, g_new = _energy_and_gradient(field, cand, metric_kind)
-            if e_new <= energy - _ARMIJO_C * step * gnorm2:
-                accepted = True
-                break
-            step *= _ARMIJO_SHRINK
         iterations = it + 1
+        x = cur.points[1:-1].ravel()
+        while True:
+            direction = _lbfgs_direction(g, history) if history else None
+            # "not < 0" also rejects a NaN slope
+            if direction is None or not float(direction @ g) < 0.0:
+                history.clear()
+                scale = 1.0 + float(np.max(np.abs(cur.points)))
+                direction = (-0.01 * scale / math.sqrt(gnorm2)) * g
+            slope = float(direction @ g)
+            step = 1.0
+            accepted = False
+            for _ in range(60):
+                cand = cur.with_interior((x + step * direction).reshape(grad.shape))
+                e_new, g_new = _energy_and_gradient(field, cand, metric_kind)
+                if e_new <= energy + _ARMIJO_C * step * slope:
+                    accepted = True
+                    break
+                step *= _ARMIJO_SHRINK
+            if accepted or not history:
+                break
+            history.clear()
         if not accepted:
             # no decrease at machine scale: numerically stationary
             converged = True
             break
+        s = cand.points[1:-1].ravel() - x
+        y = (g_new - grad).ravel()
+        sy = float(s @ y)
+        if sy > 0.0:
+            history.append((s, y, 1.0 / sy))
         rel = abs(energy - e_new) / max(energy, 1e-300)
         cur, energy, grad = cand, e_new, g_new
-        trial = 2.0 * step
         if on_step is not None:
             on_step(energy)
         streak = streak + 1 if rel < tol else 0

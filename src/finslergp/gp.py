@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve, lapack, solve_triangular
 
 from .data import ParseError
 
@@ -229,6 +229,17 @@ def _robust_cholesky(gram: np.ndarray, noise: float, variance: float) -> np.ndar
     raise np.linalg.LinAlgError(f"kernel matrix factorization failed{detail}")
 
 
+def _cho_inverse(chol: np.ndarray) -> np.ndarray:
+    """K^-1 from the lower Cholesky factor of K, by LAPACK potri, which
+    writes the lower triangle only."""
+    kinv, info = lapack.dpotri(chol, lower=True)
+    if info:
+        raise np.linalg.LinAlgError(f"kernel matrix inversion failed (potri info {info})")
+    kinv = np.tril(kinv)
+    kinv += np.tril(kinv, -1).T
+    return kinv
+
+
 def make_model(X: np.ndarray, Y: np.ndarray, kernel: Kernel, noise: float) -> GpModel:
     """Assemble a GpModel: center outputs, factor the kernel matrix once."""
     X = np.asarray(X, dtype=float)
@@ -390,7 +401,7 @@ def _log_marginal_grad_mmat(
     gram = _kernel_of_r2(kernel, r2)
     chol = _robust_cholesky(gram, noise, kernel.variance)
     alpha = cho_solve((chol, True), Yc)
-    mmat = alpha @ alpha.T - Yc.shape[1] * cho_solve((chol, True), np.eye(len(X)))
+    mmat = alpha @ alpha.T - Yc.shape[1] * _cho_inverse(chol)
     dk_dlog_ell = -_radial_coefficients(kernel, r2)[0] * r2
     grad = np.array(
         [

@@ -258,6 +258,26 @@ def test_geodesic_result_length_energy_inequality():
         assert res.length**2 <= res.energy + 1e-6
 
 
+def test_minimize_energy_straightens_a_flat_curve_quickly():
+    # quasi-Newton steps: plain gradient descent with Barzilai-Borwein steps
+    # took 85 iterations on this curve
+    init = wiggly_curve(np.random.default_rng(14), n=16)
+    res = minimize_energy(EuclideanField(2), init, "euclid", max_iter=400)
+    assert res.converged
+    assert res.iterations <= 40
+
+
+@pytest.mark.parametrize("kind", ["riemann", "finsler"])
+def test_minimize_energy_reaches_a_stationary_curve(kind):
+    field = SyntheticField(seed=17)
+    init = wiggly_curve(np.random.default_rng(18), n=10)
+    res = minimize_energy(field, init, kind, max_iter=2000)
+    assert res.converged
+    g0 = np.max(np.abs(energy_gradient(field, init, kind)))
+    g1 = np.max(np.abs(energy_gradient(field, res.curve, kind)))
+    assert g1 < 1e-5 * g0
+
+
 # ---------------------------------------------------------------------------
 # sphere sanity (one pair here; the acceptance gate runs ten)
 
