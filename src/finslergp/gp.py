@@ -5,6 +5,17 @@ so the Jacobian at a latent point has a Gaussian posterior with one shared
 q x q covariance across all D output dimensions. Both the closed-form
 (kernel derivative) and the finite-difference constructions are provided,
 along with marginal-likelihood fitting of the hyperparameters.
+
+Linear algebra on N x N operands or results (N training points) goes
+through scipy's BLAS and LAPACK only: the factorization (`dpotrf`), the
+inverse (`dpotri`), the products (`dsyrk`, `dgemm`) and the solves
+(`cho_solve`, `solve_triangular`). numpy and scipy each ship their own
+OpenBLAS with its own thread pool; after numpy's pool has run, its worker
+threads keep spinning and take the cores from scipy's. At N = 500 on 2
+cores, one numpy Cholesky factorization halves the scipy solves finished
+in the next 100 ms, and one numpy N x N product cuts them to a sixth. The N x N matrices are built in place: the kernel plus noise and
+its factor share one buffer, and in the fit the inverse and the
+likelihood-gradient matrix share the factor's.
 """
 
 from __future__ import annotations
@@ -15,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, lapack, solve_triangular
+from scipy.linalg import blas, cho_solve, lapack, solve_triangular
 
 from .data import ParseError
 
@@ -110,8 +121,16 @@ def _clamp_psd_batch(covs: np.ndarray) -> np.ndarray:
 
 
 def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return np.einsum("nmq,nmq->nm", diff, diff)
+    """Squared distances between the rows of a and b, (n, m), summed one
+    coordinate at a time without building the (n, m, q) differences; for
+    q <= 2 bit-identical to an einsum over those differences."""
+    diff = a[:, None, 0] - b[None, :, 0]
+    r2 = diff * diff
+    for j in range(1, a.shape[1]):
+        np.subtract(a[:, None, j], b[None, :, j], out=diff)
+        diff *= diff
+        r2 += diff
+    return r2
 
 
 def _kernel_matrix(k: Kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -200,25 +219,36 @@ class GpModel:
 
 
 def _finite_cholesky(kmat: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of the symmetric, C-ordered kmat, computed in
+    kmat's own buffer, or None if LAPACK fails."""
+    # kmat.T is the same symmetric matrix in Fortran order, so dpotrf takes
+    # it without a copy; its upper factor U = L^T, read in C order, is L.
     # LAPACK can report success yet emit non-finite factors (NaN/inf input);
     # treat those as failures so they reach the jitter ladder
-    try:
-        chol = np.linalg.cholesky(kmat)
-    except np.linalg.LinAlgError:
+    upper, info = lapack.dpotrf(kmat.T, lower=False, overwrite_a=True)
+    if info != 0 or not np.all(np.isfinite(upper)):
         return None
-    return chol if np.all(np.isfinite(chol)) else None
+    return upper.T
 
 
 def _robust_cholesky(gram: np.ndarray, noise: float, variance: float) -> np.ndarray:
-    kmat = gram + noise * np.eye(len(gram))
+    """Lower Cholesky factor of gram + noise I, built and factored in one
+    new buffer; gram itself is left as it is."""
+    kmat = np.array(gram, dtype=float, order="C")
+    diag = kmat.reshape(-1)[:: len(kmat) + 1]
+    diag += noise
     chol = _finite_cholesky(kmat)
     if chol is not None:
         return chol
-    # jitter ladder: 1e-8 * variance, escalated tenfold at most five times
+    # jitter ladder: 1e-8 * variance, escalated tenfold at most five times;
+    # each attempt rebuilds the buffer the failed one overwrote
     jitter = _JITTER0 * variance
     with np.errstate(invalid="ignore"):
         for _ in range(_JITTER_ESCALATIONS):
-            chol = _finite_cholesky(kmat + jitter * np.eye(len(gram)))
+            np.copyto(kmat, gram)
+            diag += noise
+            diag += jitter
+            chol = _finite_cholesky(kmat)
             if chol is not None:
                 return chol
             jitter *= 10.0
@@ -229,15 +259,19 @@ def _robust_cholesky(gram: np.ndarray, noise: float, variance: float) -> np.ndar
     raise np.linalg.LinAlgError(f"kernel matrix factorization failed{detail}")
 
 
-def _cho_inverse(chol: np.ndarray) -> np.ndarray:
-    """K^-1 from the lower Cholesky factor of K, by LAPACK potri, which
-    writes the lower triangle only."""
-    kinv, info = lapack.dpotri(chol, lower=True)
+def _gradient_matrix(chol: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """M = alpha alpha^T - D K^-1 from the lower Cholesky factor of K and
+    alpha = K^-1 Yc (N x D), in chol's buffer, which it overwrites.
+
+    LAPACK potri writes K^-1 to one triangle and BLAS syrk updates that
+    triangle to M; the triangle is then mirrored row by row."""
+    kinv, info = lapack.dpotri(chol.T, lower=False, overwrite_c=True)
     if info:
         raise np.linalg.LinAlgError(f"kernel matrix inversion failed (potri info {info})")
-    kinv = np.tril(kinv)
-    kinv += np.tril(kinv, -1).T
-    return kinv
+    mmat = blas.dsyrk(1.0, alpha, beta=-float(alpha.shape[1]), c=kinv, overwrite_c=True).T
+    for i in range(len(mmat) - 1):
+        mmat[i, i + 1 :] = mmat[i + 1 :, i]
+    return mmat
 
 
 def make_model(X: np.ndarray, Y: np.ndarray, kernel: Kernel, noise: float) -> GpModel:
@@ -252,7 +286,7 @@ def make_model(X: np.ndarray, Y: np.ndarray, kernel: Kernel, noise: float) -> Gp
         raise ValueError("noise must be nonnegative")
     means = Y.mean(axis=0)
     chol = _robust_cholesky(_kernel_matrix(kernel, X, X), noise, kernel.variance)
-    alpha = cho_solve((chol, True), Y - means)
+    alpha = cho_solve((chol.T, False), Y - means)
     return GpModel(
         kernel=kernel,
         noise=noise,
@@ -268,11 +302,21 @@ def make_model(X: np.ndarray, Y: np.ndarray, kernel: Kernel, noise: float) -> Gp
 # prediction
 
 
-def _posterior_mean_var_batch(m: GpModel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _query_points(Z: np.ndarray) -> np.ndarray:
+    """Z as an n x q float array, checked finite once: the batch posteriors
+    below solve against the model's factor, finite by construction, and
+    skip scipy's per-solve scans of it."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    if not np.all(np.isfinite(Z)):
+        raise ValueError("latent points must be finite")
+    return Z
+
+
+def _posterior_mean_var_batch(m: GpModel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    Z = _query_points(Z)
     ks = _kernel_matrix(m.kernel, Z, m.latent_inputs)
     means = m.output_means + ks @ m.alpha
-    w = solve_triangular(m.chol, ks.T, lower=True)
+    w = solve_triangular(m.chol, ks.T, lower=True, check_finite=False)
     var = np.maximum(m.kernel.variance - np.einsum("ij,ij->j", w, w), 0.0)
     return means, var
 
@@ -285,12 +329,13 @@ def posterior_mean_var(m: GpModel, z: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _jacobian_posterior_batch(m: GpModel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Derivative posteriors at n points: means (n, D, q), covs (n, q, q)."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    Z = _query_points(Z)
     n, q = Z.shape
     grads = _kernel_grad_first(m.kernel, Z, m.latent_inputs)  # (n, N, q)
     means = np.einsum("nNq,ND->nDq", grads, m.alpha)
     rhs = grads.transpose(1, 0, 2).reshape(len(m.latent_inputs), n * q)
-    w = solve_triangular(m.chol, rhs, lower=True).reshape(len(m.latent_inputs), n, q)
+    w = solve_triangular(m.chol, rhs, lower=True, check_finite=False)
+    w = w.reshape(len(m.latent_inputs), n, q)
     explained = np.einsum("Nnq,Nnp->nqp", w, w)
     covs = _prior_derivative_cov(m.kernel, q)[None, :, :] - explained
     return means, _clamp_psd_batch(covs)
@@ -308,7 +353,7 @@ def _jacobian_posterior_batch_dz(
     Hessians against the training inputs share one triangular solve with
     q + q^2 columns per point.
     """
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    Z = _query_points(Z)
     n, q = Z.shape
     big_n = len(m.latent_inputs)
     diff = Z[:, None, :] - m.latent_inputs[None, :, :]  # (n, N, q)
@@ -321,7 +366,7 @@ def _jacobian_posterior_batch_dz(
     cols = q + q * q
     rhs = np.concatenate([grads, hess.reshape(n, big_n, q * q)], axis=2)
     w = solve_triangular(
-        m.chol, rhs.transpose(1, 0, 2).reshape(big_n, n * cols), lower=True
+        m.chol, rhs.transpose(1, 0, 2).reshape(big_n, n * cols), lower=True, check_finite=False
     ).reshape(big_n, n, cols)
     wg = w[:, :, :q]
     wh = w[:, :, q:].reshape(big_n, n, q, q)
@@ -388,7 +433,7 @@ def _log_marginal_and_grad(
 ) -> tuple[float, np.ndarray]:
     """Log marginal likelihood and its gradient in (log lengthscale,
     log variance, log noise)."""
-    return _log_marginal_grad_mmat(X, Yc, kernel, noise)[:2]
+    return _log_marginal_terms(_sqdist(X, X), Yc, kernel, noise)[:2]
 
 
 def _log_marginal_grad_mmat(
@@ -397,36 +442,46 @@ def _log_marginal_grad_mmat(
     """`_log_marginal_and_grad` plus M = alpha alpha^T - D K^-1, from which
     the gradient in the latents follows (`_fit_objective`), so a step
     that moves the latents factorizes the kernel matrix once."""
-    r2 = _sqdist(X, X)
+    return _log_marginal_terms(_sqdist(X, X), Yc, kernel, noise)[:3]
+
+
+def _log_marginal_terms(
+    r2: np.ndarray, Yc: np.ndarray, kernel: Kernel, noise: float
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """`_log_marginal_grad_mmat` at the squared distances r2 of the latents,
+    plus the radial coefficient c at r2 that the latent gradient also needs."""
     gram = _kernel_of_r2(kernel, r2)
     chol = _robust_cholesky(gram, noise, kernel.variance)
-    alpha = cho_solve((chol, True), Yc)
-    mmat = alpha @ alpha.T - Yc.shape[1] * _cho_inverse(chol)
-    dk_dlog_ell = -_radial_coefficients(kernel, r2)[0] * r2
+    alpha = cho_solve((chol.T, False), Yc)
+    lml = _log_marginal(chol, alpha, Yc)
+    mmat = _gradient_matrix(chol, alpha)
+    c = _radial_coefficients(kernel, r2)[0]
     grad = np.array(
         [
-            0.5 * float(np.sum(mmat * dk_dlog_ell)),
+            0.5 * float(np.sum(mmat * (-c * r2))),
             0.5 * float(np.sum(mmat * gram)),
             0.5 * noise * float(np.trace(mmat)),
         ]
     )
-    return _log_marginal(chol, alpha, Yc), grad, mmat
+    return lml, grad, mmat, c
 
 
-def _fit_objective(params, X, Yc, family, optimize_latents) -> tuple[float, np.ndarray]:
-    """`_adam_ascent`'s objective and gradient at params = [log theta], or [log theta, X]
-    with optimize_latents: the log marginal likelihood, less |X|^2/2 when X moves. Its
-    own function, so its N x N arrays are freed before the next step factorizes."""
+def _fit_objective(params, X, r2, Yc, family) -> tuple[float, np.ndarray]:
+    """`_adam_ascent`'s objective and gradient at params = [log theta] with the
+    latents X fixed and r2 their squared distances, or at [log theta, X] with
+    r2 None: the log marginal likelihood, less |X|^2/2 when X moves. Its own
+    function, so its N x N arrays are freed before the next step factorizes."""
     ell, var, noise = np.exp(params[:3])
     kernel = Kernel(family, ell, var)
-    if not optimize_latents:
-        return _log_marginal_and_grad(X, Yc, kernel, noise)
+    if r2 is not None:
+        return _log_marginal_terms(r2, Yc, kernel, noise)[:2]
     X = params[3:].reshape(X.shape)
-    lml, grad, mmat = _log_marginal_grad_mmat(X, Yc, kernel, noise)
-    # d lml / d x_n = sum_m M[n, m] grad_z1 k(x_n, x_m), using symmetry of M
-    w = mmat * _radial_coefficients(kernel, _sqdist(X, X))[0]
+    lml, grad, w, c = _log_marginal_terms(_sqdist(X, X), Yc, kernel, noise)
+    # d lml / d x_n = sum_m M[n, m] grad_z1 k(x_n, x_m), using symmetry of M;
+    # w = M * c in M's buffer, and w.T is w in Fortran order for dgemm
+    w *= c
     np.fill_diagonal(w, 0.0)
-    gx = w.sum(axis=1)[:, None] * X - w @ X - X
+    gx = w.sum(axis=1)[:, None] * X - blas.dgemm(1.0, w.T, X, trans_a=True) - X
     return lml - 0.5 * float(np.sum(X * X)), np.concatenate([grad, gx.ravel()])
 
 
@@ -446,6 +501,8 @@ def _adam_ascent(
     if steps == 0:
         return make_model(X, Y, k0, noise0)
     Yc = Y - Y.mean(axis=0)
+    # fixed latents: their squared distances serve every step
+    r2 = None if optimize_latents else _sqdist(X, X)
     # one state vector [log theta, X]: every Adam operation is elementwise,
     # so each entry follows exactly the update it would get on its own
     params = np.log(np.array([k0.lengthscale, k0.variance, max(noise0, 1e-12)]))
@@ -456,7 +513,7 @@ def _adam_ascent(
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     for step in range(steps + 1):
-        objective, grad = _fit_objective(params, X, Yc, k0.family, optimize_latents)
+        objective, grad = _fit_objective(params, X, r2, Yc, k0.family)
         if objective > best_objective:
             best, best_objective = params, objective
         if step == steps:

@@ -28,6 +28,9 @@ __all__ = [
 # at training points are nearly deterministic and must not crash the pipeline
 _DEGENERATE_JITTER = 1e-12
 
+# samples drawn per generator in expected_norm_mc
+_MC_CHUNK = 1 << 18
+
 
 @dataclass(frozen=True, eq=False)
 class WishartSpec:
@@ -130,9 +133,12 @@ def expected_norm_mc(
     """Monte-Carlo estimate of E[sqrt(v^T J^T J v)] with its standard error.
 
     Because the rows of J are independent with shared covariance, the
-    projected vector Jv is exactly N(E[J]v, (v^T Sigma v) I_D); each sample
-    therefore needs D Gaussians instead of a full D x q matrix. The full
-    matrix sampler is cross-checked against this projection in the tests.
+    projected vector Jv is exactly N(E[J]v, s^2 I_D) with s^2 = v^T Sigma v.
+    By rotation invariance its squared length has the law of
+    (|E[J]v| + s Z)^2 + s^2 chi^2_{D-1}, with Z standard normal: two draws
+    per sample, whatever D. This is still pure sampling, not the closed
+    form under test. The full matrix sampler is cross-checked against it in
+    the tests.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (spec.dim_latent,):
@@ -142,22 +148,23 @@ def expected_norm_mc(
     if n_samples < 100:
         raise ValueError("need at least 100 samples for a standard error")
 
-    mu = spec.mean_jacobian @ v
-    sigma = float(v @ spec.scale @ v)
-    std = math.sqrt(max(sigma, 0.0))
+    mu_norm = float(np.linalg.norm(spec.mean_jacobian @ v))
+    sigma = max(float(v @ spec.scale @ v), 0.0)
+    std = math.sqrt(sigma)
 
-    chunk = max(1, min(n_samples, int(4_000_000 / max(spec.dof, 1))))
     total = 0.0
     total_sq = 0.0
     done = 0
     batch = 0
     while done < n_samples:
-        m = min(chunk, n_samples - done)
+        m = min(_MC_CHUNK, n_samples - done)
         rng = batch_rng(rng_seed, batch)
-        draws = mu + std * rng.standard_normal((m, spec.dof))
-        norms = np.sqrt(np.einsum("ij,ij->i", draws, draws))
-        total += float(norms.sum())
-        total_sq += float((norms * norms).sum())
+        along = mu_norm + std * rng.standard_normal(m)
+        sq = along * along
+        if spec.dof > 1:
+            sq += sigma * rng.chisquare(spec.dof - 1, m)
+        total += float(np.sqrt(sq).sum())
+        total_sq += float(sq.sum())
         done += m
         batch += 1
 

@@ -284,3 +284,11 @@ def test_series_convergence_failure_exits_1(circles_model, tmp_path, monkeypatch
     err = capsys.readouterr().err
     assert rc == 1
     assert _one_error_line(err) and "did not converge" in err
+
+
+def test_indicatrix_non_finite_point_exits_2(circles_model, tmp_path, capsys):
+    rc = main(["indicatrix", "--model", str(circles_model), "--at=nan,0",
+               "--out", str(tmp_path / "i.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert _one_error_line(err) and "finite" in err

@@ -439,3 +439,58 @@ def test_log_marginal_likelihood_is_the_fit_objective(family):
     k = Kernel(family, 0.8, 1.3)
     lml, _, _ = _log_marginal_grad_mmat(X, Y - Y.mean(axis=0), k, 1e-3)
     assert log_marginal_likelihood(make_model(X, Y, k, 1e-3)) == lml
+
+
+# ---------------------------------------------------------------------------
+# linear algebra through scipy only, in place
+
+
+def test_batch_posteriors_reject_non_finite_points():
+    # the batch posteriors skip scipy's finiteness scans of the factor, so
+    # they check the query points themselves
+    from finslergp.fields import GpField
+
+    field = GpField(make_smooth_model())
+    Z = np.array([[0.1, 0.2], [np.nan, 0.0], [0.3, -0.4]])
+    for batch in (field.jacobian_batch_dz, field.jacobian_batch, field.decode_batch):
+        with pytest.raises(ValueError, match="finite"):
+            batch(Z)
+    with pytest.raises(ValueError, match="finite"):
+        field.jacobian_batch(np.array([[np.inf, 0.0]]))
+
+
+def test_gp_never_factorizes_with_numpy(monkeypatch, tmp_path):
+    # numpy's OpenBLAS keeps its own thread pool, which slows scipy's solves
+    # that follow it; every factorization in gp goes through scipy's LAPACK
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.cholesky called")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    m = make_smooth_model(noise=1e-4, seed=4)
+    path = tmp_path / "m.json"
+    save_model(m, str(path))
+    assert np.array_equal(load_model(str(path)).chol, m.chol)
+    fit_hyperparameters(m.latent_inputs, m.outputs, Kernel(RBF, 0.8, 1.2), 1e-2, steps=3)
+    fit_gplvm(m.outputs, 2, Kernel(MATERN52, 0.8, 1.2), 1e-2, steps=3, optimize_latents=True)
+
+
+def test_factor_and_gradient_matrix_stay_in_their_buffers():
+    from finslergp.gp import _finite_cholesky, _gradient_matrix, _sqdist
+
+    m = make_smooth_model(noise=1e-3, seed=5)
+    kmat = _kernel_matrix(m.kernel, m.latent_inputs, m.latent_inputs) + m.noise * np.eye(25)
+    buf = kmat.copy()
+    chol = _finite_cholesky(buf)
+    assert np.shares_memory(chol, buf) and chol.flags.c_contiguous
+    assert np.array_equal(chol, np.tril(chol))
+    assert np.allclose(chol @ chol.T, kmat, rtol=0, atol=1e-12)
+    mmat = _gradient_matrix(chol, m.alpha)
+    assert np.shares_memory(mmat, buf) and np.array_equal(mmat, mmat.T)
+    assert _finite_cholesky(-np.eye(3)) is None
+    assert _finite_cholesky(np.full((3, 3), np.nan)) is None
+    # one coordinate at a time gives the einsum's sums exactly for q <= 2
+    rng = np.random.default_rng(6)
+    for q in (1, 2):
+        a, b = rng.standard_normal((30, q)), rng.standard_normal((20, q))
+        diff = a[:, None, :] - b[None, :, :]
+        assert np.array_equal(_sqdist(a, b), np.einsum("nmq,nmq->nm", diff, diff))
