@@ -25,7 +25,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .data import write_csv
 from .fields import as_field
-from .metric import DETERMINISTIC_SIGMA, alpha_coefficient, norms_sq
+from .metric import _finsler_terms, alpha_coefficient, norms_sq
 from .specfun import kummer_1f1_array
 
 __all__ = [
@@ -209,7 +209,11 @@ def _segment_gradients(field, mids, vels, kind):
         return np.einsum("nq,nq->n", vels, vels), 2.0 * vels, np.zeros_like(mids)
     means, covs, dmeans, dcovs = field.jacobian_batch_dz(mids)
     d = field.data_dim
-    e = norms_sq(means, covs, d, vels[:, None, :], kind)[:, 0]
+    if kind == FINSLER:
+        e, sigma, signal, live, h = _finsler_terms(means, covs, d, vels[:, None, :])
+        e, sigma, signal, live = e[:, 0], sigma[:, 0], signal[:, 0], live[:, 0]
+    else:
+        e = norms_sq(means, covs, d, vels[:, None, :], kind)[:, 0]
     sv = np.einsum("nqp,np->nq", covs, vels)
     dsigma = np.einsum("nabc,na,nb->nc", dcovs, vels, vels)
     if kind == ALPHA_SIGMA:
@@ -220,16 +224,11 @@ def _segment_gradients(field, mids, vels, kind):
     dsignal = 2.0 * np.einsum("nd,ndqc,nq->nc", jv, dmeans, vels)
     if kind == RIEMANN:
         return e, 2.0 * (jtjv + d * sv), dsignal + d * dsigma
-    sigma = np.maximum(np.einsum("nq,nq->n", vels, sv), 0.0)
-    signal = np.einsum("nd,nd->n", jv, jv)
     grad_v = 2.0 * jtjv  # the deterministic limit
     grad_z = dsignal
-    live = sigma >= DETERMINISTIC_SIGMA
     w = signal[live] / sigma[live]
-    x = -0.5 * w
     b = 0.5 * d
-    h = kummer_1f1_array(-0.5, b, x)
-    hx = (-0.5 / b) * kummer_1f1_array(0.5, b + 1.0, x)  # d 1F1 / dx at x = -w/2
+    hx = (-0.5 / b) * kummer_1f1_array(0.5, b + 1.0, -0.5 * w)  # d 1F1 / dx at x = -w/2
     # norm^2 = alpha sigma h(w)^2 with dh/dw = -hx/2
     a = alpha_coefficient(d)
     grad_v[live] = (2.0 * a) * (
@@ -241,11 +240,11 @@ def _segment_gradients(field, mids, vels, kind):
     return e, grad_v, grad_z
 
 
-def _energy_and_gradient(field, c: DiscreteCurve, kind: str) -> tuple[float, np.ndarray]:
-    """Energy of c and its gradient at the interior points, from one pass."""
+def _energy_and_gradient(field, c: DiscreteCurve, kind: str):
+    """Squared segment norms, energy and interior gradient of c, from one pass."""
     e, dv, dz = _segment_gradients(field, c.midpoints, c.velocities, kind)
     n1 = c.n_points - 1
-    return float(np.sum(e)) / n1, (0.5 * (dz[:-1] + dz[1:]) + n1 * (dv[:-1] - dv[1:])) / n1
+    return e, float(np.sum(e)) / n1, (0.5 * (dz[:-1] + dz[1:]) + n1 * (dv[:-1] - dv[1:])) / n1
 
 
 def energy_gradient(m, c: DiscreteCurve, metric_kind: str) -> np.ndarray:
@@ -256,7 +255,7 @@ def energy_gradient(m, c: DiscreteCurve, metric_kind: str) -> np.ndarray:
     of the field's `jacobian_batch_dz` at the segment midpoints.
     """
     _check_kind(metric_kind)
-    return _energy_and_gradient(as_field(m), c, metric_kind)[1]
+    return _energy_and_gradient(as_field(m), c, metric_kind)[2]
 
 
 def energy_gradient_fd(m, c: DiscreteCurve, metric_kind: str, step: float = 1e-5) -> np.ndarray:
@@ -404,9 +403,9 @@ def minimize_energy(
     _check_kind(metric_kind)
     field = as_field(m)
     cur = DiscreteCurve(np.array(init.points, dtype=float))
-    # energy and gradient come from one pass per trial curve; the accepted
-    # trial's gradient is the next iteration's
-    energy, grad = _energy_and_gradient(field, cur, metric_kind)
+    # one pass per trial curve; the accepted trial's gradient is the next
+    # iteration's, and its segment norms give the returned length
+    seg, energy, grad = _energy_and_gradient(field, cur, metric_kind)
     history = deque(maxlen=_LBFGS_MEMORY)
     streak = 0
     iterations = 0
@@ -432,7 +431,7 @@ def minimize_energy(
             accepted = False
             for _ in range(60):
                 cand = cur.with_interior((x + step * direction).reshape(grad.shape))
-                e_new, g_new = _energy_and_gradient(field, cand, metric_kind)
+                seg_new, e_new, g_new = _energy_and_gradient(field, cand, metric_kind)
                 if e_new <= energy + _ARMIJO_C * step * slope:
                     accepted = True
                     break
@@ -450,7 +449,7 @@ def minimize_energy(
         if sy > 0.0:
             history.append((s, y, 1.0 / sy))
         rel = abs(energy - e_new) / max(energy, 1e-300)
-        cur, energy, grad = cand, e_new, g_new
+        cur, seg, energy, grad = cand, seg_new, e_new, g_new
         if on_step is not None:
             on_step(energy)
         streak = streak + 1 if rel < tol else 0
@@ -458,10 +457,12 @@ def minimize_energy(
             converged = True
             break
 
+    if metric_kind != EUCLID:
+        _warn_if_outside(field, cur)
     return GeodesicResult(
         curve=cur,
         energy=float(energy),
-        length=curve_length(field, cur, metric_kind),
+        length=float(np.sum(np.sqrt(seg))) / (cur.n_points - 1),
         metric_kind=metric_kind,
         iterations=iterations,
         converged=converged,

@@ -498,6 +498,8 @@ def _adam_ascent(
     model of the best step seen."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
+    if steps < 0 or not noise0 >= 0.0:
+        raise ValueError(f"need steps >= 0 and noise >= 0, got steps={steps}, noise={noise0}")
     if steps == 0:
         return make_model(X, Y, k0, noise0)
     Yc = Y - Y.mean(axis=0)
@@ -556,6 +558,8 @@ def pca_latents(Y: np.ndarray, q: int) -> np.ndarray:
     depend on the SVD's sign convention.
     """
     Y = np.asarray(Y, dtype=float)
+    if not 1 <= q <= Y.shape[1]:
+        raise ValueError(f"latent dimension {q} not in [1, {Y.shape[1]}] (data dimension)")
     yc = Y - Y.mean(axis=0)
     u, s, _ = np.linalg.svd(yc, full_matrices=False)
     x = u[:, :q] * s[:q]

@@ -16,7 +16,6 @@ relative gap, for scalars or arrays.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -181,16 +180,10 @@ def gap_bound(d: int, omega):
 
 
 def _sigma_and_signal_batch(means, covs, V) -> tuple[np.ndarray, np.ndarray]:
-    # (n, K) arrays of v^T Sigma v and ||E[J] v||^2, both clamped at zero.
-    # With one direction per point (a curve's segment velocities) the signal
-    # is the exact sum of squares, an (n, D) array like the means: the
-    # geodesic optimizer amplifies any last-bit change of its energy. With
-    # more, it comes from the q x q Gram, so no (n, K, D) array is formed.
+    # (n, K) arrays of v^T Sigma v and ||E[J] v||^2, both clamped at zero;
+    # the signal comes from the q x q Gram, so no (n, K, D) array is formed
     spec = "kq,nqp,kp->nk" if V.ndim == 2 else "nkq,nqp,nkp->nk"
     sigma = np.maximum(np.einsum(spec, V, covs, V), 0.0)
-    if V.shape[-2] == 1:
-        jv = np.einsum("ndq,q->nd" if V.ndim == 2 else "ndq,nq->nd", means, V[..., 0, :])
-        return sigma, np.einsum("nd,nd->n", jv, jv)[:, None]
     gram = np.einsum("ndq,ndp->nqp", means, means)
     return sigma, np.maximum(np.einsum(spec, V, gram, V), 0.0)
 
@@ -203,8 +196,8 @@ def norms_sq(means, covs, dim_data: int, V, kind: str) -> np.ndarray:
     (n, K, q) per point. kind is one of `NORM_KINDS`: the squares of
     `riemannian_norm`, `finsler_norm`, `alpha_sigma_norm` or of the
     Euclidean norm, or (kind "omega") the noncentrality `omega` itself,
-    +inf where v^T Sigma v < 1e-14. Finsler values take the same
-    deterministic limit there; the rest go through `kummer_1f1_array`.
+    +inf where v^T Sigma v < 1e-14. The signal ||E[J] v||^2 comes from the
+    q x q Gram E[J]^T E[J]; Finsler values are `_finsler_terms`' squares.
     Points are evaluated in blocks of about 16384 values, so the working
     memory beyond the result does not grow with n.
     """
@@ -227,27 +220,30 @@ def norms_sq(means, covs, dim_data: int, V, kind: str) -> np.ndarray:
 
 
 def _norms_sq_block(means, covs, dim_data: int, V, kind: str) -> np.ndarray:
+    if kind == "finsler":
+        return _finsler_terms(means, covs, dim_data, V)[0]
     sigma, signal = _sigma_and_signal_batch(means, covs, V)
     if kind == "alpha_sigma":
         return alpha_coefficient(dim_data) * sigma
     if kind == "riemann":
         return signal + dim_data * sigma
+    out = np.full(sigma.shape, math.inf)
     live = sigma >= DETERMINISTIC_SIGMA
-    if kind == "omega":
-        out = np.full(sigma.shape, math.inf)
-        out[live] = signal[live] / sigma[live]
-        return out
-    out = signal
+    out[live] = signal[live] / sigma[live]
+    return out
+
+
+def _finsler_terms(means, covs, dim_data: int, V):
+    """Finsler `norms_sq` with its terms: (norm_sq, sigma, signal, live, h),
+    live = sigma >= 1e-14 and h = 1F1(-1/2, D/2, -signal/(2 sigma)) at the
+    live entries only; geodesic gradients differentiate these terms."""
+    sigma, signal = _sigma_and_signal_batch(means, covs, V)
+    live = sigma >= DETERMINISTIC_SIGMA
     s = sigma[live]
     h = kummer_1f1_array(-0.5, 0.5 * dim_data, -0.5 * signal[live] / s)
-    # squared by Python's float power (libm's pow), as a per-vector formula
-    # in Python floats squares: numpy's h * h differs from it in the last
-    # bit for about one value in a thousand, and the geodesic optimizer,
-    # which sums its energies from these values, turns a last-bit change
-    # into a visibly different curve
-    h_sq = np.fromiter(map(math.pow, h, itertools.repeat(2.0)), float, h.size)
-    out[live] = alpha_coefficient(dim_data) * s * h_sq
-    return out
+    out = signal.copy()
+    out[live] = alpha_coefficient(dim_data) * s * (h * h)
+    return out, sigma, signal, live, h
 
 
 def bound_report(p: MetricPoint, v: np.ndarray) -> BoundReport:

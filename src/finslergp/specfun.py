@@ -4,7 +4,8 @@ Log-gamma ratios and the confluent hypergeometric function 1F1 with its
 derivative, in the regime the expected-norm formula needs: first parameter
 a in [-3, 0], argument x <= 0 (and the transformed positive-argument series).
 `kummer_1f1` takes scalars; `kummer_1f1_array` evaluates it for an array of
-arguments, summing the series of all elements in lockstep.
+arguments, summing the series of all elements in lockstep. Both scale the
+transformed series by numpy's exp, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def kummer_1f1(a: float, b: float, x: float) -> float:
             return value
         return _log_series_1f1(a, b, x)
     if x < 0.0:
-        return math.exp(x) * _series_1f1(b - a, b, -x)
+        return float(np.exp(x)) * _series_1f1(b - a, b, -x)
     return _series_1f1(a, b, x)
 
 
@@ -173,9 +174,10 @@ def kummer_1f1_array(a: float, b: float, x) -> np.ndarray:
 
     Elements with -700 <= x <= 0 are summed together through the same
     transformed series as the scalar function, one term per step for all of
-    them, with the same stop rule per element, so each result equals the
-    scalar one bit for bit. Every other element (x past the asymptotic
-    cutoff, or x > 0) goes through `kummer_1f1` itself.
+    them, with the same stop rule per element, and both forms take e^x from
+    numpy's exp, so each result equals the scalar one bit for bit. Every
+    other element (x past the asymptotic cutoff, or x > 0) goes through
+    `kummer_1f1` itself.
     """
     a, b = float(a), float(b)
     if b <= 0.0:
@@ -187,10 +189,7 @@ def kummer_1f1_array(a: float, b: float, x) -> np.ndarray:
         for i in zip(*np.nonzero(~series)):
             out[i] = kummer_1f1(a, b, float(x[i]))
     xs = x[series]
-    # libm's exp through math.exp, as in kummer_1f1: numpy's own exp
-    # differs from it in the last bit for about one argument in twenty
-    scale = np.fromiter(map(math.exp, xs), float, xs.size)
-    out[series] = scale * _series_1f1_lockstep(b - a, b, -xs)
+    out[series] = np.exp(xs) * _series_1f1_lockstep(b - a, b, -xs)
     return out
 
 

@@ -107,6 +107,26 @@ def test_fit_factorization_failure_exits_one(workdir, circles_model, capsys):
     assert "factorization failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--latent-dim", "0"], "latent dimension"),
+        (["--latent-dim", "4", "--steps", "0"], "latent dimension 4 not in [1, 3]"),
+        (["--noise", "-1", "--steps", "1"], "noise"),
+        (["--steps", "-3"], "steps"),
+    ],
+    ids=["latent_dim_zero", "latent_dim_above_data_dim", "negative_noise", "negative_steps"],
+)
+def test_fit_bad_input_exits_2(workdir, circles_model, capsys, flags, named):
+    # the circles data are 3-d; nothing is written, not even a sidecar
+    out = workdir / "rejected.json"
+    rc = main(["fit", "--data", str(workdir / "circ.csv"), "--out", str(out), *flags])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert _one_error_line(err) and named in err
+    assert not out.exists() and not (workdir / "rejected.json.config.json").exists()
+
+
 def test_geodesic_euclid_straight_line(circles_model, tmp_path):
     out = tmp_path / "geo.csv"
     assert main(["geodesic", "--model", str(circles_model), "--start=-0.8,-0.4",

@@ -250,6 +250,72 @@ def test_minimize_energy_reports_the_energy_of_its_curve(kind, gp_model_2d):
     assert res.energy == pytest.approx(curve_energy(field, res.curve, kind), rel=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["riemann", "finsler"])
+def test_minimize_energy_reports_the_length_of_its_curve(kind, gp_model_2d):
+    field = GpField(gp_model_2d)
+    init = line_curve(np.array([-1.0, -0.5]), np.array([1.0, 0.5]), 12)
+    res = minimize_energy(field, init, kind, max_iter=40)
+    assert res.iterations > 0
+    assert res.length == pytest.approx(curve_length(field, res.curve, kind), rel=1e-12)
+
+
+class _LastBitField:
+    """The wrapped field with every posterior mean (and its derivative in z)
+    scaled by 1 + 2^-52: a last-bit change of the metric's inputs."""
+
+    _SCALE = 1.0 + 2.0**-52
+
+    def __init__(self, field):
+        self.field = field
+        self.latent_dim = field.latent_dim
+        self.data_dim = field.data_dim
+
+    def jacobian_posterior(self, z):  # marks a field; minimize_energy uses the batches
+        raise NotImplementedError
+
+    def jacobian_batch(self, Z):
+        means, covs = self.field.jacobian_batch(Z)
+        return means * self._SCALE, covs
+
+    def jacobian_batch_dz(self, Z):
+        means, covs, dmeans, dcovs = self.field.jacobian_batch_dz(Z)
+        return means * self._SCALE, covs, dmeans * self._SCALE, dcovs
+
+    def latent_box(self):
+        return self.field.latent_box()
+
+
+# On the GP model the relative-energy stopping rule ends these curves with
+# the gradient still at 3e-4 to 4e-4 of its initial size, where a last-bit
+# change moves them by 2e-3 to 4e-3 (and the energy by up to 6e-8); a
+# gradient-based stopping rule is what this case waits for.
+_STOPS_EARLY_ON_GP = pytest.mark.xfail(
+    strict=True, reason="relative-energy stopping rule stops short of stationarity on the GP model"
+)
+
+
+@pytest.mark.parametrize("kind", ["riemann", "finsler"])
+@pytest.mark.parametrize(
+    "source",
+    ["synthetic17", "synthetic3", "synthetic5", pytest.param("gp", marks=_STOPS_EARLY_ON_GP)],
+)
+def test_minimize_energy_ignores_last_bit_changes(kind, source, gp_model_2d):
+    # the optimizer's answer must not hinge on the last bit of its inputs,
+    # so plain numpy arithmetic in the norm kernel cannot move its curves
+    if source == "gp":
+        field = GpField(gp_model_2d)
+        init = line_curve(np.array([-1.0, -0.5]), np.array([1.0, 0.5]), 12)
+    else:
+        seed = int(source[len("synthetic"):])
+        field = SyntheticField(seed=seed)
+        init = wiggly_curve(np.random.default_rng(seed + 1), n=10)
+    ref = minimize_energy(field, init, kind, max_iter=2000)
+    got = minimize_energy(_LastBitField(field), init, kind, max_iter=2000)
+    assert ref.converged and got.converged
+    assert np.max(np.abs(got.curve.points - ref.curve.points)) < 1e-6
+    assert got.energy == pytest.approx(ref.energy, rel=1e-10)
+
+
 def test_geodesic_result_length_energy_inequality():
     field = SyntheticField(seed=17)
     init = wiggly_curve(np.random.default_rng(18), n=10)
