@@ -40,7 +40,7 @@ from .experiments import (
     make_truncation_ensemble,
     truncation_sweep,
 )
-from .fields import SphereField, as_field
+from .fields import GpField, SphereField
 from .geodesic import export_curve_csv
 from .gp import (
     MATERN52,
@@ -68,22 +68,27 @@ def _config(args, command: str, **extra) -> dict:
 
 
 def _load_field(spec: str):
-    """A model file path, or the literal name 'sphere' for the analytic
-    deterministic sphere chart."""
+    """The field of a model file, or for the literal name 'sphere' the
+    analytic deterministic sphere chart."""
     if spec == "sphere":
         return SphereField()
-    return load_model(spec)
+    return GpField(load_model(spec))
 
 
-def _parse_point(text: str) -> np.ndarray:
+def _parse_point(text: str, dim: int) -> np.ndarray:
+    """A point of a dim-d latent space from comma-separated coordinates."""
     try:
-        return np.array([float(c) for c in text.split(",")], dtype=float)
+        z = np.array([float(c) for c in text.split(",")], dtype=float)
     except ValueError:
         raise ValueError(f"expected comma-separated coordinates, got {text!r}")
+    if z.size != dim:
+        raise ValueError(f"{text!r} has {z.size} coordinates; the model's latent space is {dim}-d")
+    return z
 
 
-def _read_pairs(path: str) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Endpoint pairs, one per row: start coordinates then end coordinates."""
+def _read_pairs(path: str, dim: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Endpoint pairs in a dim-d latent space, one per row: start
+    coordinates then end coordinates."""
     pairs = []
     with open(path, newline="") as fh:
         for i, cells in enumerate(csv.reader(fh)):
@@ -95,10 +100,10 @@ def _read_pairs(path: str) -> list[tuple[np.ndarray, np.ndarray]]:
                 if i == 0:
                     continue  # header row
                 raise ParseError(f"non-numeric endpoint in {path} row {i + 1}")
-            if row.size % 2 != 0:
-                raise ParseError(f"odd coordinate count in {path} row {i + 1}")
-            half = row.size // 2
-            pairs.append((row[:half], row[half:]))
+            if row.size != 2 * dim:
+                raise ParseError(f"{path} row {i + 1} has {row.size} coordinates; two "
+                                 f"points of the model's {dim}-d latent space have {2 * dim}")
+            pairs.append((row[:dim], row[dim:]))
     if not pairs:
         raise ParseError(f"no endpoint pairs in {path}")
     return pairs
@@ -178,16 +183,17 @@ def cmd_fit(args) -> int:
 
 
 def cmd_geodesic(args) -> int:
-    m = _load_field(args.model)
+    field = _load_field(args.model)
+    q = field.latent_dim
     if args.pairs is not None:
-        pairs = _read_pairs(args.pairs)
+        pairs = _read_pairs(args.pairs, q)
     elif args.start is not None and args.end is not None:
-        pairs = [(_parse_point(args.start), _parse_point(args.end))]
+        pairs = [(_parse_point(args.start, q), _parse_point(args.end, q))]
     else:
         raise ValueError("provide --start and --end, or --pairs")
     kinds = METRIC_CHOICES if args.metric is None else (args.metric,)
     entries = comparison_entries(
-        m,
+        field,
         pairs,
         metric_kinds=kinds,
         n_points=args.nc,
@@ -198,7 +204,7 @@ def cmd_geodesic(args) -> int:
     base, ext = os.path.splitext(args.out)
     for row, curve in entries:
         curve_path = f"{base}_pair{row.pair}_{row.metric_kind}{ext or '.csv'}"
-        export_curve_csv(curve_path, curve, m)
+        export_curve_csv(curve_path, curve, field)
     export_comparison_csv(args.out, [row for row, _ in entries])
     write_sidecar(args.out, _config(args, "geodesic"))
     bad = [row for row, _ in entries if not row.converged]
@@ -238,18 +244,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_volume(args) -> int:
-    m = _load_field(args.model)
-    field = volume_field(m, grid=args.grid, K=args.k)
-    export_volume_field_csv(args.out, field)
+    vf = volume_field(_load_field(args.model), grid=args.grid, K=args.k)
+    export_volume_field_csv(args.out, vf)
     write_sidecar(args.out, _config(args, "volume"))
-    print(f"wrote {field.grid_points.shape[0]} grid rows to {args.out}")
+    print(f"wrote {vf.grid_points.shape[0]} grid rows to {args.out}")
     return 0
 
 
 def cmd_indicatrix(args) -> int:
-    m = _load_field(args.model)
-    center = _parse_point(args.at)
-    p = as_field(m).jacobian_posterior(center)
+    field = _load_field(args.model)
+    center = _parse_point(args.at, field.latent_dim)
+    p = field.jacobian_posterior(center)
     curves = [indicatrix(p, K=args.k, metric_kind=kind) for kind in
               ("riemann", "finsler", "alpha_sigma")]
     export_indicatrix_csv(args.out, curves)

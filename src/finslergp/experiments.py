@@ -16,9 +16,9 @@ import numpy as np
 import scipy.linalg
 
 from .data import write_csv
-from .fields import SyntheticField, as_field
-from .geodesic import DiscreteCurve, curve_length, geodesic_between
-from .gp import JacobianPosterior
+from .fields import GpField, SyntheticField, as_field
+from .geodesic import DiscreteCurve, _warn_if_outside, geodesic_between
+from .gp import JacobianPosterior, _posterior_mean_var_batch
 from .measure import bh_volume, bh_volumes
 from .metric import MetricPoint, bound_report, gap_bound, norms_sq, relative_gap
 from .randmat import batch_rng
@@ -44,6 +44,9 @@ __all__ = [
 SLACK = 1e-9
 
 COMPARISON_KINDS = ("riemann", "finsler", "euclid")
+
+# polar quadrature angles of the truncation sweep's volume gaps
+VOLUME_ANGLES = 64
 
 
 def central_norm_gap(d: int) -> float:
@@ -135,7 +138,6 @@ def truncation_sweep(
     dims,
     v_samples: int = 64,
     seed: int = 0,
-    volume_angles: int = 64,
 ) -> list[ConvergenceRow]:
     """Per-dimension norm and volume gaps, averaged over the ensemble.
 
@@ -167,8 +169,8 @@ def truncation_sweep(
         finsler = np.sqrt(norms_sq(means, covs, d, dirs, "finsler"))
         gaps = (upper - finsler) / np.where(upper == 0.0, 1.0, upper)
         bounds = gap_bound(d, norms_sq(means, covs, d, dirs, "omega"))
-        v_r = bh_volumes(means, covs, d, volume_angles, "riemann")
-        v_f = bh_volumes(means, covs, d, volume_angles, "finsler")
+        v_r = bh_volumes(means, covs, d, VOLUME_ANGLES, "riemann")
+        v_f = bh_volumes(means, covs, d, VOLUME_ANGLES, "finsler")
         gap_norm = float(np.mean(gaps))
         rows.append(
             ConvergenceRow(
@@ -238,6 +240,14 @@ def _random_spec(rng, q: int | None = None) -> tuple[MetricPoint, np.ndarray]:
     return MetricPoint(JacobianPosterior(mean=mean, cov=cov, dim_data=d)), v
 
 
+def _curve_norms_sq(fld, curve: DiscreteCurve, kinds) -> dict[str, np.ndarray]:
+    """Squared segment norms of the curve per kind, which `curve_length` and
+    `curve_energy` sum, from one `jacobian_batch` at its midpoints."""
+    means, covs = fld.jacobian_batch(curve.midpoints)
+    vels = curve.velocities[:, None, :]
+    return {k: norms_sq(means, covs, fld.data_dim, vels, k)[:, 0] for k in kinds}
+
+
 def _random_curve(rng, q: int, n_points: int = 16) -> DiscreteCurve:
     a = rng.uniform(-1.5, 1.5, q)
     b = rng.uniform(-1.5, 1.5, q)
@@ -291,12 +301,8 @@ def bound_sweep(n_specs: int = 10_000, seed: int = 0) -> ViolationReport:
             data_dim=int(rng.integers(2, 33)),
         )
         curve = _random_curve(rng, fld.latent_dim)
-        # one posterior pass; lengths and energies are the sums of
-        # curve_length and curve_energy over its segment norms
         kinds = ("alpha_sigma", "finsler", "riemann")
-        means, covs = fld.jacobian_batch(curve.midpoints)
-        vels = curve.velocities[:, None, :]
-        sq = {k: norms_sq(means, covs, fld.data_dim, vels, k)[:, 0] for k in (*kinds, "omega")}
+        sq = _curve_norms_sq(fld, curve, (*kinds, "omega"))
         n1 = curve.n_points - 1
         l_a, l_f, l_r = (float(np.sum(np.sqrt(sq[k]))) / n1 for k in kinds)
         e_a, e_f, e_r = (float(np.sum(sq[k])) / n1 for k in kinds)
@@ -368,20 +374,16 @@ class ComparisonRow:
     converged: bool
 
 
-def _ambient_length(fld, curve: DiscreteCurve) -> float:
-    if hasattr(fld, "decode_batch"):
-        pts = fld.decode_batch(curve.points)
-    elif hasattr(fld, "decode"):
-        pts = np.array([fld.decode(z) for z in curve.points])
+def _ambient_and_variance(fld, curve: DiscreteCurve) -> tuple[float, float]:
+    """Length of the decoded curve (nan without `decode_batch`) and mean
+    posterior variance at its points (0 off GP fields), from one pass."""
+    if isinstance(fld, GpField):
+        pts, var = _posterior_mean_var_batch(fld.model, curve.points)
+    elif hasattr(fld, "decode_batch"):
+        pts, var = fld.decode_batch(curve.points), 0.0
     else:
-        return math.nan
-    return float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
-
-
-def _mean_variance(fld, curve: DiscreteCurve) -> float:
-    if not hasattr(fld, "posterior_variance"):
-        return 0.0
-    return float(np.mean([fld.posterior_variance(z) for z in curve.points]))
+        return math.nan, 0.0
+    return float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1))), float(np.mean(var))
 
 
 def comparison_entries(
@@ -395,14 +397,15 @@ def comparison_entries(
 ) -> list[tuple[ComparisonRow, DiscreteCurve]]:
     """One optimized (row, curve) per (endpoint pair, metric kind).
 
-    Non-convergence is recorded in the row, never raised.
+    Lengths come from one posterior pass at the midpoints, the rest from one
+    at the points. Non-convergence is recorded in the row, never raised.
     """
     fld = as_field(m)
     entries = []
     for i, (start, end) in enumerate(endpoints):
         for kind in metric_kinds:
             res = geodesic_between(
-                m,
+                fld,
                 np.asarray(start, dtype=float),
                 np.asarray(end, dtype=float),
                 metric_kind=kind,
@@ -411,13 +414,18 @@ def comparison_entries(
                 max_iter=max_iter,
                 tol=tol,
             )
+            if kind == "euclid":  # minimize_energy warns for the other kinds
+                _warn_if_outside(fld, res.curve)
+            sq = _curve_norms_sq(fld, res.curve, ("riemann", "finsler"))
+            l_r, l_f = (float(np.sum(np.sqrt(e))) / (res.curve.n_points - 1) for e in sq.values())
+            length_ambient, mean_variance = _ambient_and_variance(fld, res.curve)
             row = ComparisonRow(
                 pair=i,
                 metric_kind=kind,
-                length_riemann=curve_length(m, res.curve, "riemann"),
-                length_finsler=curve_length(m, res.curve, "finsler"),
-                length_ambient=_ambient_length(fld, res.curve),
-                mean_variance=_mean_variance(fld, res.curve),
+                length_riemann=l_r,
+                length_finsler=l_f,
+                length_ambient=length_ambient,
+                mean_variance=mean_variance,
                 energy=res.energy,
                 iterations=res.iterations,
                 converged=res.converged,

@@ -1,8 +1,9 @@
 """Metric fields: anything that yields a Jacobian posterior per latent point.
 
-A field must provide `latent_dim`, `data_dim`, `jacobian_posterior(z)`,
-`jacobian_batch(Z)`, `jacobian_batch_dz(Z)` and `latent_box()`; fields that
-map latents to an ambient space additionally provide `decode(z)`.
+A field defines `latent_dim`, `data_dim`, `jacobian_batch(Z)`,
+`jacobian_batch_dz(Z)` and `latent_box()`. A field that maps latents to an
+ambient space also defines `decode_batch(Z)`, the ambient points (n, D);
+geodesic curve files and ambient lengths use it.
 
 - `jacobian_batch(Z)` returns the posteriors at n points: means (n, D, q)
   and covs (n, q, q).
@@ -11,6 +12,9 @@ map latents to an ambient space additionally provide `decode(z)`.
   axis being the coordinate of z differentiated; dcovs differentiates the
   covariance before any PSD clamp. Geodesic energy gradients take both the
   velocity and the midpoint part from it.
+- `latent_box()` returns the (lo, hi) corners of the latent region the
+  field describes. `padded_box` adds 10% of its span on each side; lattices,
+  grid-initialization endpoints and the out-of-box curve warning use it.
 
 Geodesics, indicatrices and volumes are computed against this interface, so
 fitted models and analytic test surfaces are interchangeable.
@@ -39,6 +43,8 @@ __all__ = [
     "SphereField",
     "SyntheticField",
     "as_field",
+    "latent_lattice",
+    "padded_box",
     "sphere_chart",
     "sphere_chart_inverse",
 ]
@@ -48,10 +54,33 @@ def _points(Z: np.ndarray) -> np.ndarray:
     return np.atleast_2d(np.asarray(Z, dtype=float))
 
 
-def _posterior_at(field, z: np.ndarray) -> JacobianPosterior:
-    """The posterior at one point, as a one-row call of the field's batch."""
-    means, covs = field.jacobian_batch(_points(z))
-    return JacobianPosterior(mean=means[0], cov=covs[0], dim_data=field.data_dim)
+def padded_box(field) -> tuple[np.ndarray, np.ndarray]:
+    """The field's `latent_box()` widened by 10% of its span on every side."""
+    lo, hi = field.latent_box()
+    span = hi - lo
+    pad = 0.1 * span
+    return lo - pad, hi + pad
+
+
+def latent_lattice(field, grid: int) -> np.ndarray:
+    """grid x grid points evenly spanning the padded box of a 2-d field,
+    x-major: row ix * grid + iy is (xs[ix], ys[iy])."""
+    lo, hi = padded_box(field)
+    xs, ys = (np.linspace(lo[j], hi[j], grid) for j in (0, 1))
+    return np.column_stack([np.repeat(xs, grid), np.tile(ys, grid)])
+
+
+class _Field:
+    """Shared by the fields below: `jacobian_posterior(z)`, one point's
+    posterior from `jacobian_batch`, and the box [-_box, _box]^q."""
+
+    def jacobian_posterior(self, z: np.ndarray) -> JacobianPosterior:
+        means, covs = self.jacobian_batch(_points(z))
+        return JacobianPosterior(mean=means[0], cov=covs[0], dim_data=self.data_dim)
+
+    def latent_box(self) -> tuple[np.ndarray, np.ndarray]:
+        q = self.latent_dim
+        return -self._box * np.ones(q), self._box * np.ones(q)
 
 
 def _constant_batch_dz(field, Z: np.ndarray):
@@ -62,7 +91,7 @@ def _constant_batch_dz(field, Z: np.ndarray):
 
 
 @dataclass(frozen=True, eq=False)
-class GpField:
+class GpField(_Field):
     """Field induced by a fitted model's Jacobian posterior."""
 
     model: GpModel
@@ -74,9 +103,6 @@ class GpField:
     @property
     def data_dim(self) -> int:
         return self.model.dim_data
-
-    def jacobian_posterior(self, z: np.ndarray) -> JacobianPosterior:
-        return _posterior_at(self, z)
 
     def jacobian_batch(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _jacobian_posterior_batch(self.model, Z)
@@ -100,16 +126,13 @@ class GpField:
         return var
 
 
-class EuclideanField:
+class EuclideanField(_Field):
     """Identity Jacobian, zero uncertainty: both norms are Euclidean."""
 
     def __init__(self, dim: int = 2, box: float = 2.0):
         self.latent_dim = dim
         self.data_dim = dim
         self._box = float(box)
-
-    def jacobian_posterior(self, z: np.ndarray) -> JacobianPosterior:
-        return _posterior_at(self, z)
 
     def jacobian_batch(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n, q = _points(Z).shape[0], self.latent_dim
@@ -118,15 +141,11 @@ class EuclideanField:
     def jacobian_batch_dz(self, Z: np.ndarray):
         return _constant_batch_dz(self, Z)
 
-    def latent_box(self) -> tuple[np.ndarray, np.ndarray]:
-        q = self.latent_dim
-        return -self._box * np.ones(q), self._box * np.ones(q)
-
-    def decode(self, z: np.ndarray) -> np.ndarray:
-        return np.asarray(z, dtype=float)
+    def decode_batch(self, Z: np.ndarray) -> np.ndarray:
+        return _points(Z).copy()
 
 
-class ConstantField:
+class ConstantField(_Field):
     """The same Jacobian posterior at every latent point."""
 
     def __init__(self, jac: JacobianPosterior, box: float = 2.0):
@@ -148,17 +167,13 @@ class ConstantField:
     def jacobian_batch_dz(self, Z: np.ndarray):
         return _constant_batch_dz(self, Z)
 
-    def latent_box(self) -> tuple[np.ndarray, np.ndarray]:
-        q = self.latent_dim
-        return -self._box * np.ones(q), self._box * np.ones(q)
-
 
 def sphere_chart(z: np.ndarray) -> np.ndarray:
-    """(azimuth, polar) -> unit vector (cos t sin p, sin t sin p, cos p)."""
-    t, p = float(z[0]), float(z[1])
-    return np.array(
-        [math.cos(t) * math.sin(p), math.sin(t) * math.sin(p), math.cos(p)]
-    )
+    """(azimuth, polar) -> unit vector (cos t sin p, sin t sin p, cos p),
+    over the last axis of z."""
+    z = np.asarray(z, dtype=float)
+    t, p = z[..., 0], z[..., 1]
+    return np.stack([np.cos(t) * np.sin(p), np.sin(t) * np.sin(p), np.cos(p)], axis=-1)
 
 
 def sphere_chart_inverse(x: np.ndarray) -> np.ndarray:
@@ -166,7 +181,7 @@ def sphere_chart_inverse(x: np.ndarray) -> np.ndarray:
     return np.array([math.atan2(x[1], x[0]), math.acos(np.clip(x[2], -1.0, 1.0))])
 
 
-class SphereField:
+class SphereField(_Field):
     """Deterministic unit sphere in its standard angular chart.
 
     The exact chart Jacobian gives the round metric diag(sin^2 p, 1), so
@@ -179,9 +194,6 @@ class SphereField:
 
     def __init__(self, polar_margin: float = 0.3):
         self._margin = float(polar_margin)
-
-    def jacobian_posterior(self, z: np.ndarray) -> JacobianPosterior:
-        return _posterior_at(self, z)
 
     def jacobian_batch(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         means, covs, _, _ = self.jacobian_batch_dz(Z)
@@ -210,11 +222,11 @@ class SphereField:
             np.array([math.pi, math.pi - self._margin]),
         )
 
-    def decode(self, z: np.ndarray) -> np.ndarray:
-        return sphere_chart(z)
+    def decode_batch(self, Z: np.ndarray) -> np.ndarray:
+        return sphere_chart(_points(Z))
 
 
-class SyntheticField:
+class SyntheticField(_Field):
     """Smooth trigonometric field with genuinely position-dependent
     uncertainty, for exercising geodesics and volumes without a fit."""
 
@@ -239,9 +251,6 @@ class SyntheticField:
         self._freq_cov = rng.normal(0.0, 1.0, (latent_dim, latent_dim, latent_dim))
         self._phase_cov = rng.uniform(0.0, 2.0 * np.pi, (latent_dim, latent_dim))
 
-    def jacobian_posterior(self, z: np.ndarray) -> JacobianPosterior:
-        return _posterior_at(self, z)
-
     def jacobian_batch(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         means, covs, _, _ = self.jacobian_batch_dz(Z)
         return means, covs
@@ -262,15 +271,11 @@ class SyntheticField:
         cross = np.einsum("nakb,nck->nacb", droot, root)
         return means, covs, dmeans, (cross + cross.transpose(0, 2, 1, 3)) / q
 
-    def latent_box(self) -> tuple[np.ndarray, np.ndarray]:
-        q = self.latent_dim
-        return -self._box * np.ones(q), self._box * np.ones(q)
-
 
 def as_field(obj):
     """Wrap a fitted model as a field; pass fields through unchanged."""
     if isinstance(obj, GpModel):
         return GpField(obj)
-    if hasattr(obj, "jacobian_posterior"):
+    if hasattr(obj, "jacobian_batch"):
         return obj
     raise TypeError(f"cannot interpret {type(obj).__name__} as a metric field")

@@ -24,7 +24,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .data import write_csv
-from .fields import as_field
+from .fields import as_field, latent_lattice, padded_box
 from .metric import _finsler_terms, alpha_coefficient, norms_sq
 from .specfun import kummer_1f1_array
 
@@ -153,9 +153,8 @@ def _segment_norms_sq(field, mids: np.ndarray, vels: np.ndarray, kind: str) -> n
 
 
 def _warn_if_outside(field, curve: DiscreteCurve) -> None:
-    lo, hi = field.latent_box()
-    span = hi - lo
-    if np.any(curve.points < lo - 0.1 * span) or np.any(curve.points > hi + 0.1 * span):
+    lo, hi = padded_box(field)
+    if np.any(curve.points < lo) or np.any(curve.points > hi):
         warnings.warn(
             "curve leaves the latent bounding box; the posterior reverts to the prior there",
             stacklevel=3,
@@ -294,9 +293,9 @@ def grid_initialize(
 ) -> DiscreteCurve:
     """Shortest path on an 8-connected latent grid, resampled to n_points.
 
-    The grid covers the latent bounding box plus a 10% margin on each side;
-    edge weights are segment lengths under the chosen metric, evaluated at
-    edge midpoints.
+    The grid is the field's `latent_lattice` over its padded box, where
+    both endpoints must lie; edge weights are segment lengths under the
+    chosen metric, evaluated at edge midpoints.
     """
     _check_kind(metric_kind)
     field = as_field(m)
@@ -306,17 +305,12 @@ def grid_initialize(
         raise ValueError("grid must be at least 2")
     start = np.asarray(start, dtype=float)
     end = np.asarray(end, dtype=float)
-    lo, hi = field.latent_box()
-    span = hi - lo
-    lo = lo - 0.1 * span
-    hi = hi + 0.1 * span
+    lo, hi = padded_box(field)
     for z, name in ((start, "start"), (end, "end")):
         if np.any(z < lo) or np.any(z > hi):
             raise ValueError(f"{name} point {z} outside the grid box [{lo}, {hi}]")
 
-    xs = np.linspace(lo[0], hi[0], grid)
-    ys = np.linspace(lo[1], hi[1], grid)
-    nodes = np.array([[x, y] for x in xs for y in ys])
+    nodes = latent_lattice(field, grid)
 
     us, vs = [], []
     for ix in range(grid):
@@ -401,6 +395,8 @@ def minimize_energy(
     accepted step.
     """
     _check_kind(metric_kind)
+    if not tol >= 0.0 or max_iter < 1:
+        raise ValueError(f"need tol >= 0 and max_iter >= 1, got tol={tol}, max_iter={max_iter}")
     field = as_field(m)
     cur = DiscreteCurve(np.array(init.points, dtype=float))
     # one pass per trial curve; the accepted trial's gradient is the next
@@ -514,17 +510,14 @@ def geodesic_between(
 
 
 def export_curve_csv(path: str, c: DiscreteCurve, m=None) -> None:
-    """Curve as CSV: t, latent coordinates, and decoded means if available."""
+    """Curve as CSV: t, latent coordinates and the field's `decode_batch` points."""
     header = ["t"] + [f"z_{j + 1}" for j in range(c.dim)]
     t = np.linspace(0.0, 1.0, c.n_points)
     cols = [t, *c.points.T]
     if m is not None:
         field = as_field(m)
-        if hasattr(field, "decode"):
-            if hasattr(field, "decode_batch"):
-                decoded = field.decode_batch(c.points)
-            else:
-                decoded = np.array([field.decode(z) for z in c.points])
+        if hasattr(field, "decode_batch"):
+            decoded = field.decode_batch(c.points)
             header += [f"f_{j + 1}" for j in range(decoded.shape[1])]
             cols += list(decoded.T)
     write_csv(path, zip(*cols), header=header)

@@ -498,8 +498,8 @@ def _adam_ascent(
     model of the best step seen."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    if steps < 0 or not noise0 >= 0.0:
-        raise ValueError(f"need steps >= 0 and noise >= 0, got steps={steps}, noise={noise0}")
+    if steps < 0 or not noise0 >= 0.0 or not lr > 0.0:
+        raise ValueError(f"need steps >= 0, noise >= 0, lr > 0; got {steps}, {noise0}, {lr}")
     if steps == 0:
         return make_model(X, Y, k0, noise0)
     Yc = Y - Y.mean(axis=0)

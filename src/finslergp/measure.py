@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import write_csv
-from .fields import as_field
+from .fields import as_field, latent_lattice
 from .gp import JacobianPosterior
 from .metric import MetricPoint, gap_bound, norms_sq
 
@@ -40,6 +40,8 @@ PLOT_ANGLES = 64
 QUADRATURE_ANGLES = 256
 
 _METRIC_KINDS = ("riemann", "finsler", "alpha_sigma", "euclid")
+
+_CONVEX_SLACK = 1e-8  # relative to the product of the two edge lengths
 
 
 def _unit_directions(K: int) -> np.ndarray:
@@ -70,14 +72,14 @@ class Indicatrix:
     radii: np.ndarray
     metric_kind: str
 
-    def is_convex(self, slack: float = 1e-8) -> bool:
+    def is_convex(self) -> bool:
         """Cross-product sign test on the sampled polygon (CCW traversal)."""
         pts = self.radii[:, None] * _unit_directions(len(self.radii))
         e = np.roll(pts, -1, axis=0) - pts
         cross = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
         norms = np.linalg.norm(e, axis=1)
         scale = norms * np.roll(norms, -1)
-        return bool(np.all(cross >= -slack * np.maximum(scale, 1e-300)))
+        return bool(np.all(cross >= -_CONVEX_SLACK * np.maximum(scale, 1e-300)))
 
     @property
     def area(self) -> float:
@@ -164,23 +166,18 @@ def volume_ratio_bound(p, K: int = QUADRATURE_ANGLES) -> float:
 def volume_field(m, grid: int = 32, K: int = QUADRATURE_ANGLES) -> VolumeField:
     """All three volumes and the relative gap over a latent lattice.
 
-    The lattice covers the latent bounding box plus a 10% margin. All
-    volumes use the same polar quadrature, so the shared discretization
-    bias cancels in the ratio and the pointwise orderings are exact. Each
-    quantity is one batched evaluation over all grid points and angles.
+    The lattice is the field's `latent_lattice`, over the latent box plus a
+    10% margin on each side. All volumes use the same polar quadrature, so
+    the shared discretization bias cancels in the ratio and the pointwise
+    orderings are exact. Each quantity is one batched evaluation over all
+    grid points and angles.
     """
     field = as_field(m)
     if field.latent_dim != 2:
         raise ValueError("volume fields are only defined for 2-d latent spaces")
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    lo, hi = field.latent_box()
-    span = hi - lo
-    lo = lo - 0.1 * span
-    hi = hi + 0.1 * span
-    xs = np.linspace(lo[0], hi[0], grid)
-    ys = np.linspace(lo[1], hi[1], grid)
-    pts = np.array([[x, y] for x in xs for y in ys])
+    pts = latent_lattice(field, grid)
     means, covs = field.jacobian_batch(pts)
     d = field.data_dim
     v_r = bh_volumes(means, covs, d, K, "riemann")

@@ -114,8 +114,11 @@ def test_fit_factorization_failure_exits_one(workdir, circles_model, capsys):
         (["--latent-dim", "4", "--steps", "0"], "latent dimension 4 not in [1, 3]"),
         (["--noise", "-1", "--steps", "1"], "noise"),
         (["--steps", "-3"], "steps"),
+        (["--lr", "0"], "lr > 0"),
+        (["--lr", "-0.05", "--steps", "0"], "lr > 0"),
     ],
-    ids=["latent_dim_zero", "latent_dim_above_data_dim", "negative_noise", "negative_steps"],
+    ids=["latent_dim_zero", "latent_dim_above_data_dim", "negative_noise", "negative_steps",
+         "zero_lr", "negative_lr"],
 )
 def test_fit_bad_input_exits_2(workdir, circles_model, capsys, flags, named):
     # the circles data are 3-d; nothing is written, not even a sidecar
@@ -304,6 +307,39 @@ def test_series_convergence_failure_exits_1(circles_model, tmp_path, monkeypatch
     err = capsys.readouterr().err
     assert rc == 1
     assert _one_error_line(err) and "did not converge" in err
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--pairs", "PAIRS"], "has 6 coordinates; two points of the model's 2-d latent space"),
+        (["--start", "0,0,0", "--end", "0.5,0.5"],
+         "has 3 coordinates; the model's latent space is 2-d"),
+        (["--start", "0,0", "--end", "0.5,0.5", "--tol", "-1"], "tol >= 0"),
+        (["--start", "0,0", "--end", "0.5,0.5", "--max-iter", "0"], "max_iter >= 1"),
+    ],
+    ids=["pairs_3d_on_2d", "start_3d_on_2d", "negative_tol", "zero_max_iter"],
+)
+def test_geodesic_bad_input_exits_2(circles_model, tmp_path, capsys, flags, named):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("-0.5,-0.3,0,0.5,0.3,0\n")
+    flags = [str(pairs) if f == "PAIRS" else f for f in flags]
+    out = tmp_path / "geo.csv"
+    rc = main(["geodesic", "--model", str(circles_model), "--metric", "riemann",
+               "--nc", "9", *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert _one_error_line(err) and named in err
+    assert not out.exists() and not (tmp_path / "geo_pair0_riemann.csv").exists()
+
+
+@pytest.mark.parametrize("model", ["circles", "sphere"])
+def test_indicatrix_latent_dimension_mismatch_exits_2(circles_model, tmp_path, capsys, model):
+    spec = str(circles_model) if model == "circles" else "sphere"
+    rc = main(["indicatrix", "--model", spec, "--at", "0,0,0", "--out", str(tmp_path / "i.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert _one_error_line(err) and "has 3 coordinates; the model's latent space is 2-d" in err
 
 
 def test_indicatrix_non_finite_point_exits_2(circles_model, tmp_path, capsys):

@@ -11,6 +11,7 @@ from finslergp.experiments import (
     ConvergenceRow,
     bound_sweep,
     central_norm_gap,
+    comparison_entries,
     convergence_violations,
     export_comparison_csv,
     export_convergence_csv,
@@ -19,7 +20,8 @@ from finslergp.experiments import (
     make_truncation_ensemble,
     truncation_sweep,
 )
-from finslergp.fields import ConstantField
+from finslergp.fields import ConstantField, GpField, SphereField, SyntheticField
+from finslergp.geodesic import curve_length
 from finslergp.gp import JacobianPosterior
 from finslergp.metric import MetricPoint, omega
 
@@ -190,6 +192,39 @@ def test_geodesic_comparison_table(gp_model_2d):
         assert r.length_ambient > 0.0 and math.isfinite(r.length_ambient)
         assert r.mean_variance >= 0.0
         assert r.energy > 0.0 and r.iterations > 0
+
+
+@pytest.mark.filterwarnings("ignore:curve leaves the latent bounding box")
+def test_comparison_rows_match_the_per_curve_functionals(gp_model_2d):
+    pairs = [(np.array([-0.6, -0.4]), np.array([0.6, 0.4]))]
+    field = GpField(gp_model_2d)
+    entries = comparison_entries(gp_model_2d, pairs, n_points=17, max_iter=300)
+    for row, curve in entries:
+        assert row.length_riemann == curve_length(field, curve, "riemann")
+        assert row.length_finsler == curve_length(field, curve, "finsler")
+        per_point = np.mean([field.posterior_variance(z) for z in curve.points])
+        assert abs(row.mean_variance - per_point) <= 1e-12 * per_point
+        decoded = np.array([field.decode(z) for z in curve.points])
+        ambient = np.sum(np.linalg.norm(np.diff(decoded, axis=0), axis=1))
+        assert row.length_ambient == pytest.approx(ambient, rel=1e-12)
+    # an analytic decoder and no variance; no decoder at all
+    sphere = comparison_entries(SphereField(), [((0.2, 1.0), (1.4, 1.8))], ("riemann",),
+                                n_points=9, grid=0)
+    (row, curve), = sphere
+    assert row.mean_variance == 0.0
+    chord = np.linalg.norm(np.diff(SphereField().decode_batch(curve.points), axis=0), axis=1)
+    assert row.length_ambient == float(np.sum(chord))
+    jac = JacobianPosterior(mean=np.ones((3, 2)), cov=0.1 * np.eye(2), dim_data=3)
+    (row, _), = comparison_entries(ConstantField(jac), [((0, 0), (1, 1))], ("euclid",),
+                                   n_points=5)
+    assert math.isnan(row.length_ambient) and row.mean_variance == 0.0
+
+
+def test_euclid_row_off_the_padded_box_warns():
+    # the lengths of a euclid row are posterior lengths too
+    field = SyntheticField(seed=3, box=1.0)
+    with pytest.warns(UserWarning, match="bounding box"):
+        comparison_entries(field, [((-1.5, 0.0), (1.5, 0.0))], ("euclid",), n_points=9)
 
 
 def test_geodesic_comparison_csv_deterministic(gp_model_2d, tmp_path):

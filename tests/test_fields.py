@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from finslergp.experiments import comparison_entries
 from finslergp.fields import (
     ConstantField,
     EuclideanField,
@@ -12,9 +13,12 @@ from finslergp.fields import (
     SphereField,
     SyntheticField,
     as_field,
+    latent_lattice,
+    padded_box,
     sphere_chart,
     sphere_chart_inverse,
 )
+from finslergp.geodesic import export_curve_csv
 from finslergp.gp import (
     MATERN52,
     RBF,
@@ -23,6 +27,7 @@ from finslergp.gp import (
     jacobian_posterior_closed_form,
     make_model,
 )
+from finslergp.measure import volume_field
 
 
 def test_sphere_chart_unit_norm_and_inverse():
@@ -234,3 +239,70 @@ def test_synthetic_batch_equals_per_point_formula():
             cov = root @ root.T / q + f.noise_floor * np.eye(q)
             assert np.array_equal(means[i], mean)
             assert np.array_equal(covs[i], cov)
+
+
+def test_padded_box_and_latent_lattice_match_the_inline_margin(gp_model_2d):
+    # the margin rule and the x-major lattice that grid initialization and
+    # volume fields used to build for themselves, bit for bit
+    fields = [SyntheticField(seed=1, box=1.3), SphereField(), EuclideanField(box=0.7),
+              GpField(gp_model_2d)]
+    for field in fields:
+        lo, hi = field.latent_box()
+        span = hi - lo
+        lo, hi = lo - 0.1 * span, hi + 0.1 * span
+        got_lo, got_hi = padded_box(field)
+        assert got_lo.tobytes() == lo.tobytes() and got_hi.tobytes() == hi.tobytes()
+        for grid in (2, 7):
+            xs = np.linspace(lo[0], hi[0], grid)
+            ys = np.linspace(lo[1], hi[1], grid)
+            want = np.array([[x, y] for x in xs for y in ys])
+            got = latent_lattice(field, grid)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_decode_batch_is_the_per_point_decoding():
+    rng = np.random.default_rng(8)
+    Z = np.column_stack([rng.uniform(-math.pi, math.pi, 40), rng.uniform(0.3, 2.8, 40)])
+    got = SphereField().decode_batch(Z)
+    assert got.shape == (40, 3)
+    assert got.tobytes() == np.array([sphere_chart(z) for z in Z]).tobytes()
+    assert SphereField().decode_batch(Z[0]).shape == (1, 3)
+    flat = EuclideanField().decode_batch(Z)
+    assert np.array_equal(flat, Z) and flat is not Z
+
+
+class _ProtocolField:
+    """Only what a field must define: dimensions, the two batches, the box
+    and (optionally) a decoder."""
+
+    latent_dim = 2
+    data_dim = 8
+
+    def __init__(self):
+        self._inner = SyntheticField(seed=4)
+
+    def jacobian_batch(self, Z):
+        return self._inner.jacobian_batch(Z)
+
+    def jacobian_batch_dz(self, Z):
+        return self._inner.jacobian_batch_dz(Z)
+
+    def latent_box(self):
+        return self._inner.latent_box()
+
+    def decode_batch(self, Z):
+        return 2.0 * np.atleast_2d(Z)
+
+
+def test_a_field_needs_only_the_protocol(tmp_path):
+    f = _ProtocolField()
+    assert as_field(f) is f
+    entries = comparison_entries(f, [((-0.8, 0.3), (0.9, -0.2))], n_points=9, grid=6,
+                                 max_iter=200)
+    assert [row.metric_kind for row, _ in entries] == ["riemann", "finsler", "euclid"]
+    for row, curve in entries:
+        assert math.isfinite(row.length_ambient) and row.mean_variance == 0.0
+        assert row.length_finsler <= row.length_riemann * (1.0 + 1e-12)
+    export_curve_csv(str(tmp_path / "c.csv"), entries[0][1], f)
+    assert (tmp_path / "c.csv").read_text().splitlines()[0] == "t,z_1,z_2,f_1,f_2"
+    assert volume_field(f, grid=3, K=16).grid_points.shape == (9, 2)

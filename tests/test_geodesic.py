@@ -3,6 +3,7 @@ Carlo checks of the energy identities, gradient consistency, optimizer
 descent, and shortest-path initialization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,28 @@ def test_out_of_box_curve_warns():
     c = line_curve(np.zeros(2), np.array([5.0, 5.0]), 8)
     with pytest.warns(UserWarning):
         energy_riemannian(field, c)
+
+
+def test_padded_box_bounds_warnings_and_grid_endpoints():
+    # box [-1, 1]^2, padded box [-1.2, 1.2]^2
+    field = SyntheticField(seed=11, box=1.0)
+    inside = np.array([1.15, -1.15])  # outside the box, inside the padded box
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        energy_riemannian(field, line_curve(-inside, inside, 8))
+        grid_initialize(field, -inside, inside, grid=6, n_points=9)
+    past = np.array([1.25, 0.0])
+    with pytest.warns(UserWarning, match="bounding box"):
+        energy_riemannian(field, line_curve(-past, past, 8))
+    with pytest.raises(ValueError, match="outside the grid box"):
+        grid_initialize(field, -past, past, grid=6, n_points=9)
+
+
+@pytest.mark.parametrize("bad", [{"tol": -1.0}, {"tol": math.nan}, {"max_iter": 0}])
+def test_minimize_energy_rejects_meaningless_settings(bad):
+    init = line_curve(np.zeros(2), np.ones(2), 5)
+    with pytest.raises(ValueError, match="tol >= 0 and max_iter >= 1"):
+        minimize_energy(SyntheticField(seed=2), init, "riemann", **bad)
 
 
 # ---------------------------------------------------------------------------
