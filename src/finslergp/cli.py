@@ -31,6 +31,7 @@ from .data import (
     write_sidecar,
 )
 from .experiments import (
+    COMPARISON_KINDS,
     bound_sweep,
     comparison_entries,
     convergence_violations,
@@ -53,8 +54,6 @@ from .gp import (
 )
 from .measure import export_indicatrix_csv, export_volume_field_csv, indicatrix, volume_field
 from .specfun import ConvergenceError
-
-METRIC_CHOICES = ("riemann", "finsler", "euclid")
 
 
 def _config(args, command: str, **extra) -> dict:
@@ -191,7 +190,7 @@ def cmd_geodesic(args) -> int:
         pairs = [(_parse_point(args.start, q), _parse_point(args.end, q))]
     else:
         raise ValueError("provide --start and --end, or --pairs")
-    kinds = METRIC_CHOICES if args.metric is None else (args.metric,)
+    kinds = COMPARISON_KINDS if args.metric is None else (args.metric,)
     entries = comparison_entries(
         field,
         pairs,
@@ -308,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_geo.add_argument("--start", help="comma-separated latent coordinates")
     p_geo.add_argument("--end", help="comma-separated latent coordinates")
     p_geo.add_argument("--pairs", help="CSV of endpoint pairs (start then end per row)")
-    p_geo.add_argument("--metric", choices=METRIC_CHOICES, default=None,
+    p_geo.add_argument("--metric", choices=COMPARISON_KINDS, default=None,
                        help="single metric; omitted runs all three")
     p_geo.add_argument("--nc", type=int, default=64, help="curve points")
     p_geo.add_argument("--grid", type=int, default=10, help="grid-initialization resolution")

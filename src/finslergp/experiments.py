@@ -17,7 +17,9 @@ import scipy.linalg
 
 from .data import write_csv
 from .fields import GpField, SyntheticField, as_field
-from .geodesic import DiscreteCurve, _warn_if_outside, geodesic_between
+from .geodesic import (
+    DiscreteCurve, _length_and_energy, _segment_norms_sq, _warn_if_outside, geodesic_between
+)
 from .gp import JacobianPosterior, _posterior_mean_var_batch
 from .measure import bh_volume, bh_volumes
 from .metric import MetricPoint, bound_report, gap_bound, norms_sq, relative_gap
@@ -240,14 +242,6 @@ def _random_spec(rng, q: int | None = None) -> tuple[MetricPoint, np.ndarray]:
     return MetricPoint(JacobianPosterior(mean=mean, cov=cov, dim_data=d)), v
 
 
-def _curve_norms_sq(fld, curve: DiscreteCurve, kinds) -> dict[str, np.ndarray]:
-    """Squared segment norms of the curve per kind, which `curve_length` and
-    `curve_energy` sum, from one `jacobian_batch` at its midpoints."""
-    means, covs = fld.jacobian_batch(curve.midpoints)
-    vels = curve.velocities[:, None, :]
-    return {k: norms_sq(means, covs, fld.data_dim, vels, k)[:, 0] for k in kinds}
-
-
 def _random_curve(rng, q: int, n_points: int = 16) -> DiscreteCurve:
     a = rng.uniform(-1.5, 1.5, q)
     b = rng.uniform(-1.5, 1.5, q)
@@ -301,11 +295,10 @@ def bound_sweep(n_specs: int = 10_000, seed: int = 0) -> ViolationReport:
             data_dim=int(rng.integers(2, 33)),
         )
         curve = _random_curve(rng, fld.latent_dim)
-        kinds = ("alpha_sigma", "finsler", "riemann")
-        sq = _curve_norms_sq(fld, curve, (*kinds, "omega"))
-        n1 = curve.n_points - 1
-        l_a, l_f, l_r = (float(np.sum(np.sqrt(sq[k]))) / n1 for k in kinds)
-        e_a, e_f, e_r = (float(np.sum(sq[k])) / n1 for k in kinds)
+        *seg_sq, omegas = _segment_norms_sq(
+            fld, curve.midpoints, curve.velocities, ("alpha_sigma", "finsler", "riemann", "omega")
+        )
+        (l_a, e_a), (l_f, e_f), (l_r, e_r) = map(_length_and_energy, seg_sq)
         trials["curve_length_ordering"] += 1
         if not (l_a <= l_f + SLACK and l_f <= l_r + SLACK):
             counts["curve_length_ordering"] += 1
@@ -318,7 +311,7 @@ def bound_sweep(n_specs: int = 10_000, seed: int = 0) -> ViolationReport:
         ):
             counts["curve_length_energy"] += 1
         # largest per-segment norm gap bound along the curve
-        m = float(np.max(gap_bound(fld.data_dim, sq["omega"])))
+        m = float(np.max(gap_bound(fld.data_dim, omegas)))
         trials["curve_gap_bounds"] += 1
         if l_r > 0.0 and not (
             (l_r - l_f) / l_r <= m + SLACK
@@ -416,8 +409,10 @@ def comparison_entries(
             )
             if kind == "euclid":  # minimize_energy warns for the other kinds
                 _warn_if_outside(fld, res.curve)
-            sq = _curve_norms_sq(fld, res.curve, ("riemann", "finsler"))
-            l_r, l_f = (float(np.sum(np.sqrt(e))) / (res.curve.n_points - 1) for e in sq.values())
+            seg_sq = _segment_norms_sq(
+                fld, res.curve.midpoints, res.curve.velocities, ("riemann", "finsler")
+            )
+            l_r, l_f = (_length_and_energy(e)[0] for e in seg_sq)
             length_ambient, mean_variance = _ambient_and_variance(fld, res.curve)
             row = ComparisonRow(
                 pair=i,

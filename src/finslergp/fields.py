@@ -33,6 +33,7 @@ from .gp import (
     _jacobian_posterior_batch,
     _jacobian_posterior_batch_dz,
     _posterior_mean_var_batch,
+    _query_points,
     posterior_mean_var,
 )
 
@@ -48,10 +49,6 @@ __all__ = [
     "sphere_chart",
     "sphere_chart_inverse",
 ]
-
-
-def _points(Z: np.ndarray) -> np.ndarray:
-    return np.atleast_2d(np.asarray(Z, dtype=float))
 
 
 def padded_box(field) -> tuple[np.ndarray, np.ndarray]:
@@ -75,7 +72,7 @@ class _Field:
     posterior from `jacobian_batch`, and the box [-_box, _box]^q."""
 
     def jacobian_posterior(self, z: np.ndarray) -> JacobianPosterior:
-        means, covs = self.jacobian_batch(_points(z))
+        means, covs = self.jacobian_batch(z)
         return JacobianPosterior(mean=means[0], cov=covs[0], dim_data=self.data_dim)
 
     def latent_box(self) -> tuple[np.ndarray, np.ndarray]:
@@ -135,14 +132,14 @@ class EuclideanField(_Field):
         self._box = float(box)
 
     def jacobian_batch(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n, q = _points(Z).shape[0], self.latent_dim
+        n, q = _query_points(Z, self.latent_dim).shape
         return np.broadcast_to(np.eye(q), (n, q, q)).copy(), np.zeros((n, q, q))
 
     def jacobian_batch_dz(self, Z: np.ndarray):
         return _constant_batch_dz(self, Z)
 
     def decode_batch(self, Z: np.ndarray) -> np.ndarray:
-        return _points(Z).copy()
+        return _query_points(Z, self.latent_dim).copy()
 
 
 class ConstantField(_Field):
@@ -155,10 +152,11 @@ class ConstantField(_Field):
         self._box = float(box)
 
     def jacobian_posterior(self, z: np.ndarray) -> JacobianPosterior:
+        _query_points(z, self.latent_dim)  # rejects a point of the wrong width
         return self.jac
 
     def jacobian_batch(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = np.atleast_2d(Z).shape[0]
+        n = _query_points(Z, self.latent_dim).shape[0]
         return (
             np.broadcast_to(self.jac.mean, (n, *self.jac.mean.shape)).copy(),
             np.broadcast_to(self.jac.cov, (n, *self.jac.cov.shape)).copy(),
@@ -200,7 +198,7 @@ class SphereField(_Field):
         return means, covs
 
     def jacobian_batch_dz(self, Z: np.ndarray):
-        Z = _points(Z)
+        Z = _query_points(Z, self.latent_dim)
         n = Z.shape[0]
         st, ct = np.sin(Z[:, 0]), np.cos(Z[:, 0])
         sp, cp = np.sin(Z[:, 1]), np.cos(Z[:, 1])
@@ -223,7 +221,7 @@ class SphereField(_Field):
         )
 
     def decode_batch(self, Z: np.ndarray) -> np.ndarray:
-        return sphere_chart(_points(Z))
+        return sphere_chart(_query_points(Z, self.latent_dim))
 
 
 class SyntheticField(_Field):
@@ -259,7 +257,7 @@ class SyntheticField(_Field):
         # mean = A sin(F z + P) and cov = R R^T / q + floor I with
         # R = sin(G z + Q), entry by entry; the stacked matmul with z as an
         # (n, 1, q, 1) column computes F z exactly as F @ z does per point
-        Z = _points(Z)[:, None, :, None]
+        Z = _query_points(Z, self.latent_dim)[:, None, :, None]
         q = self.latent_dim
         arg = (self._freq_mean @ Z)[..., 0] + self._phase_mean  # (n, D, q)
         means = self._amp_mean * np.sin(arg)

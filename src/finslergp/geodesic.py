@@ -1,19 +1,22 @@
 """Discrete curves and geodesics under the expected-norm metrics.
 
 Curves are piecewise linear with a uniform parameter grid on [0, 1]; a
-curve of N points has N-1 segments, velocity (p[i+1]-p[i])*(N-1) on each,
-and all metric quantities evaluated at segment midpoints (second-order
-quadrature). Geodesics minimize the discretized energy by limited-memory
-BFGS (the two-loop recursion over the last 10 steps, in numpy) with Armijo
-backtracking, optionally seeded by a shortest path on an 8-connected
-latent grid. The energy gradient is exact: the field's posterior and its
-derivative in z at the midpoints come from one pass, and differentiating
-the norms through them gives both the velocity and the midpoint part.
-`energy_gradient_fd` differences the whole energy as the slow reference.
+curve of N points has N-1 segments, velocity (p[i+1]-p[i])*(N-1) on each.
+Lengths and energies follow the midpoint rule (second order), held by two
+functions: `_segment_norms_sq` evaluates the norms at segment midpoints
+and `_length_and_energy` weights each segment 1/(N-1). Geodesics minimize
+the discretized energy by limited-memory BFGS (the two-loop recursion over
+the last 10 steps, in numpy) with Armijo backtracking, optionally seeded
+by a shortest path on an 8-connected latent grid. The energy gradient is
+exact: the field's posterior and its derivative in z at the midpoints come
+from one pass, and differentiating the norms through them gives both the
+velocity and the midpoint part. `energy_gradient_fd` differences the whole
+energy as the slow reference.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from collections import deque
@@ -25,7 +28,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .data import write_csv
 from .fields import as_field, latent_lattice, padded_box
-from .metric import _finsler_terms, alpha_coefficient, norms_sq
+from .metric import METRIC_KINDS, _finsler_terms, alpha_coefficient, norms_sq
 from .specfun import kummer_1f1_array
 
 __all__ = [
@@ -50,7 +53,6 @@ RIEMANN = "riemann"
 FINSLER = "finsler"
 EUCLID = "euclid"
 ALPHA_SIGMA = "alpha_sigma"
-METRIC_KINDS = (RIEMANN, FINSLER, EUCLID, ALPHA_SIGMA)
 
 _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
@@ -144,31 +146,46 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"unknown metric kind {kind!r}, expected one of {METRIC_KINDS}")
 
 
-def _segment_norms_sq(field, mids: np.ndarray, vels: np.ndarray, kind: str) -> np.ndarray:
-    """Squared metric norm of each velocity, evaluated at its midpoint."""
-    if kind == EUCLID:
-        return np.einsum("nq,nq->n", vels, vels)
-    means, covs = field.jacobian_batch(mids)
-    return norms_sq(means, covs, field.data_dim, vels[:, None, :], kind)[:, 0]
+def _segment_norms_sq(field, mids: np.ndarray, vels: np.ndarray, kinds) -> tuple:
+    """Squared norm of each velocity at its midpoint, one array per kind in
+    kinds, from one `jacobian_batch` (none when every kind is euclid)."""
+    if any(kind != EUCLID for kind in kinds):
+        means, covs = field.jacobian_batch(mids)
+    return tuple(
+        np.einsum("nq,nq->n", vels, vels) if kind == EUCLID
+        else norms_sq(means, covs, field.data_dim, vels[:, None, :], kind)[:, 0]
+        for kind in kinds
+    )
 
 
-def _warn_if_outside(field, curve: DiscreteCurve) -> None:
+def _length_and_energy(seg_sq: np.ndarray) -> tuple[float, float]:
+    """The midpoint rule: length and energy of a curve whose N-1 segments
+    have squared norms seg_sq, each segment weighted 1/(N-1)."""
+    n1 = len(seg_sq)
+    return float(np.sum(np.sqrt(seg_sq))) / n1, float(np.sum(seg_sq)) / n1
+
+
+def _warn_if_outside(field, curve: DiscreteCurve, stacklevel: int = 3) -> None:
     lo, hi = padded_box(field)
     if np.any(curve.points < lo) or np.any(curve.points > hi):
         warnings.warn(
             "curve leaves the latent bounding box; the posterior reverts to the prior there",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
+
+
+def _measure(m, c: DiscreteCurve, metric_kind: str) -> tuple[float, float]:
+    """(length, energy) of c; warns at its caller's caller off the box."""
+    _check_kind(metric_kind)
+    field = as_field(m)
+    if metric_kind != EUCLID:
+        _warn_if_outside(field, c, stacklevel=4)
+    return _length_and_energy(*_segment_norms_sq(field, c.midpoints, c.velocities, (metric_kind,)))
 
 
 def curve_energy(m, c: DiscreteCurve, metric_kind: str) -> float:
     """Discretized energy: sum of squared segment norms times 1/(N-1)."""
-    _check_kind(metric_kind)
-    field = as_field(m)
-    if metric_kind != EUCLID:
-        _warn_if_outside(field, c)
-    e = _segment_norms_sq(field, c.midpoints, c.velocities, metric_kind)
-    return float(np.sum(e)) / (c.n_points - 1)
+    return _measure(m, c, metric_kind)[1]
 
 
 def energy_riemannian(m, c: DiscreteCurve) -> float:
@@ -181,12 +198,7 @@ def energy_finsler(m, c: DiscreteCurve) -> float:
 
 def curve_length(m, c: DiscreteCurve, metric_kind: str) -> float:
     """Discretized length: sum of segment norms times 1/(N-1)."""
-    _check_kind(metric_kind)
-    field = as_field(m)
-    if metric_kind != EUCLID:
-        _warn_if_outside(field, c)
-    e = _segment_norms_sq(field, c.midpoints, c.velocities, metric_kind)
-    return float(np.sum(np.sqrt(e))) / (c.n_points - 1)
+    return _measure(m, c, metric_kind)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +217,7 @@ def _segment_gradients(field, mids, vels, kind):
     velocity part; ds in the deterministic limit; alpha_sigma alpha dsigma.
     """
     if kind == EUCLID:
-        return np.einsum("nq,nq->n", vels, vels), 2.0 * vels, np.zeros_like(mids)
+        return *_segment_norms_sq(field, mids, vels, (EUCLID,)), 2.0 * vels, np.zeros_like(mids)
     means, covs, dmeans, dcovs = field.jacobian_batch_dz(mids)
     d = field.data_dim
     if kind == FINSLER:
@@ -240,10 +252,10 @@ def _segment_gradients(field, mids, vels, kind):
 
 
 def _energy_and_gradient(field, c: DiscreteCurve, kind: str):
-    """Squared segment norms, energy and interior gradient of c, from one pass."""
+    """Length, energy and interior gradient (the midpoint rule's adjoint) of c, from one pass."""
     e, dv, dz = _segment_gradients(field, c.midpoints, c.velocities, kind)
     n1 = c.n_points - 1
-    return e, float(np.sum(e)) / n1, (0.5 * (dz[:-1] + dz[1:]) + n1 * (dv[:-1] - dv[1:])) / n1
+    return *_length_and_energy(e), (0.5 * (dz[:-1] + dz[1:]) + n1 * (dv[:-1] - dv[1:])) / n1
 
 
 def energy_gradient(m, c: DiscreteCurve, metric_kind: str) -> np.ndarray:
@@ -261,22 +273,20 @@ def energy_gradient_fd(m, c: DiscreteCurve, metric_kind: str, step: float = 1e-5
     """All-finite-difference energy gradient; the slow reference path."""
     _check_kind(metric_kind)
     field = as_field(m)
+
+    def energy(k, j, h):
+        pts = c.points.copy()
+        pts[k, j] += h
+        b = DiscreteCurve(pts)
+        (seg,) = _segment_norms_sq(field, b.midpoints, b.velocities, (metric_kind,))
+        return _length_and_energy(seg)[1]
+
     n, q = c.points.shape
     grad = np.empty((n - 2, q))
     for k in range(1, n - 1):
         for j in range(q):
-            plus = c.points.copy()
-            plus[k, j] += step
-            minus = c.points.copy()
-            minus[k, j] -= step
-            ep = _segment_norms_sq(field, *_mv(plus), metric_kind).sum() / (n - 1)
-            em = _segment_norms_sq(field, *_mv(minus), metric_kind).sum() / (n - 1)
-            grad[k - 1, j] = (ep - em) / (2.0 * step)
+            grad[k - 1, j] = (energy(k, j, step) - energy(k, j, -step)) / (2.0 * step)
     return grad
-
-
-def _mv(pts):
-    return 0.5 * (pts[:-1] + pts[1:]), np.diff(pts, axis=0) * (len(pts) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +335,7 @@ def grid_initialize(
     vs = np.array(vs)
     mids = 0.5 * (nodes[us] + nodes[vs])
     deltas = nodes[vs] - nodes[us]
-    weights = np.sqrt(_segment_norms_sq(field, mids, deltas, metric_kind))
+    weights = np.sqrt(_segment_norms_sq(field, mids, deltas, (metric_kind,))[0])
     # strictly positive weights keep degenerate-metric regions traversable
     weights = np.maximum(weights, 1e-12)
 
@@ -400,8 +410,8 @@ def minimize_energy(
     field = as_field(m)
     cur = DiscreteCurve(np.array(init.points, dtype=float))
     # one pass per trial curve; the accepted trial's gradient is the next
-    # iteration's, and its segment norms give the returned length
-    seg, energy, grad = _energy_and_gradient(field, cur, metric_kind)
+    # iteration's, and its length is the returned one
+    length, energy, grad = _energy_and_gradient(field, cur, metric_kind)
     history = deque(maxlen=_LBFGS_MEMORY)
     streak = 0
     iterations = 0
@@ -427,7 +437,7 @@ def minimize_energy(
             accepted = False
             for _ in range(60):
                 cand = cur.with_interior((x + step * direction).reshape(grad.shape))
-                seg_new, e_new, g_new = _energy_and_gradient(field, cand, metric_kind)
+                l_new, e_new, g_new = _energy_and_gradient(field, cand, metric_kind)
                 if e_new <= energy + _ARMIJO_C * step * slope:
                     accepted = True
                     break
@@ -445,7 +455,7 @@ def minimize_energy(
         if sy > 0.0:
             history.append((s, y, 1.0 / sy))
         rel = abs(energy - e_new) / max(energy, 1e-300)
-        cur, seg, energy, grad = cand, seg_new, e_new, g_new
+        cur, length, energy, grad = cand, l_new, e_new, g_new
         if on_step is not None:
             on_step(energy)
         streak = streak + 1 if rel < tol else 0
@@ -457,8 +467,8 @@ def minimize_energy(
         _warn_if_outside(field, cur)
     return GeodesicResult(
         curve=cur,
-        energy=float(energy),
-        length=float(np.sum(np.sqrt(seg))) / (cur.n_points - 1),
+        energy=energy,
+        length=length,
         metric_kind=metric_kind,
         iterations=iterations,
         converged=converged,
@@ -488,21 +498,13 @@ def geodesic_between(
     else:
         curve = line_curve(start, end, levels[0])
     total = 0
-    result = None
     for n in levels:
         if n != curve.n_points:
             curve = resample_curve(curve, n)
         result = minimize_energy(field, curve, metric_kind, max_iter=max_iter, tol=tol)
         curve = result.curve
         total += result.iterations
-    return GeodesicResult(
-        curve=result.curve,
-        energy=result.energy,
-        length=result.length,
-        metric_kind=metric_kind,
-        iterations=total,
-        converged=result.converged,
-    )
+    return dataclasses.replace(result, iterations=total)
 
 
 # ---------------------------------------------------------------------------

@@ -71,8 +71,10 @@ class Kernel:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}, expected one of {_FAMILIES}")
-        if self.lengthscale <= 0.0 or self.variance <= 0.0:
-            raise ValueError("lengthscale and variance must be positive")
+        ell, var = self.lengthscale, self.variance
+        # a NaN variance is left to the factorization (a non-finite kernel matrix)
+        if not 0.0 < ell < math.inf or var <= 0.0 or var == math.inf:
+            raise ValueError("lengthscale and variance must be finite and positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,8 +284,8 @@ def make_model(X: np.ndarray, Y: np.ndarray, kernel: Kernel, noise: float) -> Gp
         raise ValueError("X must be N x q and Y must be N x D with matching N")
     if X.shape[0] < 2:
         raise ValueError("need at least two training points")
-    if noise < 0.0:
-        raise ValueError("noise must be nonnegative")
+    if not 0.0 <= noise < math.inf:
+        raise ValueError("noise must be finite and nonnegative")
     means = Y.mean(axis=0)
     chol = _robust_cholesky(_kernel_matrix(kernel, X, X), noise, kernel.variance)
     alpha = cho_solve((chol.T, False), Y - means)
@@ -302,18 +304,20 @@ def make_model(X: np.ndarray, Y: np.ndarray, kernel: Kernel, noise: float) -> Gp
 # prediction
 
 
-def _query_points(Z: np.ndarray) -> np.ndarray:
-    """Z as an n x q float array, checked finite once: the batch posteriors
-    below solve against the model's factor, finite by construction, and
-    skip scipy's per-solve scans of it."""
+def _query_points(Z: np.ndarray, latent_dim: int) -> np.ndarray:
+    """Every field's points as an n x latent_dim float array, checked finite
+    once: the GP posteriors solve against the model's factor, finite by
+    construction, and skip scipy's per-solve scans of it."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    if Z.ndim != 2 or Z.shape[1] != latent_dim:
+        raise ValueError(f"points of shape {Z.shape} do not fit latent dimension {latent_dim}")
     if not np.all(np.isfinite(Z)):
         raise ValueError("latent points must be finite")
     return Z
 
 
 def _posterior_mean_var_batch(m: GpModel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    Z = _query_points(Z)
+    Z = _query_points(Z, m.dim_latent)
     ks = _kernel_matrix(m.kernel, Z, m.latent_inputs)
     means = m.output_means + ks @ m.alpha
     w = solve_triangular(m.chol, ks.T, lower=True, check_finite=False)
@@ -329,7 +333,7 @@ def posterior_mean_var(m: GpModel, z: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _jacobian_posterior_batch(m: GpModel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Derivative posteriors at n points: means (n, D, q), covs (n, q, q)."""
-    Z = _query_points(Z)
+    Z = _query_points(Z, m.dim_latent)
     n, q = Z.shape
     grads = _kernel_grad_first(m.kernel, Z, m.latent_inputs)  # (n, N, q)
     means = np.einsum("nNq,ND->nDq", grads, m.alpha)
@@ -353,7 +357,7 @@ def _jacobian_posterior_batch_dz(
     Hessians against the training inputs share one triangular solve with
     q + q^2 columns per point.
     """
-    Z = _query_points(Z)
+    Z = _query_points(Z, m.dim_latent)
     n, q = Z.shape
     big_n = len(m.latent_inputs)
     diff = Z[:, None, :] - m.latent_inputs[None, :, :]  # (n, N, q)

@@ -22,7 +22,7 @@ import numpy as np
 from .data import write_csv
 from .fields import as_field, latent_lattice
 from .gp import JacobianPosterior
-from .metric import MetricPoint, gap_bound, norms_sq
+from .metric import METRIC_KINDS, MetricPoint, gap_bound, norms_sq
 
 __all__ = [
     "Indicatrix",
@@ -38,8 +38,6 @@ __all__ = [
 
 PLOT_ANGLES = 64
 QUADRATURE_ANGLES = 256
-
-_METRIC_KINDS = ("riemann", "finsler", "alpha_sigma", "euclid")
 
 _CONVEX_SLACK = 1e-8  # relative to the product of the two edge lengths
 
@@ -113,7 +111,7 @@ def _radii(means, covs, dim_data: int, K: int, metric_kind: str) -> np.ndarray:
         raise ValueError("indicatrices are only defined for 2-d latent spaces")
     if K < 16:
         raise ValueError("need at least 16 angles")
-    if metric_kind not in _METRIC_KINDS:
+    if metric_kind not in METRIC_KINDS:
         raise ValueError(f"unknown metric kind {metric_kind!r}")
     values = np.sqrt(norms_sq(means, covs, dim_data, _unit_directions(K), metric_kind))
     if not (np.all(np.isfinite(values)) and np.all(values > 0.0)):

@@ -48,7 +48,8 @@ DETERMINISTIC_SIGMA = 1e-14
 
 BOUND_SLACK = 1e-9
 
-NORM_KINDS = ("riemann", "finsler", "alpha_sigma", "euclid", "omega")
+METRIC_KINDS = ("riemann", "finsler", "alpha_sigma", "euclid")
+NORM_KINDS = (*METRIC_KINDS, "omega")
 
 # points per norms_sq block times directions per point
 _BLOCK_VALUES = 16384

@@ -116,9 +116,11 @@ def test_fit_factorization_failure_exits_one(workdir, circles_model, capsys):
         (["--steps", "-3"], "steps"),
         (["--lr", "0"], "lr > 0"),
         (["--lr", "-0.05", "--steps", "0"], "lr > 0"),
+        (["--lengthscale", "nan", "--steps", "0"], "lengthscale"),
+        (["--variance", "inf", "--steps", "0"], "variance"),
     ],
     ids=["latent_dim_zero", "latent_dim_above_data_dim", "negative_noise", "negative_steps",
-         "zero_lr", "negative_lr"],
+         "zero_lr", "negative_lr", "nan_lengthscale", "inf_variance"],
 )
 def test_fit_bad_input_exits_2(workdir, circles_model, capsys, flags, named):
     # the circles data are 3-d; nothing is written, not even a sidecar
@@ -283,6 +285,20 @@ def test_model_file_missing_key_exits_2(circles_model, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert _one_error_line(err) and "latent_inputs" in err
+
+
+def test_model_file_nan_noise_exits_2(circles_model, tmp_path, capsys):
+    doc = json.loads(circles_model.read_text())
+    doc["noise"] = math.nan
+    bad = tmp_path / "nan_noise.json"
+    bad.write_text(json.dumps(doc))  # written as NaN, which json reads back
+    out = tmp_path / "geo.csv"
+    rc = main(["geodesic", "--model", str(bad), "--start=-0.5,0", "--end", "0.5,0",
+               "--metric", "euclid", "--nc", "9", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert _one_error_line(err) and "noise" in err
+    assert not out.exists()
 
 
 def test_model_file_mismatched_rows_exits_2(circles_model, tmp_path, capsys):

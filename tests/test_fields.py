@@ -18,7 +18,7 @@ from finslergp.fields import (
     sphere_chart,
     sphere_chart_inverse,
 )
-from finslergp.geodesic import export_curve_csv
+from finslergp.geodesic import DiscreteCurve, export_curve_csv, minimize_energy
 from finslergp.gp import (
     MATERN52,
     RBF,
@@ -306,3 +306,34 @@ def test_a_field_needs_only_the_protocol(tmp_path):
     export_curve_csv(str(tmp_path / "c.csv"), entries[0][1], f)
     assert (tmp_path / "c.csv").read_text().splitlines()[0] == "t,z_1,z_2,f_1,f_2"
     assert volume_field(f, grid=3, K=16).grid_points.shape == (9, 2)
+
+
+# every field of a 2-d latent space, given 3-d points
+WIDTH_FIELDS = {
+    "gp": lambda: _gp_field(RBF),
+    "euclidean": EuclideanField,
+    "constant": lambda: ConstantField(
+        JacobianPosterior(mean=np.arange(6.0).reshape(3, 2), cov=np.eye(2), dim_data=3)
+    ),
+    "sphere": SphereField,
+    "synthetic": SyntheticField,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDTH_FIELDS))
+def test_points_of_the_wrong_width_raise(name):
+    f = WIDTH_FIELDS[name]()
+    assert f.latent_dim == 2
+    Z = np.full((4, 3), 0.5)
+    curve = DiscreteCurve(np.linspace([0.5, 0.5, 0.5], [1.0, 1.5, 0.5], 5))
+    calls = {
+        "jacobian_batch": lambda: f.jacobian_batch(Z),
+        "jacobian_batch_dz": lambda: f.jacobian_batch_dz(Z),
+        "jacobian_posterior": lambda: f.jacobian_posterior(Z[0]),
+        "minimize_energy": lambda: minimize_energy(f, curve, "riemann"),
+    }
+    if hasattr(f, "decode_batch"):
+        calls["decode_batch"] = lambda: f.decode_batch(Z)
+    for call in calls.values():
+        with pytest.raises(ValueError, match="latent dimension 2"):
+            call()

@@ -160,6 +160,23 @@ def test_out_of_box_curve_warns():
         energy_riemannian(field, c)
 
 
+@pytest.mark.parametrize(
+    "measure",
+    [
+        lambda f, c: curve_energy(f, c, "riemann"),
+        lambda f, c: curve_length(f, c, "finsler"),
+        lambda f, c: minimize_energy(f, c, "riemann", max_iter=1),
+    ],
+    ids=["curve_energy", "curve_length", "minimize_energy"],
+)
+def test_out_of_box_warning_points_at_the_caller(measure):
+    field = SyntheticField(seed=11, box=1.0)
+    c = line_curve(np.zeros(2), np.array([5.0, 5.0]), 8)
+    with pytest.warns(UserWarning, match="bounding box") as record:
+        measure(field, c)
+    assert len(record) == 1 and record[0].filename == __file__
+
+
 def test_padded_box_bounds_warnings_and_grid_endpoints():
     # box [-1, 1]^2, padded box [-1.2, 1.2]^2
     field = SyntheticField(seed=11, box=1.0)
