@@ -71,9 +71,7 @@ class Kernel:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}, expected one of {_FAMILIES}")
-        ell, var = self.lengthscale, self.variance
-        # a NaN variance is left to the factorization (a non-finite kernel matrix)
-        if not 0.0 < ell < math.inf or var <= 0.0 or var == math.inf:
+        if not (0.0 < self.lengthscale < math.inf and 0.0 < self.variance < math.inf):
             raise ValueError("lengthscale and variance must be finite and positive")
 
 

@@ -6,9 +6,12 @@ extraction is needed. Volumes follow the unit-ball-ratio convention
 pi / area(indicatrix), evaluated with polygonal polar quadrature; for the
 expected-norm (Riemannian) metric this reproduces sqrt(det E[G]).
 
-Radii come from `metric.norms_sq`, which evaluates all K angles of all
+Radii come from `metric.norms_sq`, which evaluates the angles of all
 points in one call: one point for `indicatrix`, `bh_volume` and
-`volume_ratio_bound`, every grid point for `volume_field`. The per-point
+`volume_ratio_bound`, every grid point for `volume_field`. Every norm kind
+is even bit for bit, and for even K the directions at the second K/2 angles
+are the exact negations of the first, so only the first half-turn is
+evaluated and its values are repeated for the second. The per-point
 functions take a `MetricPoint` or a `JacobianPosterior`.
 """
 
@@ -105,6 +108,15 @@ def _posterior_arrays(p) -> tuple[np.ndarray, np.ndarray, int]:
     return p.mean[None], p.cov[None], p.dim_data
 
 
+def _norms_sq_all_angles(means, covs, dim_data: int, K: int, kind: str) -> np.ndarray:
+    """`norms_sq` at the K directions of `_unit_directions(K)`, (n, K); for
+    even K evaluated at the first K/2 and repeated, since the norms are even
+    and the other K/2 directions are their exact negations."""
+    if K % 2:
+        return norms_sq(means, covs, dim_data, _unit_directions(K), kind)
+    return np.tile(norms_sq(means, covs, dim_data, _unit_directions(K)[: K // 2], kind), 2)
+
+
 def _radii(means, covs, dim_data: int, K: int, metric_kind: str) -> np.ndarray:
     """Indicatrix radii 1/norm(e(theta)) at K angles for n points, (n, K)."""
     if means.shape[-1] != 2:
@@ -113,7 +125,7 @@ def _radii(means, covs, dim_data: int, K: int, metric_kind: str) -> np.ndarray:
         raise ValueError("need at least 16 angles")
     if metric_kind not in METRIC_KINDS:
         raise ValueError(f"unknown metric kind {metric_kind!r}")
-    values = np.sqrt(norms_sq(means, covs, dim_data, _unit_directions(K), metric_kind))
+    values = np.sqrt(_norms_sq_all_angles(means, covs, dim_data, K, metric_kind))
     if not (np.all(np.isfinite(values)) and np.all(values > 0.0)):
         raise ValueError("metric is degenerate along a sampled direction")
     return 1.0 / values
@@ -121,7 +133,7 @@ def _radii(means, covs, dim_data: int, K: int, metric_kind: str) -> np.ndarray:
 
 def _ratio_bounds(means, covs, dim_data: int, K: int) -> np.ndarray:
     """Volume-ratio bound of each point; see `volume_ratio_bound`."""
-    w = norms_sq(means, covs, dim_data, _unit_directions(K), "omega")
+    w = _norms_sq_all_angles(means, covs, dim_data, K, "omega")
     m = np.max(gap_bound(dim_data, w), axis=1)
     return 1.0 - (1.0 - m) ** 2
 

@@ -4,8 +4,13 @@ Log-gamma ratios and the confluent hypergeometric function 1F1 with its
 derivative, in the regime the expected-norm formula needs: first parameter
 a in [-3, 0], argument x <= 0 (and the transformed positive-argument series).
 `kummer_1f1` takes scalars; `kummer_1f1_array` evaluates it for an array of
-arguments, summing the series of all elements in lockstep. Both scale the
-transformed series by numpy's exp, so the two agree bit for bit.
+arguments with the same floating-point operations per element. While at
+least `_LOCKSTEP_MIN` series are still running, one numpy step adds the next
+term to all of them (the lockstep). Fewer series are summed in blocks: the
+next 32, then 64, terms of every running series at once, each row's terms
+and partial sums taken by sequential accumulates and cut at its first
+converged term (the block tail). Both functions scale the transformed series
+by numpy's exp, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -27,9 +32,14 @@ _REL_TOL = 1e-15
 _MAX_TERMS = 10_000
 # e^x underflows past ~-745; hand over to the asymptotic limit a bit early.
 _ASYMPTOTIC_CUTOFF = -700.0
-# fewest elements for which one numpy step of the lockstep series beats
-# summing each element's series in Python
-_LOCKSTEP_MIN = 64
+# fewest running series for which one numpy step per term beats summing
+# them in blocks of terms
+_LOCKSTEP_MIN = 256
+# terms per block of the block tail: the first block holds the whole series
+# of a shallow argument (x above about -5); the later ones are wider, so an
+# argument near -600, whose series has about 800 terms, takes fewer passes
+_FIRST_BLOCK = 32
+_BLOCK = 64
 
 
 class ConvergenceError(RuntimeError):
@@ -47,14 +57,12 @@ def log_gamma_ratio(num: float, den: float) -> float:
     return float(gammaln(num) - gammaln(den))
 
 
-def _series_1f1(
-    a: float, b: float, x: float, start: int = 0, term: float = 1.0, total: float = 1.0
-) -> float:
+def _series_1f1(a: float, b: float, x: float) -> float:
     # Plain power series. Consecutive terms are related by
     # t_{k+1} = t_k * (a+k)/(b+k) * x/(k+1), so no Pochhammer overflow.
-    # start, term and total resume a sum whose terms up to start - 1 are
-    # already added (the lockstep sum hands its stragglers over this way).
-    for k in range(start, _MAX_TERMS):
+    term = 1.0
+    total = 1.0
+    for k in range(_MAX_TERMS):
         term *= (a + k) / (b + k) * x / (k + 1)
         if term == 0.0:
             # a hit a non-positive integer: the series terminates exactly
@@ -145,11 +153,11 @@ def kummer_1f1(a: float, b: float, x: float) -> float:
 
 
 def _series_1f1_lockstep(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    # _series_1f1(a, b, x[i]) for every i: the same recurrence and stop rule
-    # per element, one term per step for all elements still active, each
-    # dropped from the active set once it has converged. When fewer than
-    # _LOCKSTEP_MIN remain, a numpy step costs more than their scalar terms,
-    # so _series_1f1 finishes each of them from where the lockstep stopped.
+    # _series_1f1(a, b, x[i]) for every i, with its rounding and stop rule
+    # per element: the lockstep, then the block tail (see the module
+    # docstring). In a block, multiply.accumulate continues the carried term
+    # and add.accumulate the carried sum, both left to right, so each term
+    # and partial sum is the one the scalar loop reaches.
     total = np.empty(x.size)
     active = np.arange(x.size)
     term = np.ones(x.size)
@@ -164,8 +172,30 @@ def _series_1f1_lockstep(a: float, b: float, x: np.ndarray) -> np.ndarray:
             total[active[done]] = run[done]
             keep = ~done
             active, x, term, run = active[keep], x[keep], term[keep], run[keep]
-    for i, xi, ti, ri in zip(active.tolist(), x.tolist(), term.tolist(), run.tolist()):
-        total[i] = _series_1f1(a, b, xi, k, ti, ri)
+    width = _FIRST_BLOCK
+    while active.size:
+        if k >= _MAX_TERMS:
+            raise ConvergenceError(f"1F1 series did not converge for a={a}, b={b}, x={x[0]}")
+        ks = np.arange(k, min(k + width, _MAX_TERMS), dtype=float)
+        # built in place, so that at most four (n, width + 1) arrays are live
+        terms = (a + ks) / (b + ks) * x[:, None]
+        terms /= ks + 1.0
+        terms[:, 0] *= term
+        np.multiply.accumulate(terms, axis=1, out=terms)
+        sums = np.empty((x.size, ks.size + 1))
+        sums[:, 0] = run
+        sums[:, 1:] = terms
+        sums = np.add.accumulate(sums, axis=1, out=sums)[:, 1:]
+        limit = np.abs(sums)
+        limit *= _REL_TOL
+        stop = (terms == 0.0) | (np.abs(terms) < limit)
+        done = stop.any(axis=1)
+        rows = np.nonzero(done)[0]
+        total[active[rows]] = sums[rows, stop[rows].argmax(axis=1)]
+        keep = ~done
+        active, x, term, run = active[keep], x[keep], terms[keep, -1], sums[keep, -1]
+        k += ks.size
+        width = _BLOCK
     return total
 
 
@@ -173,11 +203,14 @@ def kummer_1f1_array(a: float, b: float, x) -> np.ndarray:
     """`kummer_1f1(a, b, x)` for every element of the array x.
 
     Elements with -700 <= x <= 0 are summed together through the same
-    transformed series as the scalar function, one term per step for all of
-    them, with the same stop rule per element, and both forms take e^x from
-    numpy's exp, so each result equals the scalar one bit for bit. Every
-    other element (x past the asymptotic cutoff, or x > 0) goes through
-    `kummer_1f1` itself.
+    transformed series as the scalar function, with the same stop rule per
+    element: one term per numpy step for all of them while at least
+    `_LOCKSTEP_MIN` are unconverged, then blocks of 32 and 64 terms per
+    remaining element, whose terms and partial sums come from sequential
+    accumulates. Each term and partial sum is rounded as in the scalar loop
+    and both forms take e^x from numpy's exp, so each result equals the
+    scalar one bit for bit. Every other element (x past the asymptotic
+    cutoff, or x > 0) goes through `kummer_1f1` itself.
     """
     a, b = float(a), float(b)
     if b <= 0.0:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from finslergp import specfun
+from finslergp import gp, specfun
 from finslergp.cli import _parse_dims, main
 from finslergp.gp import load_model
 
@@ -100,9 +100,11 @@ def test_fit_pinwheel_sanity_range(tmp_path):
     assert 0.01 < doc["kernel"]["variance"] < 100.0
 
 
-def test_fit_factorization_failure_exits_one(workdir, circles_model, capsys):
+def test_fit_factorization_failure_exits_one(workdir, circles_model, monkeypatch, capsys):
+    # every Cholesky attempt fails, so the jitter ladder runs out
+    monkeypatch.setattr(gp, "_finite_cholesky", lambda kmat: None)
     rc = main(["fit", "--data", str(workdir / "circ.csv"), "--out",
-               str(workdir / "bad.json"), "--steps", "0", "--variance", "nan"])
+               str(workdir / "bad.json"), "--steps", "0"])
     assert rc == 1
     assert "factorization failed" in capsys.readouterr().err
 
@@ -118,9 +120,10 @@ def test_fit_factorization_failure_exits_one(workdir, circles_model, capsys):
         (["--lr", "-0.05", "--steps", "0"], "lr > 0"),
         (["--lengthscale", "nan", "--steps", "0"], "lengthscale"),
         (["--variance", "inf", "--steps", "0"], "variance"),
+        (["--variance", "nan", "--steps", "0"], "variance"),
     ],
     ids=["latent_dim_zero", "latent_dim_above_data_dim", "negative_noise", "negative_steps",
-         "zero_lr", "negative_lr", "nan_lengthscale", "inf_variance"],
+         "zero_lr", "negative_lr", "nan_lengthscale", "inf_variance", "nan_variance"],
 )
 def test_fit_bad_input_exits_2(workdir, circles_model, capsys, flags, named):
     # the circles data are 3-d; nothing is written, not even a sidecar
@@ -299,6 +302,19 @@ def test_model_file_nan_noise_exits_2(circles_model, tmp_path, capsys):
     assert rc == 2
     assert _one_error_line(err) and "noise" in err
     assert not out.exists()
+
+
+def test_model_file_nan_variance_exits_2(circles_model, tmp_path, capsys):
+    doc = json.loads(circles_model.read_text())
+    doc["kernel"]["variance"] = math.nan
+    bad = tmp_path / "nan_variance.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["indicatrix", "--model", str(bad), "--at", "0,0",
+               "--out", str(tmp_path / "i.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert _one_error_line(err) and "variance" in err
+    assert not (tmp_path / "i.csv").exists()
 
 
 def test_model_file_mismatched_rows_exits_2(circles_model, tmp_path, capsys):

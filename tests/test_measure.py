@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from finslergp import measure
 from finslergp.fields import ConstantField, as_field
 from finslergp.gp import JacobianPosterior, posterior_mean_var
 from finslergp.measure import (
     Indicatrix,
     _radii,
+    _ratio_bounds,
+    _unit_directions,
     bh_volume,
     export_indicatrix_csv,
     export_volume_field_csv,
@@ -17,7 +20,7 @@ from finslergp.measure import (
     volume_field,
     volume_ratio_bound,
 )
-from finslergp.metric import MetricPoint
+from finslergp.metric import METRIC_KINDS, MetricPoint, gap_bound, norms_sq
 
 from util import random_point
 
@@ -279,3 +282,27 @@ def test_batched_radii_exactly_even(gp_model_2d):
         radii = _radii(means, covs, field.data_dim, 64, kind)
         assert radii.shape == (30, 64)
         assert np.array_equal(radii[:, :32], radii[:, 32:])
+
+
+@pytest.mark.parametrize("K", [64, 256, 17, 33])
+def test_half_turn_equals_every_angle(gp_model_2d, monkeypatch, K):
+    # radii and ratio bounds equal the norms at all K directions bit for
+    # bit; for even K only the first K/2 directions are evaluated
+    field = as_field(gp_model_2d)
+    means, covs = field.jacobian_batch(np.random.default_rng(K).uniform(-2, 2, (12, 2)))
+    d = field.data_dim
+    dirs = _unit_directions(K)
+    evaluated = []
+
+    def recording_norms_sq(means, covs, dim_data, V, kind):
+        evaluated.append(len(V))
+        return norms_sq(means, covs, dim_data, V, kind)
+
+    monkeypatch.setattr(measure, "norms_sq", recording_norms_sq)
+    for kind in METRIC_KINDS:
+        want = 1.0 / np.sqrt(norms_sq(means, covs, d, dirs, kind))
+        assert np.array_equal(_radii(means, covs, d, K, kind), want), kind
+    w = norms_sq(means, covs, d, dirs, "omega")
+    want = 1.0 - (1.0 - np.max(gap_bound(d, w), axis=1)) ** 2
+    assert np.array_equal(_ratio_bounds(means, covs, d, K), want)
+    assert evaluated == [K // 2 if K % 2 == 0 else K] * (len(METRIC_KINDS) + 1)

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finslergp import specfun
 from finslergp.specfun import (
+    _LOCKSTEP_MIN,
+    ConvergenceError,
     kummer_1f1,
     kummer_1f1_array,
     kummer_1f1_derivative,
@@ -199,3 +202,37 @@ def test_kummer_array_empty_and_rejects_nonpositive_b():
     assert kummer_1f1_array(-0.5, 2.0, np.array([])).shape == (0,)
     with pytest.raises(ValueError):
         kummer_1f1_array(-0.5, 0.0, np.array([-1.0]))
+
+
+def _assert_array_is_scalar_bitwise(x):
+    # (a, b) as in the Finsler norm and in its derivative, small to large b
+    for b in (0.5, 17.0, 512.0):
+        for a, bb in ((-0.5, b), (0.5, b + 1.0)):
+            want = np.array([kummer_1f1(a, bb, float(v)) for v in x])
+            assert np.array_equal(kummer_1f1_array(a, bb, x), want), (x.size, a, bb)
+
+
+@pytest.mark.parametrize("n", [1, 8, _LOCKSTEP_MIN - 1, _LOCKSTEP_MIN, _LOCKSTEP_MIN + 1])
+def test_kummer_array_bitwise_around_the_lockstep_size(n):
+    # below _LOCKSTEP_MIN the block tail sums everything; at and above it
+    # the lockstep hands its unconverged elements to the block tail
+    _assert_array_is_scalar_bitwise(-np.random.default_rng(n).uniform(0.0, 700.0, n))
+
+
+def test_kummer_array_bitwise_with_stragglers():
+    # the shallow arguments converge in the lockstep, the deep ones finish
+    # in many blocks of the tail
+    rng = np.random.default_rng(19)
+    _assert_array_is_scalar_bitwise(
+        np.concatenate([-rng.uniform(0.0, 5.0, 2000), -rng.uniform(600.0, 700.0, 40)]))
+
+
+@pytest.mark.parametrize("n", [1, _LOCKSTEP_MIN + 10])
+def test_block_tail_raises_when_the_terms_run_out(monkeypatch, n):
+    # x = -600 needs far more than 40 terms; in the larger batch the other
+    # elements converge in the lockstep and -600 alone reaches the tail
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 40)
+    x = np.full(n, -1.0)
+    x[-1] = -600.0
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        kummer_1f1_array(-0.5, 1.5, x)
