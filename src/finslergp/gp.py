@@ -9,13 +9,17 @@ along with marginal-likelihood fitting of the hyperparameters.
 Linear algebra on N x N operands or results (N training points) goes
 through scipy's BLAS and LAPACK only: the factorization (`dpotrf`), the
 inverse (`dpotri`), the products (`dsyrk`, `dgemm`) and the solves
-(`cho_solve`, `solve_triangular`). numpy and scipy each ship their own
-OpenBLAS with its own thread pool; after numpy's pool has run, its worker
-threads keep spinning and take the cores from scipy's. At N = 500 on 2
-cores, one numpy Cholesky factorization halves the scipy solves finished
-in the next 100 ms, and one numpy N x N product cuts them to a sixth. The N x N matrices are built in place: the kernel plus noise and
+(`cho_solve`, `solve_triangular`). numpy's OpenBLAS keeps a thread pool of
+its own, whose spinning workers take the cores from scipy's (README,
+Timing). The N x N matrices are built in place: the kernel plus noise and
 its factor share one buffer, and in the fit the inverse and the
 likelihood-gradient matrix share the factor's.
+
+The Jacobian posteriors at n points are one pass, `_jacobian_pass`. The
+kernel gradients against the training inputs are q planes of shape (n, N),
+solved against the factor in one triangular solve of q columns per point;
+the derivative in z adds a second solve of q columns (2q per point) and
+contracts the kernel Hessian with it, so no Hessian column is solved.
 """
 
 from __future__ import annotations
@@ -146,8 +150,9 @@ def _kernel_of_r2(k: Kernel, r2: np.ndarray) -> np.ndarray:
     return k.variance * (1.0 + u * r + (u * r) ** 2 / 3.0) * np.exp(-u * r)
 
 
-def _radial_coefficients(k: Kernel, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and second radial coefficients (c, e) of k at squared distances r2.
+def _radial_coefficients(k: Kernel, r2: np.ndarray, hessian: bool = True) -> tuple:
+    """First and second radial coefficients (c, e) of k at squared distances
+    r2; e is None unless hessian.
 
     With d = z1 - z2 and r = |d|, the gradient of k(z1, z2) in z1 is c d and
     its Hessian in z1 is c I + e d d^T, where c = k'(r)/r and e = c'(r)/r.
@@ -157,19 +162,25 @@ def _radial_coefficients(k: Kernel, r2: np.ndarray) -> tuple[np.ndarray, np.ndar
     """
     if k.family == RBF:
         c = -(k.variance / k.lengthscale**2) * np.exp(-0.5 * r2 / k.lengthscale**2)
-        return c, -c / k.lengthscale**2
+        return c, -c / k.lengthscale**2 if hessian else None
     u = math.sqrt(5.0) / k.lengthscale
     r = np.sqrt(r2)
     decay = np.exp(-u * r)
     c = -(k.variance * u**2 / 3.0) * (1.0 + u * r) * decay
-    return c, (k.variance * u**4 / 3.0) * decay
+    return c, (k.variance * u**4 / 3.0) * decay if hessian else None
+
+
+def _differences(k: Kernel, a: np.ndarray, b: np.ndarray, hessian: bool = False) -> tuple:
+    """Row differences of a and b as q C-ordered planes d[j] = a[:, j] - b[:, j],
+    (q, n, m), and k's radial coefficients (c, e) at their squared distances."""
+    d = np.subtract(a.T[:, :, None], b.T[:, None, :], order="C")
+    return (d, *_radial_coefficients(k, _sqdist(a, b), hessian))
 
 
 def _kernel_grad_first(k: Kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Gradient of k(z1, z2) in z1, for all pairs: shape (n, m, q)."""
-    diff = a[:, None, :] - b[None, :, :]
-    c, _ = _radial_coefficients(k, np.einsum("nmq,nmq->nm", diff, diff))
-    return c[:, :, None] * diff
+    d, c, _ = _differences(k, a, b)
+    return np.moveaxis(c * d, 0, -1)
 
 
 def _prior_derivative_cov(k: Kernel, q: int) -> np.ndarray:
@@ -329,56 +340,55 @@ def posterior_mean_var(m: GpModel, z: np.ndarray) -> tuple[np.ndarray, float]:
     return means[0], float(var[0])
 
 
-def _jacobian_posterior_batch(m: GpModel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Derivative posteriors at n points: means (n, D, q), covs (n, q, q)."""
-    Z = _query_points(Z, m.dim_latent)
-    n, q = Z.shape
-    grads = _kernel_grad_first(m.kernel, Z, m.latent_inputs)  # (n, N, q)
-    means = np.einsum("nNq,ND->nDq", grads, m.alpha)
-    rhs = grads.transpose(1, 0, 2).reshape(len(m.latent_inputs), n * q)
-    w = solve_triangular(m.chol, rhs, lower=True, check_finite=False)
-    w = w.reshape(len(m.latent_inputs), n, q)
-    explained = np.einsum("Nnq,Nnp->nqp", w, w)
-    covs = _prior_derivative_cov(m.kernel, q)[None, :, :] - explained
-    return means, _clamp_psd_batch(covs)
+def _alpha_products(planes: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """sum_N planes[j, i, N] alpha[N, :] as (n, D, q), by one scipy dgemm."""
+    # the points run along dgemm's first dimension: a point's sums are then
+    # the same bits in a batch of any size up to a few hundred points
+    q, n, big_n = planes.shape
+    prod = blas.dgemm(1.0, planes.reshape(q * n, big_n).T, alpha.T, trans_a=True, trans_b=True)
+    return prod.T.reshape(-1, q, n).transpose(2, 0, 1)
 
 
-def _jacobian_posterior_batch_dz(
-    m: GpModel, Z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Derivative posteriors at n points and their derivatives in z.
+def _jacobian_pass(m: GpModel, Z: np.ndarray, dz: bool) -> tuple[np.ndarray, ...]:
+    """Derivative posteriors at n points: means (n, D, q), covs (n, q, q) and,
+    with dz, their derivatives in z along a last axis: dmeans (n, D, q, q)
+    and dcovs (n, q, q, q), the latter before the PSD clamp of covs.
 
-    Returns means (n, D, q) and covs (n, q, q) as `_jacobian_posterior_batch`
-    does, plus dmeans (n, D, q, q) and dcovs (n, q, q, q), whose last axis
-    is the coordinate of z differentiated. dcovs is the derivative of the
-    covariance before the PSD clamp of covs. The kernel gradients and
-    Hessians against the training inputs share one triangular solve with
-    q + q^2 columns per point.
+    With d_a the q planes of differences, G_a = c d_a, Hessian column
+    H_c = e d_a d_c + delta_ac c, W = L^-1 G and V = L^-T W = K^-1 G: means =
+    G^T alpha, covs = prior - W^T W, dcovs = -(C + C^T) with C = H_c^T V.
     """
     Z = _query_points(Z, m.dim_latent)
     n, q = Z.shape
-    big_n = len(m.latent_inputs)
-    diff = Z[:, None, :] - m.latent_inputs[None, :, :]  # (n, N, q)
-    c, e = _radial_coefficients(m.kernel, np.einsum("nNq,nNq->nN", diff, diff))
-    grads = c[:, :, None] * diff
-    hess = e[:, :, None, None] * diff[:, :, :, None] * diff[:, :, None, :]
-    hess += c[:, :, None, None] * np.eye(q)  # (n, N, q, q)
-    means = np.einsum("nNq,ND->nDq", grads, m.alpha)
-    dmeans = np.einsum("nNqp,ND->nDqp", hess, m.alpha)
-    cols = q + q * q
-    rhs = np.concatenate([grads, hess.reshape(n, big_n, q * q)], axis=2)
-    w = solve_triangular(
-        m.chol, rhs.transpose(1, 0, 2).reshape(big_n, n * cols), lower=True, check_finite=False
-    ).reshape(big_n, n, cols)
-    wg = w[:, :, :q]
-    wh = w[:, :, q:].reshape(big_n, n, q, q)
-    covs = _prior_derivative_cov(m.kernel, q)[None, :, :] - np.einsum(
-        "Nnq,Nnp->nqp", wg, wg
-    )
-    # d/dz_c of -(W^T W)_ab with dW/dz_c = L^-1 (Hessian column c)
-    cross = np.einsum("Nnac,Nnb->nabc", wh, wg)
-    dcovs = -(cross + cross.transpose(0, 2, 1, 3))
-    return means, _clamp_psd_batch(covs), dmeans, dcovs
+    d, c, e = _differences(m.kernel, Z, m.latent_inputs, hessian=dz)
+    grads = c * d
+    means = _alpha_products(grads, m.alpha)
+    # W, in grads' buffer: row a n + i of w.T is column a of point i
+    solve = dict(lower=True, overwrite_b=True, check_finite=False)
+    w = solve_triangular(m.chol, grads.reshape(q * n, -1).T, **solve)
+    wn = w.T.reshape(q, n, -1).transpose(1, 0, 2)  # (n, q, N)
+    covs = _prior_derivative_cov(m.kernel, q) - wn @ wn.transpose(0, 2, 1)
+    if not dz:
+        return means, _clamp_psd_batch(covs)
+    vt = solve_triangular(m.chol, w, trans=1, **solve).T.reshape(q, n, -1).transpose(1, 2, 0)
+    dmeans, cross = np.empty(means.shape + (q,)), np.empty((n, q, q, q))
+    ed = e * d
+    for j in range(q):
+        hess = ed * d[j]  # H_j as q planes
+        hess[j] += c
+        dmeans[..., j] = _alpha_products(hess, m.alpha)
+        cross[..., j] = hess.transpose(1, 0, 2) @ vt
+    return means, _clamp_psd_batch(covs), dmeans, -(cross + cross.transpose(0, 2, 1, 3))
+
+
+def _jacobian_posterior_batch(m: GpModel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """means (n, D, q) and covs (n, q, q) of `_jacobian_pass`."""
+    return _jacobian_pass(m, Z, dz=False)
+
+
+def _jacobian_posterior_batch_dz(m: GpModel, Z: np.ndarray) -> tuple[np.ndarray, ...]:
+    """means, covs, dmeans and dcovs of `_jacobian_pass`."""
+    return _jacobian_pass(m, Z, dz=True)
 
 
 def jacobian_posterior_closed_form(m: GpModel, z: np.ndarray) -> JacobianPosterior:
@@ -402,13 +412,13 @@ def jacobian_posterior_discretized(m: GpModel, z: np.ndarray, h: float) -> Jacob
             f"{m.kernel.lengthscale:g}; the Jacobian will be smoothed",
             stacklevel=2,
         )
-    z = np.asarray(z, dtype=float)
-    q = z.shape[0]
+    z = _query_points(z, m.dim_latent)[0]
+    q = len(z)
     pts = np.vstack([z[None, :], z[None, :] + h * np.eye(q)])
 
     ks = _kernel_matrix(m.kernel, pts, m.latent_inputs)
     means = ks @ m.alpha  # centered predictive means, (q+1, D)
-    w = solve_triangular(m.chol, ks.T, lower=True)
+    w = solve_triangular(m.chol, ks.T, lower=True, check_finite=False)
     joint = _kernel_matrix(m.kernel, pts, pts) - w.T @ w  # (q+1, q+1)
 
     mean = (means[1:] - means[0]).T / h  # (D, q)

@@ -15,6 +15,7 @@ by numpy's exp, so the two agree bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -32,6 +33,12 @@ _REL_TOL = 1e-15
 _MAX_TERMS = 10_000
 # e^x underflows past ~-745; hand over to the asymptotic limit a bit early.
 _ASYMPTOTIC_CUTOFF = -700.0
+# Between this x and the cutoff the transformed sum is summed directly only
+# while its estimated size stays below e^_LOG_SUM_LIMIT (doubles end at
+# e^709.78): near a = -3 it passes the largest double before x = -700. For
+# a = -1/2, b >= 1/2 and x >= -700 the estimate stays below e^704.
+_SIZE_CHECK_BELOW = -600.0
+_LOG_SUM_LIMIT = 705.0
 # fewest running series for which one numpy step per term beats summing
 # them in blocks of terms
 _LOCKSTEP_MIN = 256
@@ -118,6 +125,31 @@ def _log_series_1f1(a: float, b: float, x: float) -> float:
     raise ConvergenceError(f"1F1 series did not converge for a={a}, b={b}, x={x}")
 
 
+@functools.lru_cache(maxsize=1024)
+def _deep_below(a: float, b: float) -> float:
+    # The x below which kummer_1f1(a, b, x) leaves the direct transformed
+    # series: the cutoff, or up to -600 the x where the transformed sum
+    # 1F1(b - a, b, y), y = -x, estimated from its large-y limit
+    # Gamma(b)/Gamma(b - a) e^y (b + y)^(-a), reaches e^_LOG_SUM_LIMIT. The
+    # estimate grows with y for a < 0; for a >= 0 the sum is at most e^y.
+    if a >= 0.0:
+        return _ASYMPTOTIC_CUTOFF
+    lgr = log_gamma_ratio(b, b - a)
+
+    def too_large(y):
+        return y - a * math.log(b + y) + lgr > _LOG_SUM_LIMIT
+
+    lo, hi = -_SIZE_CHECK_BELOW, -_ASYMPTOTIC_CUTOFF
+    if not too_large(hi):
+        return _ASYMPTOTIC_CUTOFF
+    if too_large(lo):
+        return _SIZE_CHECK_BELOW
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if too_large(mid) else (mid, hi)
+    return -hi
+
+
 def kummer_1f1(a: float, b: float, x: float) -> float:
     """Confluent hypergeometric function of the first kind, 1F1(a; b; x).
 
@@ -136,13 +168,16 @@ def kummer_1f1(a: float, b: float, x: float) -> float:
     below 1e-15 of the partial sum. Past x = -700 a naive e^x underflows,
     so the large-argument expansion takes over, falling back to a log-space
     rescaled series in the corner where |x| is not large against b^2 and
-    the expansion diverges too early.
+    the expansion diverges too early. The same branch starts above -700,
+    but not above -600, where the transformed sum, estimated from its
+    large-argument limit, would exceed e^705 (near a = -3 it would overflow
+    doubles before x = -700).
     """
     if b <= 0.0:
         raise ValueError(f"kummer_1f1 needs b > 0, got b={b}")
     if x == 0.0:
         return 1.0
-    if x < _ASYMPTOTIC_CUTOFF:
+    if x < _SIZE_CHECK_BELOW and x < _deep_below(a, b):
         value, accurate = _asymptotic_1f1(a, b, x)
         if accurate:
             return value
@@ -202,7 +237,10 @@ def _series_1f1_lockstep(a: float, b: float, x: np.ndarray) -> np.ndarray:
 def kummer_1f1_array(a: float, b: float, x) -> np.ndarray:
     """`kummer_1f1(a, b, x)` for every element of the array x.
 
-    Elements with -700 <= x <= 0 are summed together through the same
+    Elements with x <= 0 that `kummer_1f1` sums directly (x >= -700, or
+    closer to 0 for the (a, b) whose transformed sum would exceed e^705
+    there; both compare with the same cached cutoff) are summed together
+    through the same
     transformed series as the scalar function, with the same stop rule per
     element: one term per numpy step for all of them while at least
     `_LOCKSTEP_MIN` are unconverged, then blocks of 32 and 64 terms per
@@ -210,14 +248,15 @@ def kummer_1f1_array(a: float, b: float, x) -> np.ndarray:
     accumulates. Each term and partial sum is rounded as in the scalar loop
     and both forms take e^x from numpy's exp, so each result equals the
     scalar one bit for bit. Every other element (x past the asymptotic
-    cutoff, or x > 0) goes through `kummer_1f1` itself.
+    cutoff, a transformed sum estimated too large, or x > 0) goes through
+    `kummer_1f1` itself.
     """
     a, b = float(a), float(b)
     if b <= 0.0:
         raise ValueError(f"kummer_1f1_array needs b > 0, got b={b}")
     x = np.asarray(x, dtype=float)
     out = np.empty(x.shape)
-    series = (x >= _ASYMPTOTIC_CUTOFF) & (x <= 0.0)
+    series = (x >= _deep_below(a, b)) & (x <= 0.0)
     if not series.all():
         for i in zip(*np.nonzero(~series)):
             out[i] = kummer_1f1(a, b, float(x[i]))

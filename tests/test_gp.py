@@ -15,6 +15,7 @@ from finslergp.gp import (
     RBF,
     GpModel,
     Kernel,
+    _clamp_psd_batch,
     _jacobian_posterior_batch,
     _jacobian_posterior_batch_dz,
     _kernel_grad_first,
@@ -257,6 +258,18 @@ def test_discretized_step_validation():
         jacobian_posterior_discretized(m, np.zeros(2), h=0.5)
 
 
+def test_discretized_checks_the_point():
+    # a point of the wrong width or a non-finite one is refused with the
+    # closed form's ValueError, instead of being read coordinate by coordinate
+    m = make_smooth_model()
+    for z, match in (([0.1], "latent dimension"), ([0.1, 0.2, 0.3], "latent dimension"),
+                     ([np.nan, 0.2], "finite")):
+        with pytest.raises(ValueError, match=match):
+            jacobian_posterior_closed_form(m, np.array(z))
+        with pytest.raises(ValueError, match=match):
+            jacobian_posterior_discretized(m, np.array(z), h=1e-4)
+
+
 def test_jacobian_cov_is_psd():
     m = make_smooth_model(noise=1e-8)
     rng = np.random.default_rng(21)
@@ -494,3 +507,68 @@ def test_factor_and_gradient_matrix_stay_in_their_buffers():
         a, b = rng.standard_normal((30, q)), rng.standard_normal((20, q))
         diff = a[:, None, :] - b[None, :, :]
         assert np.array_equal(_sqdist(a, b), np.einsum("nmq,nmq->nm", diff, diff))
+
+
+# ---------------------------------------------------------------------------
+# the Jacobian pass against a dense oracle
+
+
+def _dense_jacobian_posteriors(m, Z, added):
+    """means, covs (unclamped), dmeans and dcovs at Z from K + added I solved
+    by np.linalg, the kernel Hessian built explicitly as (n, N, q, q)."""
+    k, X = m.kernel, m.latent_inputs
+    q = X.shape[1]
+    kmat = _kernel_matrix(k, X, X) + added * np.eye(len(X))
+    alpha = np.linalg.solve(kmat, m.outputs - m.outputs.mean(axis=0))
+    d = Z[:, None, :] - X[None, :, :]
+    r = np.sqrt(np.sum(d * d, axis=2))
+    if k.family == RBF:
+        kr = k.variance * np.exp(-0.5 * r**2 / k.lengthscale**2)
+        c, e, c0 = -kr / k.lengthscale**2, kr / k.lengthscale**4, k.variance / k.lengthscale**2
+    else:
+        u = math.sqrt(5.0) / k.lengthscale
+        c = -(k.variance * u**2 / 3.0) * (1.0 + u * r) * np.exp(-u * r)
+        e, c0 = (k.variance * u**4 / 3.0) * np.exp(-u * r), k.variance * u**2 / 3.0
+    grads = c[..., None] * d  # (n, N, q)
+    hess = e[..., None, None] * d[..., :, None] * d[..., None, :] + c[..., None, None] * np.eye(q)
+    kinv_g = np.stack([np.linalg.solve(kmat, g) for g in grads])  # (n, N, q)
+    means = np.einsum("nNa,ND->nDa", grads, alpha)
+    covs = c0 * np.eye(q) - np.einsum("nNa,nNb->nab", grads, kinv_g)
+    dmeans = np.einsum("nNac,ND->nDac", hess, alpha)
+    cross = np.einsum("nNac,nNb->nabc", hess, kinv_g)
+    return means, covs, dmeans, -(cross + cross.transpose(0, 2, 1, 3))
+
+
+def _jitter_model(family):
+    # duplicate rows and zero noise: the factor needs the jitter ladder
+    rng = np.random.default_rng(14)
+    X = rng.uniform(-2.0, 2.0, (16, 2))
+    X = np.vstack([X, X[:4]])
+    return make_model(X, smooth_targets(X), Kernel(family, 0.9, 1.3), 0.0)
+
+
+@pytest.mark.parametrize("family", [RBF, MATERN52])
+@pytest.mark.parametrize("q", [1, 2, 3, "jitter"])
+def test_jacobian_pass_matches_dense_oracle(family, q):
+    if q == "jitter":
+        m = _jitter_model(family)
+        # the diagonal the factor carries beyond K: one rung of the ladder
+        extra = np.diag(m.chol @ m.chol.T) - m.kernel.variance
+        ladder = np.array([1e-8 * 10.0**i for i in range(5)]) * m.kernel.variance
+        added = ladder[np.argmin(np.abs(ladder - np.median(extra)))]
+        assert added > 0.0
+    else:
+        # 10 inputs per latent dimension: denser data shrinks the derivative
+        # variance to a thousandth of its prior, and the cancellation in
+        # prior - explained alone then costs 1e-12 of the largest entry
+        m = make_smooth_model(family=family, n=10 * q, q=q, noise=1e-4, seed=q)
+        added = m.noise
+    rng = np.random.default_rng(15)
+    # points inside the data and training inputs themselves (r = 0)
+    Z = np.vstack([rng.uniform(-2.0, 2.0, (6, m.dim_latent)), m.latent_inputs[:3]])
+    got = _jacobian_posterior_batch_dz(m, Z)
+    want = _dense_jacobian_posteriors(m, Z, added)
+    want = (want[0], _clamp_psd_batch(want[1]), want[2], want[3])
+    for name, g, w in zip(("means", "covs", "dmeans", "dcovs"), got, want):
+        assert g.shape == w.shape, name
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), name

@@ -177,8 +177,8 @@ def test_derivative_matches_finite_differences():
     near_cutoff=st.lists(st.floats(min_value=-701.0, max_value=-699.0), max_size=10),
 )
 def test_kummer_array_matches_scalar_property(b, xs, near_cutoff):
-    # both sides of the -700 handover, and enough elements for the lockstep
-    # sum as well as the scalar finish of its stragglers; (a, b) as in the
+    # both sides of the -700 handover; with at most 160 elements every
+    # series runs in the block tail, not the lockstep; (a, b) as in the
     # Finsler norm and in its derivative
     x = np.array(xs + near_cutoff)
     for a, bb in ((-0.5, b), (0.5, b + 1.0)):
@@ -236,3 +236,16 @@ def test_block_tail_raises_when_the_terms_run_out(monkeypatch, n):
     x[-1] = -600.0
     with pytest.raises(ConvergenceError, match="did not converge"):
         kummer_1f1_array(-0.5, 1.5, x)
+
+
+@pytest.mark.parametrize("a", [-3.0, -2.5, -1.5, -0.5])
+@pytest.mark.parametrize("b", [0.5, 17.0, 512.0])
+def test_kummer_finite_and_accurate_down_to_the_underflow(a, b):
+    # near a = -3 the transformed sum passes the largest double before
+    # x = -700, so below -600 the branch follows an estimate of its size
+    x = np.concatenate([np.linspace(-745.0, -600.0, 30), [-700.0, -699.0, -650.0]])
+    got = kummer_1f1_array(a, b, x)
+    for v, g in zip(x, got):
+        assert g == kummer_1f1(a, b, float(v))
+        want = float(hyp1f1_mp(a, b, float(v)))
+        assert abs(g - want) <= 1e-12 * abs(want), (a, b, v, g, want)
