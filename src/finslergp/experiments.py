@@ -20,10 +20,10 @@ from .fields import GpField, SyntheticField, as_field
 from .geodesic import (
     DiscreteCurve, _length_and_energy, _segment_norms_sq, _warn_if_outside, geodesic_between
 )
-from .gp import JacobianPosterior, _posterior_mean_var_batch
-from .measure import bh_volume, bh_volumes
-from .metric import MetricPoint, bound_report, gap_bound, norms_sq, relative_gap
-from .randmat import batch_rng
+from .gp import _clamp_psd_batch, _posterior_mean_var_batch
+from .measure import bh_volumes
+from .metric import _quadratic_forms, gap_bound, norms_sq
+from .randmat import ScalarWishart, batch_rng, wishart_scalar_moments
 from .specfun import log_gamma_ratio
 
 __all__ = [
@@ -47,7 +47,7 @@ SLACK = 1e-9
 
 COMPARISON_KINDS = ("riemann", "finsler", "euclid")
 
-# polar quadrature angles of the truncation sweep's volume gaps
+# polar quadrature angles of the volume gaps of both sweeps
 VOLUME_ANGLES = 64
 
 
@@ -230,7 +230,10 @@ class ViolationReport:
         return self.total == 0
 
 
-def _random_spec(rng, q: int | None = None) -> tuple[MetricPoint, np.ndarray]:
+def _draw_spec(rng, q: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A random spec: mean (D, q) uniform on [-1, 1] with D in 1..100,
+    covariance A^T A / q + 0.1 I (A standard normal, q in 1..5 unless
+    given; not yet clamped) and a unit direction, drawn in that order."""
     d = int(rng.integers(1, 101))
     if q is None:
         q = int(rng.integers(1, 6))
@@ -239,7 +242,7 @@ def _random_spec(rng, q: int | None = None) -> tuple[MetricPoint, np.ndarray]:
     cov = a.T @ a + 0.1 * np.eye(q)
     v = rng.standard_normal(q)
     v /= np.linalg.norm(v)
-    return MetricPoint(JacobianPosterior(mean=mean, cov=cov, dim_data=d)), v
+    return mean, cov, v
 
 
 def _random_curve(rng, q: int, n_points: int = 16) -> DiscreteCurve:
@@ -250,12 +253,184 @@ def _random_curve(rng, q: int, n_points: int = 16) -> DiscreteCurve:
     return DiscreteCurve((1.0 - t) * a + t * b + np.sin(math.pi * t) * bow)
 
 
+def _clamped(specs: list) -> list:
+    # the covariances go through _clamp_psd_batch in one batch per q; each
+    # is a^T a / q + 0.1 I, so no eigenvalue is negative and every batch
+    # returns each matrix symmetrized, as the one-matrix batch of
+    # JacobianPosterior does
+    covs = [c for _, c, _ in specs]
+    for q in {c.shape[0] for c in covs}:
+        rows = [i for i, c in enumerate(covs) if c.shape[0] == q]
+        for i, c in zip(rows, _clamp_psd_batch(np.stack([covs[i] for i in rows]))):
+            covs[i] = c
+    return [(m, c, v) for (m, _, v), c in zip(specs, covs)]
+
+
+def _draw_sweep(n_specs: int, seed: int) -> tuple[list, list, list]:
+    """Everything `bound_sweep` draws: the (mean, cov, v) specs, the (field,
+    curve) pairs and the q = 2 volume specs of every tenth spec, with the
+    covariances clamped as `JacobianPosterior` clamps them. Drawn in the
+    order the per-spec loop took them: spec i from stream 41, then for
+    every tenth i a field and a curve from the same stream and a volume
+    spec from stream 100000 + i."""
+    rng = batch_rng(seed, 41)
+    specs, curves, volumes = [], [], []
+    for i in range(n_specs):
+        specs.append(_draw_spec(rng))
+        if i % 10 != 0:
+            continue
+        fld = SyntheticField(
+            seed=int(rng.integers(0, 2**31)),
+            latent_dim=int(rng.integers(2, 4)),
+            data_dim=int(rng.integers(2, 33)),
+        )
+        curves.append((fld, _random_curve(rng, fld.latent_dim)))
+        volumes.append(_draw_spec(batch_rng(seed, 100_000 + i), q=2))
+    return _clamped(specs), curves, _clamped(volumes)
+
+
+def _padded(batches) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Stack (means (m, D, q), covs (m, q, q), V (m, q)) batches of mixed D
+    and q into means (n, D_max, q_max), covs, V (n, 1, q_max) and the (n,)
+    D of every point, zero-padded: zero rows of E[J] and zero rows and
+    columns of Sigma and v leave v^T Sigma v and the Gram unchanged."""
+    sizes = [m.shape for m, _, _ in batches]
+    n = sum(s[0] for s in sizes)
+    d_max = max(s[1] for s in sizes)
+    q_max = max(s[2] for s in sizes)
+    means = np.zeros((n, d_max, q_max))
+    covs = np.zeros((n, q_max, q_max))
+    V = np.zeros((n, 1, q_max))
+    dims = np.empty(n, dtype=int)
+    lo = 0
+    for (m, c, v), (size, d, q) in zip(batches, sizes):
+        rows = slice(lo, lo + size)
+        means[rows, :d, :q] = m
+        covs[rows, :q, :q] = c
+        V[rows, 0, :q] = v
+        dims[rows] = d
+        lo += size
+    return means, covs, V, dims
+
+
+# norm kinds of the per-spec and per-segment checks
+SWEEP_KINDS = ("alpha_sigma", "finsler", "riemann", "omega")
+
+
+def _spec_values(specs: list) -> dict[str, np.ndarray]:
+    """Per spec, the norms of v ("alpha_sigma", "finsler", "riemann"), its
+    "omega" and `relative_gap`'s ("gap", "wishart", "jensen"): one
+    `norms_sq` call per kind in `SWEEP_KINDS` over all specs, zero-padded
+    with one D per spec. The Jensen bound Var[z] / (2 E[z]^2) goes through
+    the scalar moment formulas per spec, a separate code path on purpose."""
+    means, covs, V, dims = _padded([(m[None], c[None], v[None]) for m, c, v in specs])
+    out = {kind: norms_sq(means, covs, dims, V, kind)[:, 0] for kind in SWEEP_KINDS}
+    for kind in ("alpha_sigma", "finsler", "riemann"):
+        out[kind] = np.sqrt(out[kind])
+    upper, w = out["riemann"], out["omega"]
+    out["gap"] = np.where(
+        upper == 0.0, 0.0, (upper - out["finsler"]) / np.where(upper == 0.0, 1.0, upper)
+    )
+    out["wishart"] = gap_bound(dims, w)
+    sigma = _quadratic_forms(covs, V)[:, 0]
+    out["jensen"] = np.zeros(len(specs))  # 0 in the deterministic limit
+    for i in np.nonzero(np.isfinite(w))[0]:
+        m1, m2 = wishart_scalar_moments(
+            ScalarWishart(dof=int(dims[i]), sigma=float(sigma[i]), omega=float(w[i]))
+        )
+        out["jensen"][i] = (m2 - m1 * m1) / (2.0 * m1 * m1)
+    return out
+
+
+def _norm_checks(specs: list, counts: dict, trials: dict) -> None:
+    # the sandwich and relative_gap's two bounds, for every spec
+    vals = _spec_values(specs)
+    lower, finsler, upper, gap = (vals[k] for k in ("alpha_sigma", "finsler", "riemann", "gap"))
+    for name, ok in (
+        ("norm_sandwich", (lower <= finsler + SLACK) & (finsler <= upper + SLACK)),
+        ("norm_gap_range", (-SLACK <= gap) & (gap <= vals["wishart"] + SLACK)),
+        ("norm_gap_jensen", gap <= vals["jensen"] + SLACK),
+    ):
+        trials[name] += len(specs)
+        counts[name] += int(np.sum(~ok))
+
+
+def _curve_checks(curves: list, counts: dict, trials: dict) -> None:
+    # length and energy orderings and gap bounds of every curve: one
+    # jacobian_batch per field, then one norms_sq call per kind over the
+    # segments of all curves
+    batches = []
+    for fld, curve in curves:
+        means, covs = fld.jacobian_batch(curve.midpoints)
+        batches.append((means, covs, curve.velocities))
+    means, covs, V, dims = _padded(batches)
+    seg_sq = {kind: norms_sq(means, covs, dims, V, kind)[:, 0] for kind in SWEEP_KINDS}
+    seg_bound = gap_bound(dims, seg_sq["omega"])
+    ends = np.cumsum([len(means) for means, _, _ in batches])
+    for lo, hi in zip([0, *ends[:-1]], ends):
+        rows = slice(lo, hi)
+        (l_a, e_a), (l_f, e_f), (l_r, e_r) = (
+            _length_and_energy(seg_sq[kind][rows]) for kind in ("alpha_sigma", "finsler", "riemann")
+        )
+        trials["curve_length_ordering"] += 1
+        if not (l_a <= l_f + SLACK and l_f <= l_r + SLACK):
+            counts["curve_length_ordering"] += 1
+        trials["curve_energy_ordering"] += 1
+        if not (e_a <= e_f + SLACK and e_f <= e_r + SLACK):
+            counts["curve_energy_ordering"] += 1
+        trials["curve_length_energy"] += 1
+        if not (
+            l_a**2 <= e_a + SLACK and l_f**2 <= e_f + SLACK and l_r**2 <= e_r + SLACK
+        ):
+            counts["curve_length_energy"] += 1
+        # largest per-segment norm gap bound along the curve
+        m = float(np.max(seg_bound[rows]))
+        trials["curve_gap_bounds"] += 1
+        if l_r > 0.0 and not (
+            (l_r - l_f) / l_r <= m + SLACK
+            and (e_r - e_f) / e_r <= 2.0 * m + m * m + SLACK
+        ):
+            counts["curve_gap_bounds"] += 1
+
+
+def _volume_checks(volumes: list, counts: dict, trials: dict) -> None:
+    # volume ordering and the eigenvalue bound on the volume ratio: one
+    # bh_volumes call per kind over all volume specs
+    means, covs, _, dims = _padded([(m[None], c[None], v[None]) for m, c, v in volumes])
+    v_a, v_f, v_r = (
+        bh_volumes(means, covs, dims, VOLUME_ANGLES, kind)
+        for kind in ("alpha_sigma", "finsler", "riemann")
+    )
+    ratio = (v_r - v_f) / v_r
+    # smallest noncentrality over all directions: the smallest generalized
+    # eigenvalue of (E[J]^T E[J], Sigma)
+    w_min = np.array([
+        max(float(scipy.linalg.eigh(m.T @ m, c, eigvals_only=True)[0]), 0.0)
+        for m, c, _ in volumes
+    ])
+    eig_bound = 1.0 - (1.0 - gap_bound(dims, w_min)) ** 2
+    n = len(volumes)
+    for name, ok in (
+        ("volume_ordering", (v_a <= v_f * (1.0 + SLACK)) & (v_f <= v_r * (1.0 + SLACK))),
+        ("volume_gap_bound", (-SLACK <= ratio) & (ratio <= eig_bound + SLACK)),
+    ):
+        trials[name] += n
+        counts[name] += int(np.sum(~ok))
+
+
 def bound_sweep(n_specs: int = 10_000, seed: int = 0) -> ViolationReport:
     """Check every norm, curve-functional and volume inequality on random
     ensembles; returns the per-inequality violation counts.
 
     Norm checks run on every spec; curve and volume checks run on every
-    tenth spec (they integrate many norm evaluations each).
+    tenth spec. The sweep draws first and evaluates after. The draw phase
+    takes every spec, field, curve and volume spec from the seed's streams
+    in one fixed order (`_draw_sweep`). The evaluation phase makes one
+    `norms_sq` call per norm kind over all specs, zero-padded to common D
+    and q and with one D per spec, one per kind over the segments of all
+    curves, and one `bh_volumes` call per kind over all volume specs. The
+    Jensen bound goes through `randmat.wishart_scalar_moments` per spec,
+    a separate code path on purpose.
     """
     if n_specs < 100:
         raise ValueError("need at least 100 specs for a meaningful sweep")
@@ -271,71 +446,10 @@ def bound_sweep(n_specs: int = 10_000, seed: int = 0) -> ViolationReport:
         "volume_gap_bound": 0,
     }
     trials = dict.fromkeys(counts, 0)
-    rng = batch_rng(seed, 41)
-
-    for i in range(n_specs):
-        p, v = _random_spec(rng)
-        trials["norm_sandwich"] += 1
-        if not bound_report(p, v).ok:
-            counts["norm_sandwich"] += 1
-        gap, wishart, jensen = relative_gap(p, v)
-        trials["norm_gap_range"] += 1
-        if not -SLACK <= gap <= wishart + SLACK:
-            counts["norm_gap_range"] += 1
-        trials["norm_gap_jensen"] += 1
-        if gap > jensen + SLACK:
-            counts["norm_gap_jensen"] += 1
-
-        if i % 10 != 0:
-            continue
-
-        fld = SyntheticField(
-            seed=int(rng.integers(0, 2**31)),
-            latent_dim=int(rng.integers(2, 4)),
-            data_dim=int(rng.integers(2, 33)),
-        )
-        curve = _random_curve(rng, fld.latent_dim)
-        *seg_sq, omegas = _segment_norms_sq(
-            fld, curve.midpoints, curve.velocities, ("alpha_sigma", "finsler", "riemann", "omega")
-        )
-        (l_a, e_a), (l_f, e_f), (l_r, e_r) = map(_length_and_energy, seg_sq)
-        trials["curve_length_ordering"] += 1
-        if not (l_a <= l_f + SLACK and l_f <= l_r + SLACK):
-            counts["curve_length_ordering"] += 1
-        trials["curve_energy_ordering"] += 1
-        if not (e_a <= e_f + SLACK and e_f <= e_r + SLACK):
-            counts["curve_energy_ordering"] += 1
-        trials["curve_length_energy"] += 1
-        if not (
-            l_a**2 <= e_a + SLACK and l_f**2 <= e_f + SLACK and l_r**2 <= e_r + SLACK
-        ):
-            counts["curve_length_energy"] += 1
-        # largest per-segment norm gap bound along the curve
-        m = float(np.max(gap_bound(fld.data_dim, omegas)))
-        trials["curve_gap_bounds"] += 1
-        if l_r > 0.0 and not (
-            (l_r - l_f) / l_r <= m + SLACK
-            and (e_r - e_f) / e_r <= 2.0 * m + m * m + SLACK
-        ):
-            counts["curve_gap_bounds"] += 1
-
-        p2, _ = _random_spec(batch_rng(seed, 100_000 + i), q=2)
-        v_a = bh_volume(p2, 64, "alpha_sigma")
-        v_f2 = bh_volume(p2, 64, "finsler")
-        v_r2 = bh_volume(p2, 64, "riemann")
-        trials["volume_ordering"] += 1
-        if not (v_a <= v_f2 * (1.0 + SLACK) and v_f2 <= v_r2 * (1.0 + SLACK)):
-            counts["volume_ordering"] += 1
-        ratio = (v_r2 - v_f2) / v_r2
-        g = p2.jac.mean.T @ p2.jac.mean
-        w_min = max(
-            float(scipy.linalg.eigh(g, p2.jac.cov, eigvals_only=True)[0]), 0.0
-        )
-        eig_bound = 1.0 - (1.0 - gap_bound(p2.dim_data, w_min)) ** 2
-        trials["volume_gap_bound"] += 1
-        if not -SLACK <= ratio <= eig_bound + SLACK:
-            counts["volume_gap_bound"] += 1
-
+    specs, curves, volumes = _draw_sweep(n_specs, seed)
+    _norm_checks(specs, counts, trials)
+    _curve_checks(curves, counts, trials)
+    _volume_checks(volumes, counts, trials)
     return ViolationReport(seed=seed, n_specs=n_specs, counts=counts, trials=trials)
 
 

@@ -154,10 +154,12 @@ def bh_volume(p, K: int = QUADRATURE_ANGLES, metric_kind: str = "finsler") -> fl
 
 
 def bh_volumes(
-    means, covs, dim_data: int, K: int = QUADRATURE_ANGLES, metric_kind: str = "finsler"
+    means, covs, dim_data, K: int = QUADRATURE_ANGLES, metric_kind: str = "finsler"
 ) -> np.ndarray:
     """`bh_volume` of n points at once, from their Jacobian posteriors:
-    means (n, D, q) and covs (n, q, q); returns shape (n,)."""
+    means (n, D, q) and covs (n, q, q), with one dim_data for all points or
+    an (n,) integer array of them, as `norms_sq` takes it; returns shape
+    (n,)."""
     return math.pi / _polygon_area(_radii(means, covs, dim_data, K, metric_kind))
 
 

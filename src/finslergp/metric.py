@@ -9,8 +9,10 @@ them.
 
 The scalar functions take one `MetricPoint` and one vector. `norms_sq`
 evaluates a norm kind for many points and directions at once, on arrays of
-Jacobian posteriors; indicatrices, volume fields, geodesic energies and the
-truncation sweep go through it. `gap_bound` is the Wishart bound on the
+Jacobian posteriors with one data dimension D for all points or one per
+point; indicatrices, volume fields, geodesic energies and both verification
+sweeps go through it (the bound sweep's random specs differ in D and q, so
+it passes one D per point). `gap_bound` is the Wishart bound on the
 relative gap, for scalars or arrays.
 """
 
@@ -180,23 +182,32 @@ def gap_bound(d: int, omega):
     return float(out) if out.ndim == 0 else out
 
 
+def _quadratic_forms(mats, V) -> np.ndarray:
+    # (n, K) array of v^T M v for the n q x q matrices M, clamped at zero
+    spec = "kq,nqp,kp->nk" if V.ndim == 2 else "nkq,nqp,nkp->nk"
+    return np.maximum(np.einsum(spec, V, mats, V), 0.0)
+
+
 def _sigma_and_signal_batch(means, covs, V) -> tuple[np.ndarray, np.ndarray]:
     # (n, K) arrays of v^T Sigma v and ||E[J] v||^2, both clamped at zero;
     # the signal comes from the q x q Gram, so no (n, K, D) array is formed
-    spec = "kq,nqp,kp->nk" if V.ndim == 2 else "nkq,nqp,nkp->nk"
-    sigma = np.maximum(np.einsum(spec, V, covs, V), 0.0)
     gram = np.einsum("ndq,ndp->nqp", means, means)
-    return sigma, np.maximum(np.einsum(spec, V, gram, V), 0.0)
+    return _quadratic_forms(covs, V), _quadratic_forms(gram, V)
 
 
-def norms_sq(means, covs, dim_data: int, V, kind: str) -> np.ndarray:
+def norms_sq(means, covs, dim_data, V, kind: str) -> np.ndarray:
     """Squared norms of many directions at many points, shape (n, K).
 
     means (n, D, q) and covs (n, q, q) are the Jacobian posteriors of n
     points; V holds the directions, either (K, q) shared by every point or
-    (n, K, q) per point. kind is one of `NORM_KINDS`: the squares of
-    `riemannian_norm`, `finsler_norm`, `alpha_sigma_norm` or of the
-    Euclidean norm, or (kind "omega") the noncentrality `omega` itself,
+    (n, K, q) per point. dim_data is the data dimension D of every point,
+    or an (n,) integer array with one D per point; then row i equals, bit
+    for bit, the call with the int dim_data[i] on that row alone, so points
+    of several dimensions go through one call, zero-padded to common D and
+    q (zero rows of E[J] and zero rows and columns of Sigma and V leave
+    v^T Sigma v and the Gram unchanged). kind is one of `NORM_KINDS`: the
+    squares of `riemannian_norm`, `finsler_norm`, `alpha_sigma_norm` or of
+    the Euclidean norm, or (kind "omega") the noncentrality `omega` itself,
     +inf where v^T Sigma v < 1e-14. The signal ||E[J] v||^2 comes from the
     q x q Gram E[J]^T E[J]; Finsler values are `_finsler_terms`' squares.
     Points are evaluated in blocks of about 16384 values, so the working
@@ -210,22 +221,40 @@ def norms_sq(means, covs, dim_data: int, V, kind: str) -> np.ndarray:
     n, k = means.shape[0], V.shape[-2]
     if kind == "euclid":
         return np.broadcast_to(np.sum(V * V, axis=-1), (n, k)).copy()
+    per_point = np.ndim(dim_data) > 0
+    if per_point:
+        dim_data = np.asarray(dim_data)
+        if dim_data.shape != (n,) or dim_data.dtype.kind not in "iu":
+            raise ValueError(f"dim_data must be an int or {n} integers, one per point")
     out = np.empty((n, k))
     step = max(1, _BLOCK_VALUES // max(k, 1))
     for lo in range(0, n, step):
         block = slice(lo, lo + step)
         out[block] = _norms_sq_block(
-            means[block], covs[block], dim_data, V if V.ndim == 2 else V[block], kind
+            means[block],
+            covs[block],
+            dim_data[block, None] if per_point else dim_data,
+            V if V.ndim == 2 else V[block],
+            kind,
         )
     return out
 
 
-def _norms_sq_block(means, covs, dim_data: int, V, kind: str) -> np.ndarray:
+def _alpha(dim_data):
+    # alpha_coefficient of an int D, or of each entry of an array of D
+    if np.ndim(dim_data) == 0:
+        return alpha_coefficient(dim_data)
+    values, which = np.unique(dim_data, return_inverse=True)
+    return np.array([alpha_coefficient(int(d)) for d in values])[which.reshape(dim_data.shape)]
+
+
+def _norms_sq_block(means, covs, dim_data, V, kind: str) -> np.ndarray:
+    # dim_data: an int, or an (n, 1) column of per-point D
     if kind == "finsler":
         return _finsler_terms(means, covs, dim_data, V)[0]
     sigma, signal = _sigma_and_signal_batch(means, covs, V)
     if kind == "alpha_sigma":
-        return alpha_coefficient(dim_data) * sigma
+        return _alpha(dim_data) * sigma
     if kind == "riemann":
         return signal + dim_data * sigma
     out = np.full(sigma.shape, math.inf)
@@ -234,16 +263,19 @@ def _norms_sq_block(means, covs, dim_data: int, V, kind: str) -> np.ndarray:
     return out
 
 
-def _finsler_terms(means, covs, dim_data: int, V):
+def _finsler_terms(means, covs, dim_data, V):
     """Finsler `norms_sq` with its terms: (norm_sq, sigma, signal, live, h),
     live = sigma >= 1e-14 and h = 1F1(-1/2, D/2, -signal/(2 sigma)) at the
-    live entries only; geodesic gradients differentiate these terms."""
+    live entries only; geodesic gradients differentiate these terms.
+    dim_data is an int or an (n, 1) column of per-point D."""
     sigma, signal = _sigma_and_signal_batch(means, covs, V)
     live = sigma >= DETERMINISTIC_SIGMA
     s = sigma[live]
+    if np.ndim(dim_data) > 0:
+        dim_data = np.broadcast_to(dim_data, sigma.shape)[live]
     h = kummer_1f1_array(-0.5, 0.5 * dim_data, -0.5 * signal[live] / s)
     out = signal.copy()
-    out[live] = alpha_coefficient(dim_data) * s * (h * h)
+    out[live] = _alpha(dim_data) * s * (h * h)
     return out, sigma, signal, live, h
 
 

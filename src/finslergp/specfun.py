@@ -4,13 +4,14 @@ Log-gamma ratios and the confluent hypergeometric function 1F1 with its
 derivative, in the regime the expected-norm formula needs: first parameter
 a in [-3, 0], argument x <= 0 (and the transformed positive-argument series).
 `kummer_1f1` takes scalars; `kummer_1f1_array` evaluates it for an array of
-arguments with the same floating-point operations per element. While at
-least `_LOCKSTEP_MIN` series are still running, one numpy step adds the next
-term to all of them (the lockstep). Fewer series are summed in blocks: the
-next 32, then 64, terms of every running series at once, each row's terms
-and partial sums taken by sequential accumulates and cut at its first
-converged term (the block tail). Both functions scale the transformed series
-by numpy's exp, so the two agree bit for bit.
+arguments, with one b for all of them or one b per element, by the same
+floating-point operations per element. While at least `_LOCKSTEP_MIN`
+series are still running, one numpy step adds the next term to all of them
+(the lockstep). Fewer series are summed in blocks: the next 32, then 64,
+terms of every running series at once, each row's terms and partial sums
+taken by sequential accumulates and cut at its first converged term (the
+block tail). Both functions scale the transformed series by numpy's exp, so
+the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -187,12 +188,14 @@ def kummer_1f1(a: float, b: float, x: float) -> float:
     return _series_1f1(a, b, x)
 
 
-def _series_1f1_lockstep(a: float, b: float, x: np.ndarray) -> np.ndarray:
+def _series_1f1_lockstep(a, b, x: np.ndarray) -> np.ndarray:
     # _series_1f1(a, b, x[i]) for every i, with its rounding and stop rule
     # per element: the lockstep, then the block tail (see the module
-    # docstring). In a block, multiply.accumulate continues the carried term
-    # and add.accumulate the carried sum, both left to right, so each term
-    # and partial sum is the one the scalar loop reaches.
+    # docstring). a and b are floats, or arrays of x's shape holding each
+    # element's own parameters. In a block, multiply.accumulate continues
+    # the carried term and add.accumulate the carried sum, both left to
+    # right, so each term and partial sum is the one the scalar loop reaches.
+    per_element = np.ndim(b) > 0
     total = np.empty(x.size)
     active = np.arange(x.size)
     term = np.ones(x.size)
@@ -207,13 +210,19 @@ def _series_1f1_lockstep(a: float, b: float, x: np.ndarray) -> np.ndarray:
             total[active[done]] = run[done]
             keep = ~done
             active, x, term, run = active[keep], x[keep], term[keep], run[keep]
+            if per_element:
+                a, b = a[keep], b[keep]
     width = _FIRST_BLOCK
     while active.size:
         if k >= _MAX_TERMS:
-            raise ConvergenceError(f"1F1 series did not converge for a={a}, b={b}, x={x[0]}")
+            first = (a[0], b[0]) if per_element else (a, b)
+            raise ConvergenceError(
+                f"1F1 series did not converge for a={first[0]}, b={first[1]}, x={x[0]}"
+            )
         ks = np.arange(k, min(k + width, _MAX_TERMS), dtype=float)
         # built in place, so that at most four (n, width + 1) arrays are live
-        terms = (a + ks) / (b + ks) * x[:, None]
+        ca, cb = (a[:, None], b[:, None]) if per_element else (a, b)
+        terms = (ca + ks) / (cb + ks) * x[:, None]
         terms /= ks + 1.0
         terms[:, 0] *= term
         np.multiply.accumulate(terms, axis=1, out=terms)
@@ -229,39 +238,56 @@ def _series_1f1_lockstep(a: float, b: float, x: np.ndarray) -> np.ndarray:
         total[active[rows]] = sums[rows, stop[rows].argmax(axis=1)]
         keep = ~done
         active, x, term, run = active[keep], x[keep], terms[keep, -1], sums[keep, -1]
+        if per_element:
+            a, b = a[keep], b[keep]
         k += ks.size
         width = _BLOCK
     return total
 
 
-def kummer_1f1_array(a: float, b: float, x) -> np.ndarray:
+def kummer_1f1_array(a: float, b, x) -> np.ndarray:
     """`kummer_1f1(a, b, x)` for every element of the array x.
+
+    b is one float for every element, or an array of x's shape giving each
+    element its own b (`metric.norms_sq` passes one D/2 per point when its
+    points differ in D). Either way each element's result is
+    `kummer_1f1(a, b_i, x_i)` bit for bit.
 
     Elements with x <= 0 that `kummer_1f1` sums directly (x >= -700, or
     closer to 0 for the (a, b) whose transformed sum would exceed e^705
     there; both compare with the same cached cutoff) are summed together
-    through the same
-    transformed series as the scalar function, with the same stop rule per
-    element: one term per numpy step for all of them while at least
-    `_LOCKSTEP_MIN` are unconverged, then blocks of 32 and 64 terms per
-    remaining element, whose terms and partial sums come from sequential
-    accumulates. Each term and partial sum is rounded as in the scalar loop
-    and both forms take e^x from numpy's exp, so each result equals the
-    scalar one bit for bit. Every other element (x past the asymptotic
-    cutoff, a transformed sum estimated too large, or x > 0) goes through
-    `kummer_1f1` itself.
+    through the same transformed series as the scalar function, with the
+    same stop rule per element: one term per numpy step for all of them
+    while at least `_LOCKSTEP_MIN` are unconverged, then blocks of 32 and 64
+    terms per remaining element, whose terms and partial sums come from
+    sequential accumulates. Each term and partial sum is rounded as in the
+    scalar loop (with a per-element b, the term ratio is the same division
+    taken elementwise) and both forms take e^x from numpy's exp, so each
+    result equals the scalar one bit for bit. Every other element (x past
+    the asymptotic cutoff, a transformed sum estimated too large, or x > 0)
+    goes through `kummer_1f1` itself.
     """
-    a, b = float(a), float(b)
-    if b <= 0.0:
-        raise ValueError(f"kummer_1f1_array needs b > 0, got b={b}")
+    a = float(a)
     x = np.asarray(x, dtype=float)
+    if np.ndim(b) == 0:
+        b = float(b)
+        if b <= 0.0:
+            raise ValueError(f"kummer_1f1_array needs b > 0, got b={b}")
+        cutoff = _deep_below(a, b)
+    else:
+        b = np.broadcast_to(np.asarray(b, dtype=float), x.shape)
+        if not np.all(b > 0.0):
+            raise ValueError("kummer_1f1_array needs every b > 0")
+        values, which = np.unique(b, return_inverse=True)
+        cutoff = np.array([_deep_below(a, float(v)) for v in values])[which.reshape(x.shape)]
     out = np.empty(x.shape)
-    series = (x >= _deep_below(a, b)) & (x <= 0.0)
+    series = (x >= cutoff) & (x <= 0.0)
     if not series.all():
         for i in zip(*np.nonzero(~series)):
-            out[i] = kummer_1f1(a, b, float(x[i]))
+            out[i] = kummer_1f1(a, b if isinstance(b, float) else float(b[i]), float(x[i]))
     xs = x[series]
-    out[series] = np.exp(xs) * _series_1f1_lockstep(b - a, b, -xs)
+    bs = b if isinstance(b, float) else b[series]
+    out[series] = np.exp(xs) * _series_1f1_lockstep(bs - a, bs, -xs)
     return out
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from finslergp import gp, specfun
+from finslergp import cli, gp, specfun
 from finslergp.cli import _parse_dims, main
 from finslergp.gp import load_model
 
@@ -230,6 +230,24 @@ def test_verify_dims_parsing(tmp_path, capsys):
         rc = main(["verify", "--n", "100", "--dims", bad, "--out", str(tmp_path / "x")])
         assert rc == 2
     capsys.readouterr()
+
+
+def test_verify_names_the_malformed_dims_flag(tmp_path, capsys):
+    for bad in ("2:1024:foo", "a:b:dyadic", "8:2:dyadic", "1,two"):
+        rc = main(["verify", "--n", "100", "--dims", bad, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "--dims" in capsys.readouterr().err
+
+
+def test_verify_checks_its_flags_before_the_bound_sweep(monkeypatch, tmp_path, capsys):
+    def long_sweep(*args, **kwargs):
+        raise AssertionError("the bound sweep ran before the flags were checked")
+
+    monkeypatch.setattr(cli, "bound_sweep", long_sweep)
+    for flags in (["--v-samples", "0"], ["--dims", "4,2"], ["--dims", "2:1024:foo"]):
+        rc = main(["verify", "--n", "10000", *flags, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_volume_default_grid(circles_model, tmp_path):

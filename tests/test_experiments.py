@@ -19,11 +19,22 @@ from finslergp.experiments import (
     geodesic_comparison,
     make_truncation_ensemble,
     truncation_sweep,
+    _draw_sweep,
+    _spec_values,
 )
 from finslergp.fields import ConstantField, GpField, SphereField, SyntheticField
 from finslergp.geodesic import curve_length
 from finslergp.gp import JacobianPosterior
-from finslergp.metric import MetricPoint, omega
+from finslergp.metric import (
+    MetricPoint,
+    alpha_sigma_norm,
+    finsler_norm,
+    omega,
+    relative_gap,
+    riemannian_norm,
+)
+
+from oracles import bound_sweep_scalar
 
 DYADIC = [2, 4, 8, 16, 32, 64, 128, 256]
 
@@ -162,6 +173,42 @@ def test_bound_sweep_validation_and_reproducibility():
     a = bound_sweep(n_specs=120, seed=6)
     b = bound_sweep(n_specs=120, seed=6)
     assert a.counts == b.counts and a.trials == b.trials
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bound_sweep_matches_the_scalar_sweep(seed):
+    batched = bound_sweep(n_specs=300, seed=seed)
+    scalar = bound_sweep_scalar(300, seed)
+    assert batched.counts == scalar.counts
+    assert batched.trials == scalar.trials
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bound_sweep_draws_and_spec_norms_are_the_scalar_ones(seed):
+    # the batched sweep draws what the scalar sweep draws, in its order,
+    # and its per-spec norms and omega agree with the scalar functions
+    recorded = {}
+    bound_sweep_scalar(300, seed, draws=recorded)
+    specs, curves, volumes = _draw_sweep(300, seed)
+    for (mean, cov, v), (p, pv) in zip(specs, recorded["specs"], strict=True):
+        assert np.array_equal(mean, p.jac.mean) and np.array_equal(v, pv)
+        assert np.array_equal(cov, p.jac.cov)
+    for (fld, curve), (pfld, pcurve) in zip(curves, recorded["curves"], strict=True):
+        assert (fld.latent_dim, fld.data_dim) == (pfld.latent_dim, pfld.data_dim)
+        assert np.array_equal(fld._freq_mean, pfld._freq_mean)
+        assert np.array_equal(curve.points, pcurve.points)
+    for (mean, cov, _), p in zip(volumes, recorded["volumes"], strict=True):
+        assert np.array_equal(mean, p.jac.mean) and np.array_equal(cov, p.jac.cov)
+
+    values = _spec_values(specs)
+    scalar = {"alpha_sigma": alpha_sigma_norm, "finsler": finsler_norm,
+              "riemann": riemannian_norm, "omega": omega}
+    for i, (p, v) in enumerate(recorded["specs"]):
+        for kind, fn in scalar.items():
+            assert values[kind][i] == pytest.approx(fn(p, v), rel=1e-12), kind
+        # the gap is a difference of nearly equal norms: compared absolutely
+        for name, want in zip(("gap", "wishart", "jensen"), relative_gap(p, v)):
+            assert values[name][i] == pytest.approx(want, rel=1e-12, abs=1e-14), name
 
 
 def test_export_violations_csv(tmp_path):

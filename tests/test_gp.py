@@ -15,6 +15,7 @@ from finslergp.gp import (
     RBF,
     GpModel,
     Kernel,
+    _PD_MARGIN,
     _clamp_psd_batch,
     _jacobian_posterior_batch,
     _jacobian_posterior_batch_dz,
@@ -572,3 +573,78 @@ def test_jacobian_pass_matches_dense_oracle(family, q):
     for name, g, w in zip(("means", "covs", "dmeans", "dcovs"), got, want):
         assert g.shape == w.shape, name
         assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), name
+
+
+def _clamp_by_eigh(covs):
+    # the clamp with an eigendecomposition of every batch, no certificate
+    sym = 0.5 * (covs + np.swapaxes(covs, -1, -2))
+    vals, vecs = np.linalg.eigh(sym)
+    if np.all(vals[..., 0] >= 0.0):
+        return sym
+    vals = np.clip(vals, 0.0, None)
+    return np.einsum("...ij,...j,...kj->...ik", vecs, vals, vecs)
+
+
+def _rotated_2x2(rng, eigenvalues):
+    # R diag(eigenvalues) R^T for random rotations R, one per row
+    theta = rng.uniform(0.0, math.pi, len(eigenvalues))
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    return rot @ (np.asarray(eigenvalues)[..., None] * np.swapaxes(rot, -1, -2))
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def test_clamp_certifies_positive_definite_2x2_batches(eigh_calls):
+    rng = np.random.default_rng(61)
+    a = rng.standard_normal((50, 2, 2))
+    covs = a @ np.swapaxes(a, -1, -2) + 1e-3 * np.eye(2)
+    covs[:, 0, 1] += 1e-9  # not symmetric: the clamp symmetrizes
+    got = _clamp_psd_batch(covs)
+    assert eigh_calls == []
+    assert got.tobytes() == _clamp_by_eigh(covs).tobytes()
+
+
+def test_clamp_at_the_margin_is_the_eigh_path(eigh_calls):
+    # smaller eigenvalues just above and just below the certificate's
+    # margin: the first batch is certified, the second, holding one point
+    # below it, runs eigh; both give the bytes of the eigh path
+    rng = np.random.default_rng(67)
+    above = _rotated_2x2(rng, [(1.0, 4.0 * _PD_MARGIN)] * 8)
+    below = above.copy()
+    below[3] = _rotated_2x2(rng, [(1.0, 0.1 * _PD_MARGIN)])[0]
+    for batch, eigh_runs in ((above, 0), (below, 1)):
+        before = len(eigh_calls)
+        got = _clamp_psd_batch(batch)
+        assert len(eigh_calls) - before == eigh_runs
+        assert got.tobytes() == _clamp_by_eigh(batch).tobytes()
+
+
+def test_clamp_with_an_indefinite_point(eigh_calls):
+    rng = np.random.default_rng(71)
+    batch = _rotated_2x2(rng, [(2.0, 0.5)] * 5 + [(1.0, -1e-3)])
+    got = _clamp_psd_batch(batch)
+    assert len(eigh_calls) == 1
+    assert got.tobytes() == _clamp_by_eigh(batch).tobytes()
+    assert np.linalg.eigvalsh(got[-1])[0] > -1e-15
+    assert np.linalg.eigvalsh(batch[-1])[0] < -9e-4
+
+
+def test_clamp_other_latent_dimensions_run_eigh(eigh_calls):
+    rng = np.random.default_rng(73)
+    for q in (1, 3):
+        a = rng.standard_normal((6, q, q))
+        covs = a @ np.swapaxes(a, -1, -2) + 0.1 * np.eye(q)
+        assert _clamp_psd_batch(covs).tobytes() == _clamp_by_eigh(covs).tobytes()
+    assert len(eigh_calls) == 4  # two per q: the clamp's and the reference's

@@ -306,3 +306,16 @@ def test_half_turn_equals_every_angle(gp_model_2d, monkeypatch, K):
     want = 1.0 - (1.0 - np.max(gap_bound(d, w), axis=1)) ** 2
     assert np.array_equal(_ratio_bounds(means, covs, d, K), want)
     assert evaluated == [K // 2 if K % 2 == 0 else K] * (len(METRIC_KINDS) + 1)
+
+
+def test_bh_volumes_per_point_dims_match_int_calls():
+    rng = np.random.default_rng(59)
+    points = [_random_planar_point(rng, d=12) for _ in range(30)]
+    means = np.stack([p.jac.mean for p in points])
+    covs = np.stack([p.jac.cov for p in points])
+    dims = rng.choice([1, 12, 512], 30)
+    for kind in METRIC_KINDS:
+        got = measure.bh_volumes(means, covs, dims, 64, kind)
+        for i, d in enumerate(dims):
+            want = measure.bh_volumes(means[i : i + 1], covs[i : i + 1], int(d), 64, kind)
+            assert got[i] == want[0], (kind, d)

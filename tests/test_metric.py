@@ -404,3 +404,28 @@ def test_gap_bound_scalar_and_array():
     assert isinstance(got, np.ndarray)
     assert np.array_equal(got, [gap_bound(4, x) for x in w])
     assert np.all(np.diff(got) < 0.0)
+
+
+def test_norms_sq_per_point_dims_match_int_calls():
+    # one D per point gives, row by row and bit for bit, the int-D call for
+    # that row's D; D spans small, large (1F1 at b = 512) and the row count
+    rng = np.random.default_rng(47)
+    _, means, covs = _posterior_batch(rng, 40, 30, 2)
+    dims = rng.choice([1, 2, 30, 1024], 40)
+    shared = rng.standard_normal((9, 2))
+    per_point = rng.standard_normal((40, 3, 2))
+    for V in (shared, per_point):
+        for kind in ("riemann", "finsler", "alpha_sigma", "euclid", "omega"):
+            got = norms_sq(means, covs, dims, V, kind)
+            for i, d in enumerate(dims):
+                row = V if V.ndim == 2 else V[i : i + 1]
+                want = norms_sq(means[i : i + 1], covs[i : i + 1], int(d), row, kind)
+                assert np.array_equal(got[i], want[0]), (kind, d)
+
+
+def test_norms_sq_rejects_malformed_per_point_dims():
+    _, means, covs = _posterior_batch(np.random.default_rng(53), 4, 3, 2)
+    V = np.eye(2)
+    for bad in (np.array([3, 3, 3]), np.array([3.0, 3.0, 3.0, 3.0])):
+        with pytest.raises(ValueError, match="dim_data"):
+            norms_sq(means, covs, bad, V, "riemann")

@@ -249,3 +249,25 @@ def test_kummer_finite_and_accurate_down_to_the_underflow(a, b):
         assert g == kummer_1f1(a, b, float(v))
         want = float(hyp1f1_mp(a, b, float(v)))
         assert abs(g - want) <= 1e-12 * abs(want), (a, b, v, g, want)
+
+
+def test_kummer_array_per_element_b_is_bitwise_the_scalar_function():
+    # b in {0.5, 17, 512} mixed in one call of 400 elements: the lockstep
+    # runs first, the deep arguments finish in the block tail, and those
+    # past the cutoff take the deep branch through kummer_1f1; at a = -3
+    # that cutoff lies between -700 and -600 and differs with b
+    rng = np.random.default_rng(29)
+    x = np.concatenate([-rng.uniform(0.0, 5.0, 300), -rng.uniform(5.0, 600.0, 50),
+                        -rng.uniform(600.0, 700.0, 30), -rng.uniform(700.0, 760.0, 18),
+                        [0.0, -700.0]])
+    b = rng.choice([0.5, 17.0, 512.0], x.size)
+    assert set(b[x < -700.0]) == {0.5, 17.0, 512.0}
+    for a, shift in ((-0.5, 0.0), (0.5, 1.0), (-3.0, 0.0)):
+        got = kummer_1f1_array(a, (b + shift).reshape(20, -1), x.reshape(20, -1))
+        want = np.array([kummer_1f1(a, bb + shift, float(v)) for bb, v in zip(b, x)])
+        assert np.array_equal(got, want.reshape(20, -1))
+
+
+def test_kummer_array_per_element_b_rejects_nonpositive_b():
+    with pytest.raises(ValueError, match="b > 0"):
+        kummer_1f1_array(-0.5, np.array([1.0, 0.0]), np.array([-1.0, -2.0]))
