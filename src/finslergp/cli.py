@@ -110,19 +110,26 @@ def _read_pairs(path: str, dim: int) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def _parse_dims(text: str) -> list[int]:
     """Either an explicit comma list '2,4,8' or 'lo:hi:dyadic' for the
-    doubling grid lo, 2*lo, 4*lo, ..., capped at hi. Malformed text raises
-    a ValueError that names --dims."""
+    doubling grid lo, 2*lo, 4*lo, ..., capped at hi. Malformed text, or a
+    dimension below 1, raises a ValueError that names --dims."""
+    dyadic = text.endswith(":dyadic")
     try:
-        if not text.endswith(":dyadic"):
-            return [int(c) for c in text.split(",")]
-        lo, hi, _ = text.split(":")
-        lo, hi = int(lo), int(hi)
+        if dyadic:
+            lo, hi, _ = text.split(":")
+            lo, hi = int(lo), int(hi)
+        else:
+            dims = [int(c) for c in text.split(",")]
+            lo, hi = min(dims), max(dims)
     except ValueError:
         raise ValueError(
             f"--dims {text!r}: expected a comma list of integers or lo:hi:dyadic"
         ) from None
-    if lo < 1 or hi < lo:
-        raise ValueError(f"--dims {text!r}: need 1 <= lo <= hi")
+    if lo < 1:
+        raise ValueError(f"--dims {text!r}: every dimension must be >= 1")
+    if hi < lo:
+        raise ValueError(f"--dims {text!r}: need lo <= hi")
+    if not dyadic:
+        return dims
     dims = []
     d = lo
     while d <= hi:

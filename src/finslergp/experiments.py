@@ -20,9 +20,9 @@ from .fields import GpField, SyntheticField, as_field
 from .geodesic import (
     DiscreteCurve, _length_and_energy, _segment_norms_sq, _warn_if_outside, geodesic_between
 )
-from .gp import _clamp_psd_batch, _posterior_mean_var_batch
+from .gp import _posterior_mean_var_batch
 from .measure import bh_volumes
-from .metric import _quadratic_forms, gap_bound, norms_sq
+from .metric import _norms_from_forms, _sigma_and_signal, _sigma_and_signal_batch, gap_bound
 from .randmat import ScalarWishart, batch_rng, wishart_scalar_moments
 from .specfun import log_gamma_ratio
 
@@ -148,6 +148,8 @@ def truncation_sweep(
     2-D latent space.
     """
     dims = [int(d) for d in dims]
+    if not dims:
+        raise ValueError("need at least one dimension")
     if dims != sorted(dims) or len(set(dims)) != len(dims):
         raise ValueError("dims must be strictly increasing")
     if dims[0] < 1 or dims[-1] > ensemble.d_max:
@@ -164,13 +166,13 @@ def truncation_sweep(
     rows = []
     covs = ensemble.covs
     for d in dims:
-        # every spec and direction at once; the same quantities as
-        # relative_gap and bh_volume per spec
+        # every spec and direction at once, the forms once for the three
+        # kinds; the same quantities as relative_gap and bh_volume per spec
         means = ensemble.means[:, :d]
-        upper = np.sqrt(norms_sq(means, covs, d, dirs, "riemann"))
-        finsler = np.sqrt(norms_sq(means, covs, d, dirs, "finsler"))
+        forms = _sigma_and_signal_batch(means, covs, dirs)
+        upper, finsler = (np.sqrt(_norms_from_forms(*forms, d, k)) for k in ("riemann", "finsler"))
         gaps = (upper - finsler) / np.where(upper == 0.0, 1.0, upper)
-        bounds = gap_bound(d, norms_sq(means, covs, d, dirs, "omega"))
+        bounds = gap_bound(d, _norms_from_forms(*forms, d, "omega"))
         v_r = bh_volumes(means, covs, d, VOLUME_ANGLES, "riemann")
         v_f = bh_volumes(means, covs, d, VOLUME_ANGLES, "finsler")
         gap_norm = float(np.mean(gaps))
@@ -233,7 +235,9 @@ class ViolationReport:
 def _draw_spec(rng, q: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A random spec: mean (D, q) uniform on [-1, 1] with D in 1..100,
     covariance A^T A / q + 0.1 I (A standard normal, q in 1..5 unless
-    given; not yet clamped) and a unit direction, drawn in that order."""
+    given) and a unit direction, drawn in that order. The covariance is
+    symmetrized; its eigenvalues are at least 0.1, so that is exactly what
+    `JacobianPosterior`'s clamp returns for it."""
     d = int(rng.integers(1, 101))
     if q is None:
         q = int(rng.integers(1, 6))
@@ -242,7 +246,7 @@ def _draw_spec(rng, q: int | None = None) -> tuple[np.ndarray, np.ndarray, np.nd
     cov = a.T @ a + 0.1 * np.eye(q)
     v = rng.standard_normal(q)
     v /= np.linalg.norm(v)
-    return mean, cov, v
+    return mean, 0.5 * (cov + cov.T), v
 
 
 def _random_curve(rng, q: int, n_points: int = 16) -> DiscreteCurve:
@@ -253,23 +257,9 @@ def _random_curve(rng, q: int, n_points: int = 16) -> DiscreteCurve:
     return DiscreteCurve((1.0 - t) * a + t * b + np.sin(math.pi * t) * bow)
 
 
-def _clamped(specs: list) -> list:
-    # the covariances go through _clamp_psd_batch in one batch per q; each
-    # is a^T a / q + 0.1 I, so no eigenvalue is negative and every batch
-    # returns each matrix symmetrized, as the one-matrix batch of
-    # JacobianPosterior does
-    covs = [c for _, c, _ in specs]
-    for q in {c.shape[0] for c in covs}:
-        rows = [i for i, c in enumerate(covs) if c.shape[0] == q]
-        for i, c in zip(rows, _clamp_psd_batch(np.stack([covs[i] for i in rows]))):
-            covs[i] = c
-    return [(m, c, v) for (m, _, v), c in zip(specs, covs)]
-
-
 def _draw_sweep(n_specs: int, seed: int) -> tuple[list, list, list]:
     """Everything `bound_sweep` draws: the (mean, cov, v) specs, the (field,
-    curve) pairs and the q = 2 volume specs of every tenth spec, with the
-    covariances clamped as `JacobianPosterior` clamps them. Drawn in the
+    curve) pairs and the q = 2 volume specs of every tenth spec. Drawn in the
     order the per-spec loop took them: spec i from stream 41, then for
     every tenth i a field and a curve from the same stream and a volume
     spec from stream 100000 + i."""
@@ -286,31 +276,7 @@ def _draw_sweep(n_specs: int, seed: int) -> tuple[list, list, list]:
         )
         curves.append((fld, _random_curve(rng, fld.latent_dim)))
         volumes.append(_draw_spec(batch_rng(seed, 100_000 + i), q=2))
-    return _clamped(specs), curves, _clamped(volumes)
-
-
-def _padded(batches) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stack (means (m, D, q), covs (m, q, q), V (m, q)) batches of mixed D
-    and q into means (n, D_max, q_max), covs, V (n, 1, q_max) and the (n,)
-    D of every point, zero-padded: zero rows of E[J] and zero rows and
-    columns of Sigma and v leave v^T Sigma v and the Gram unchanged."""
-    sizes = [m.shape for m, _, _ in batches]
-    n = sum(s[0] for s in sizes)
-    d_max = max(s[1] for s in sizes)
-    q_max = max(s[2] for s in sizes)
-    means = np.zeros((n, d_max, q_max))
-    covs = np.zeros((n, q_max, q_max))
-    V = np.zeros((n, 1, q_max))
-    dims = np.empty(n, dtype=int)
-    lo = 0
-    for (m, c, v), (size, d, q) in zip(batches, sizes):
-        rows = slice(lo, lo + size)
-        means[rows, :d, :q] = m
-        covs[rows, :q, :q] = c
-        V[rows, 0, :q] = v
-        dims[rows] = d
-        lo += size
-    return means, covs, V, dims
+    return specs, curves, volumes
 
 
 # norm kinds of the per-spec and per-segment checks
@@ -319,12 +285,16 @@ SWEEP_KINDS = ("alpha_sigma", "finsler", "riemann", "omega")
 
 def _spec_values(specs: list) -> dict[str, np.ndarray]:
     """Per spec, the norms of v ("alpha_sigma", "finsler", "riemann"), its
-    "omega" and `relative_gap`'s ("gap", "wishart", "jensen"): one
-    `norms_sq` call per kind in `SWEEP_KINDS` over all specs, zero-padded
-    with one D per spec. The Jensen bound Var[z] / (2 E[z]^2) goes through
-    the scalar moment formulas per spec, a separate code path on purpose."""
-    means, covs, V, dims = _padded([(m[None], c[None], v[None]) for m, c, v in specs])
-    out = {kind: norms_sq(means, covs, dims, V, kind)[:, 0] for kind in SWEEP_KINDS}
+    "omega" and `relative_gap`'s ("gap", "wishart", "jensen"). Each spec's
+    sigma and signal come from the scalar norms' `_sigma_and_signal`, then
+    each kind in `SWEEP_KINDS` is one `_norms_from_forms` call over all
+    specs with one D per spec, so the riemann, alpha_sigma and omega values
+    are the scalar functions' bit for bit. The Jensen bound
+    Var[z] / (2 E[z]^2) goes through the scalar moment formulas per spec,
+    a separate code path on purpose."""
+    sigma, signal = np.array([_sigma_and_signal(m, c, v) for m, c, v in specs]).T
+    dims = np.array([len(m) for m, _, _ in specs])
+    out = {kind: _norms_from_forms(sigma, signal, dims, kind) for kind in SWEEP_KINDS}
     for kind in ("alpha_sigma", "finsler", "riemann"):
         out[kind] = np.sqrt(out[kind])
     upper, w = out["riemann"], out["omega"]
@@ -332,7 +302,6 @@ def _spec_values(specs: list) -> dict[str, np.ndarray]:
         upper == 0.0, 0.0, (upper - out["finsler"]) / np.where(upper == 0.0, 1.0, upper)
     )
     out["wishart"] = gap_bound(dims, w)
-    sigma = _quadratic_forms(covs, V)[:, 0]
     out["jensen"] = np.zeros(len(specs))  # 0 in the deterministic limit
     for i in np.nonzero(np.isfinite(w))[0]:
         m1, m2 = wishart_scalar_moments(
@@ -356,17 +325,19 @@ def _norm_checks(specs: list, counts: dict, trials: dict) -> None:
 
 
 def _curve_checks(curves: list, counts: dict, trials: dict) -> None:
-    # length and energy orderings and gap bounds of every curve: one
-    # jacobian_batch per field, then one norms_sq call per kind over the
-    # segments of all curves
-    batches = []
+    # length and energy orderings and gap bounds of every curve: each
+    # field's segment forms from its one jacobian_batch, then one
+    # _norms_from_forms call per kind over the segments of all curves
+    forms = []
     for fld, curve in curves:
         means, covs = fld.jacobian_batch(curve.midpoints)
-        batches.append((means, covs, curve.velocities))
-    means, covs, V, dims = _padded(batches)
-    seg_sq = {kind: norms_sq(means, covs, dims, V, kind)[:, 0] for kind in SWEEP_KINDS}
+        forms.append(_sigma_and_signal_batch(means, covs, curve.velocities[:, None, :]))
+    sigma, signal = (np.concatenate(f)[:, 0] for f in zip(*forms))
+    sizes = [len(f[0]) for f in forms]
+    dims = np.repeat([fld.data_dim for fld, _ in curves], sizes)
+    seg_sq = {kind: _norms_from_forms(sigma, signal, dims, kind) for kind in SWEEP_KINDS}
     seg_bound = gap_bound(dims, seg_sq["omega"])
-    ends = np.cumsum([len(means) for means, _, _ in batches])
+    ends = np.cumsum(sizes)
     for lo, hi in zip([0, *ends[:-1]], ends):
         rows = slice(lo, hi)
         (l_a, e_a), (l_f, e_f), (l_r, e_r) = (
@@ -395,8 +366,13 @@ def _curve_checks(curves: list, counts: dict, trials: dict) -> None:
 
 def _volume_checks(volumes: list, counts: dict, trials: dict) -> None:
     # volume ordering and the eigenvalue bound on the volume ratio: one
-    # bh_volumes call per kind over all volume specs
-    means, covs, _, dims = _padded([(m[None], c[None], v[None]) for m, c, v in volumes])
+    # bh_volumes call per kind over all volume specs, their q = 2 means
+    # zero-padded to the largest D (zero rows of E[J] leave the Gram unchanged)
+    dims = np.array([len(m) for m, _, _ in volumes])
+    means = np.zeros((len(volumes), dims.max(), 2))
+    for i, (m, _, _) in enumerate(volumes):
+        means[i, : dims[i]] = m
+    covs = np.stack([c for _, c, _ in volumes])
     v_a, v_f, v_r = (
         bh_volumes(means, covs, dims, VOLUME_ANGLES, kind)
         for kind in ("alpha_sigma", "finsler", "riemann")
@@ -425,12 +401,14 @@ def bound_sweep(n_specs: int = 10_000, seed: int = 0) -> ViolationReport:
     Norm checks run on every spec; curve and volume checks run on every
     tenth spec. The sweep draws first and evaluates after. The draw phase
     takes every spec, field, curve and volume spec from the seed's streams
-    in one fixed order (`_draw_sweep`). The evaluation phase makes one
-    `norms_sq` call per norm kind over all specs, zero-padded to common D
-    and q and with one D per spec, one per kind over the segments of all
-    curves, and one `bh_volumes` call per kind over all volume specs. The
-    Jensen bound goes through `randmat.wishart_scalar_moments` per spec,
-    a separate code path on purpose.
+    in one fixed order (`_draw_sweep`). The evaluation phase forms each
+    spec's and each curve segment's sigma = v^T Sigma v and signal =
+    ||E[J] v||^2 once and evaluates each norm kind in one
+    `_norms_from_forms` call over all specs (one D per spec) and one over
+    the segments of all curves; the volume specs take one `bh_volumes`
+    call per kind. The Jensen bound goes through
+    `randmat.wishart_scalar_moments` per spec, a separate code path on
+    purpose.
     """
     if n_specs < 100:
         raise ValueError("need at least 100 specs for a meaningful sweep")

@@ -28,7 +28,10 @@ from scipy.sparse.csgraph import dijkstra
 
 from .data import write_csv
 from .fields import as_field, latent_lattice, padded_box
-from .metric import METRIC_KINDS, _finsler_terms, alpha_coefficient, norms_sq
+from .metric import (
+    METRIC_KINDS, _finsler_terms, _norms_from_forms, _sigma_and_signal_batch, alpha_coefficient,
+    norms_sq,
+)
 from .specfun import kummer_1f1_array
 
 __all__ = [
@@ -220,11 +223,11 @@ def _segment_gradients(field, mids, vels, kind):
         return *_segment_norms_sq(field, mids, vels, (EUCLID,)), 2.0 * vels, np.zeros_like(mids)
     means, covs, dmeans, dcovs = field.jacobian_batch_dz(mids)
     d = field.data_dim
+    sigma, signal = (f[:, 0] for f in _sigma_and_signal_batch(means, covs, vels[:, None, :]))
     if kind == FINSLER:
-        e, sigma, signal, live, h = _finsler_terms(means, covs, d, vels[:, None, :])
-        e, sigma, signal, live = e[:, 0], sigma[:, 0], signal[:, 0], live[:, 0]
+        e, live, h = _finsler_terms(sigma, signal, d)
     else:
-        e = norms_sq(means, covs, d, vels[:, None, :], kind)[:, 0]
+        e = _norms_from_forms(sigma, signal, d, kind)
     sv = np.einsum("nqp,np->nq", covs, vels)
     dsigma = np.einsum("nabc,na,nb->nc", dcovs, vels, vels)
     if kind == ALPHA_SIGMA:

@@ -7,12 +7,15 @@ norm sqrt(v^T E[G] v), and the Finsler norm E[sqrt(v^T G v)] in closed form,
 together with the coefficients (alpha, omega) and the bounds that relate
 them.
 
-The scalar functions take one `MetricPoint` and one vector. `norms_sq`
-evaluates a norm kind for many points and directions at once, on arrays of
-Jacobian posteriors with one data dimension D for all points or one per
-point; indicatrices, volume fields, geodesic energies and both verification
-sweeps go through it (the bound sweep's random specs differ in D and q, so
-it passes one D per point). `gap_bound` is the Wishart bound on the
+Every norm depends on D and two quadratic forms only: sigma = v^T Sigma v
+and signal = ||E[J] v||^2. The scalar functions take one `MetricPoint` and
+one vector. `norms_sq` evaluates a norm kind for many points and
+directions at once, on arrays of Jacobian posteriors with one data
+dimension D for all points or one per point; indicatrices, volume fields
+and geodesic energies go through it. Callers that need several kinds of the
+same directions form sigma and the signal once (`_sigma_and_signal_batch`)
+and apply each kind's formula to them (`_norms_from_forms`): the geodesic
+gradient, both verification sweeps. `gap_bound` is the Wishart bound on the
 relative gap, for scalars or arrays.
 """
 
@@ -97,17 +100,17 @@ class BoundReport:
         )
 
 
-def _sigma_and_signal(p: MetricPoint, v: np.ndarray) -> tuple[float, float]:
-    # sigma = v^T Sigma v, signal = ||E[J] v||^2; both clamped at zero
-    sigma = float(v @ p.jac.cov @ v)
-    jv = p.jac.mean @ v
+def _sigma_and_signal(mean: np.ndarray, cov: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    # sigma = v^T Sigma v, signal = ||E[J] v||^2 of one point; sigma clamped at zero
+    sigma = float(v @ cov @ v)
+    jv = mean @ v
     return max(sigma, 0.0), float(jv @ jv)
 
 
 def riemannian_norm(p: MetricPoint, v: np.ndarray) -> float:
     """Norm under the expected metric tensor: sqrt(v^T E[G] v)."""
     v = np.asarray(v, dtype=float)
-    sigma, signal = _sigma_and_signal(p, v)
+    sigma, signal = _sigma_and_signal(p.jac.mean, p.jac.cov, v)
     return math.sqrt(signal + p.dim_data * sigma)
 
 
@@ -124,7 +127,7 @@ def finsler_norm(p: MetricPoint, v: np.ndarray) -> float:
     ||E[J] v|| is returned instead of overflowing the series.
     """
     v = np.asarray(v, dtype=float)
-    sigma, signal = _sigma_and_signal(p, v)
+    sigma, signal = _sigma_and_signal(p.jac.mean, p.jac.cov, v)
     if sigma < DETERMINISTIC_SIGMA:
         return math.sqrt(signal)
     b = 0.5 * p.dim_data
@@ -135,7 +138,7 @@ def finsler_norm(p: MetricPoint, v: np.ndarray) -> float:
 def alpha_sigma_norm(p: MetricPoint, v: np.ndarray) -> float:
     """Lower-bound norm sqrt(alpha * v^T Sigma v)."""
     v = np.asarray(v, dtype=float)
-    sigma, _ = _sigma_and_signal(p, v)
+    sigma, _ = _sigma_and_signal(p.jac.mean, p.jac.cov, v)
     return math.sqrt(alpha_coefficient(p.dim_data) * sigma)
 
 
@@ -162,7 +165,7 @@ def omega(p: MetricPoint, v: np.ndarray) -> float:
     limit.
     """
     v = np.asarray(v, dtype=float)
-    sigma, signal = _sigma_and_signal(p, v)
+    sigma, signal = _sigma_and_signal(p.jac.mean, p.jac.cov, v)
     if sigma < DETERMINISTIC_SIGMA:
         return math.inf
     return signal / sigma
@@ -209,9 +212,10 @@ def norms_sq(means, covs, dim_data, V, kind: str) -> np.ndarray:
     squares of `riemannian_norm`, `finsler_norm`, `alpha_sigma_norm` or of
     the Euclidean norm, or (kind "omega") the noncentrality `omega` itself,
     +inf where v^T Sigma v < 1e-14. The signal ||E[J] v||^2 comes from the
-    q x q Gram E[J]^T E[J]; Finsler values are `_finsler_terms`' squares.
-    Points are evaluated in blocks of about 16384 values, so the working
-    memory beyond the result does not grow with n.
+    q x q Gram E[J]^T E[J]; each block's values are `_norms_from_forms` of
+    its `_sigma_and_signal_batch`. Points are evaluated in blocks of about
+    16384 values, so the working memory beyond the result does not grow
+    with n.
     """
     if kind not in NORM_KINDS:
         raise ValueError(f"unknown norm kind {kind!r}, expected one of {NORM_KINDS}")
@@ -230,12 +234,9 @@ def norms_sq(means, covs, dim_data, V, kind: str) -> np.ndarray:
     step = max(1, _BLOCK_VALUES // max(k, 1))
     for lo in range(0, n, step):
         block = slice(lo, lo + step)
-        out[block] = _norms_sq_block(
-            means[block],
-            covs[block],
-            dim_data[block, None] if per_point else dim_data,
-            V if V.ndim == 2 else V[block],
-            kind,
+        forms = _sigma_and_signal_batch(means[block], covs[block], V if V.ndim == 2 else V[block])
+        out[block] = _norms_from_forms(
+            *forms, dim_data[block, None] if per_point else dim_data, kind
         )
     return out
 
@@ -248,11 +249,13 @@ def _alpha(dim_data):
     return np.array([alpha_coefficient(int(d)) for d in values])[which.reshape(dim_data.shape)]
 
 
-def _norms_sq_block(means, covs, dim_data, V, kind: str) -> np.ndarray:
-    # dim_data: an int, or an (n, 1) column of per-point D
+def _norms_from_forms(sigma, signal, dim_data, kind: str) -> np.ndarray:
+    """`norms_sq` of a kind other than euclid from the forms sigma =
+    v^T Sigma v and signal = ||E[J] v||^2 (arrays of one shape, sigma
+    clamped at zero); dim_data is an int or an integer array that
+    broadcasts to their shape."""
     if kind == "finsler":
-        return _finsler_terms(means, covs, dim_data, V)[0]
-    sigma, signal = _sigma_and_signal_batch(means, covs, V)
+        return _finsler_terms(sigma, signal, dim_data)[0]
     if kind == "alpha_sigma":
         return _alpha(dim_data) * sigma
     if kind == "riemann":
@@ -263,12 +266,12 @@ def _norms_sq_block(means, covs, dim_data, V, kind: str) -> np.ndarray:
     return out
 
 
-def _finsler_terms(means, covs, dim_data, V):
-    """Finsler `norms_sq` with its terms: (norm_sq, sigma, signal, live, h),
-    live = sigma >= 1e-14 and h = 1F1(-1/2, D/2, -signal/(2 sigma)) at the
-    live entries only; geodesic gradients differentiate these terms.
-    dim_data is an int or an (n, 1) column of per-point D."""
-    sigma, signal = _sigma_and_signal_batch(means, covs, V)
+def _finsler_terms(sigma, signal, dim_data):
+    """Squared Finsler norms from the forms sigma and signal, with their
+    terms: (norm_sq, live, h), live = sigma >= 1e-14 and h =
+    1F1(-1/2, D/2, -signal/(2 sigma)) at the live entries only; geodesic
+    gradients differentiate these terms. dim_data is an int or an integer
+    array that broadcasts to sigma's shape."""
     live = sigma >= DETERMINISTIC_SIGMA
     s = sigma[live]
     if np.ndim(dim_data) > 0:
@@ -276,7 +279,7 @@ def _finsler_terms(means, covs, dim_data, V):
     h = kummer_1f1_array(-0.5, 0.5 * dim_data, -0.5 * signal[live] / s)
     out = signal.copy()
     out[live] = _alpha(dim_data) * s * (h * h)
-    return out, sigma, signal, live, h
+    return out, live, h
 
 
 def bound_report(p: MetricPoint, v: np.ndarray) -> BoundReport:
@@ -315,7 +318,7 @@ def relative_gap(p: MetricPoint, v: np.ndarray) -> tuple[float, float, float]:
         # deterministic limit: both bounds collapse to zero
         return gap, 0.0, 0.0
     wishart_bound = gap_bound(d, w)
-    sigma, _ = _sigma_and_signal(p, v)
+    sigma, _ = _sigma_and_signal(p.jac.mean, p.jac.cov, v)
     m1, m2 = wishart_scalar_moments(ScalarWishart(dof=d, sigma=sigma, omega=w))
     jensen_bound = (m2 - m1 * m1) / (2.0 * m1 * m1)
     return gap, wishart_bound, jensen_bound

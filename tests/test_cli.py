@@ -233,7 +233,7 @@ def test_verify_dims_parsing(tmp_path, capsys):
 
 
 def test_verify_names_the_malformed_dims_flag(tmp_path, capsys):
-    for bad in ("2:1024:foo", "a:b:dyadic", "8:2:dyadic", "1,two"):
+    for bad in ("2:1024:foo", "a:b:dyadic", "8:2:dyadic", "1,two", "-4", "0"):
         rc = main(["verify", "--n", "100", "--dims", bad, "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "--dims" in capsys.readouterr().err

@@ -126,6 +126,12 @@ def test_sweep_validation():
         truncation_sweep(wide, [2, 4], seed=0)
 
 
+def test_sweep_rejects_an_empty_dimension_list():
+    ens = make_truncation_ensemble(n_specs=2, d_max=16, seed=0)
+    with pytest.raises(ValueError, match="at least one dimension"):
+        truncation_sweep(ens, [], seed=0)
+
+
 def test_sweep_reproducible():
     ens = make_truncation_ensemble(n_specs=2, d_max=16, seed=3)
     a = truncation_sweep(ens, [2, 16], v_samples=8, seed=3)
@@ -209,6 +215,20 @@ def test_bound_sweep_draws_and_spec_norms_are_the_scalar_ones(seed):
         # the gap is a difference of nearly equal norms: compared absolutely
         for name, want in zip(("gap", "wishart", "jensen"), relative_gap(p, v)):
             assert values[name][i] == pytest.approx(want, rel=1e-12, abs=1e-14), name
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bound_sweep_form_linear_norms_are_the_scalar_ones_bit_for_bit(seed):
+    # riemann, alpha_sigma and omega are arithmetic on the two quadratic
+    # forms, so taking those forms from the scalar path gives the scalar
+    # functions' values exactly (finsler differs: one 1F1 array call)
+    specs, _, _ = _draw_sweep(300, seed)
+    values = _spec_values(specs)
+    scalar = {"alpha_sigma": alpha_sigma_norm, "riemann": riemannian_norm, "omega": omega}
+    for i, (mean, cov, v) in enumerate(specs):
+        p = MetricPoint(JacobianPosterior(mean=mean, cov=cov, dim_data=len(mean)))
+        for kind, fn in scalar.items():
+            assert values[kind][i] == fn(p, v), (kind, i)
 
 
 def test_export_violations_csv(tmp_path):
