@@ -9,9 +9,9 @@ the discretized energy by limited-memory BFGS (the two-loop recursion over
 the last 10 steps, in numpy) with Armijo backtracking, optionally seeded
 by a shortest path on an 8-connected latent grid. The energy gradient is
 exact: the field's posterior and its derivative in z at the midpoints come
-from one pass, and differentiating the norms through them gives both the
-velocity and the midpoint part. `energy_gradient_fd` differences the whole
-energy as the slow reference.
+from one pass, and one chain rule through the norms' partials
+(`metric._norm_partials`) gives both the velocity and the midpoint part.
+`energy_gradient_fd` differences the whole energy as the slow reference.
 """
 
 from __future__ import annotations
@@ -28,11 +28,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .data import write_csv
 from .fields import as_field, latent_lattice, padded_box
-from .metric import (
-    METRIC_KINDS, _finsler_terms, _norms_from_forms, _sigma_and_signal_batch, alpha_coefficient,
-    norms_sq,
-)
-from .specfun import kummer_1f1_array
+from .metric import METRIC_KINDS, _norm_partials, _norms_from_forms, _sigma_and_signal_batch
 
 __all__ = [
     "METRIC_KINDS",
@@ -55,7 +51,6 @@ __all__ = [
 RIEMANN = "riemann"
 FINSLER = "finsler"
 EUCLID = "euclid"
-ALPHA_SIGMA = "alpha_sigma"
 
 _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
@@ -151,12 +146,14 @@ def _check_kind(kind: str) -> None:
 
 def _segment_norms_sq(field, mids: np.ndarray, vels: np.ndarray, kinds) -> tuple:
     """Squared norm of each velocity at its midpoint, one array per kind in
-    kinds, from one `jacobian_batch` (none when every kind is euclid)."""
+    kinds (`NORM_KINDS`), from one `jacobian_batch` and one pass of the
+    quadratic forms (none when every kind is euclid)."""
     if any(kind != EUCLID for kind in kinds):
         means, covs = field.jacobian_batch(mids)
+        forms = [f[:, 0] for f in _sigma_and_signal_batch(means, covs, vels[:, None, :])]
     return tuple(
         np.einsum("nq,nq->n", vels, vels) if kind == EUCLID
-        else norms_sq(means, covs, field.data_dim, vels[:, None, :], kind)[:, 0]
+        else _norms_from_forms(*forms, field.data_dim, kind)
         for kind in kinds
     )
 
@@ -212,46 +209,23 @@ def _segment_gradients(field, mids, vels, kind):
     """norm^2 per segment, (n,), with d(norm^2)/d(velocity) and
     d(norm^2)/d(midpoint), (n, q) each.
 
-    All three come from one `jacobian_batch_dz` pass. With sigma = v^T Sigma v,
-    s = ||E[J] v||^2 and w = s / sigma, the midpoint part follows from the
-    derivatives of sigma and s in z: riemann ds + D dsigma; finsler
-    alpha ((h^2 + h hx w) dsigma - h hx ds), where h = 1F1(-1/2, D/2, -w/2)
-    and hx its derivative in the last argument, the same arrays as in the
-    velocity part; ds in the deterministic limit; alpha_sigma alpha dsigma.
+    All three come from one `jacobian_batch_dz` pass, by one chain rule
+    through sigma = v^T Sigma v and signal = ||E[J] v||^2, whose partials
+    p_sigma and p_signal `metric._norm_partials` gives for every kind:
+    d/dv = 2 (p_sigma Sigma v + p_signal E[J]^T E[J] v) and
+    d/dz = p_sigma dsigma/dz + p_signal dsignal/dz.
     """
     if kind == EUCLID:
         return *_segment_norms_sq(field, mids, vels, (EUCLID,)), 2.0 * vels, np.zeros_like(mids)
     means, covs, dmeans, dcovs = field.jacobian_batch_dz(mids)
-    d = field.data_dim
-    sigma, signal = (f[:, 0] for f in _sigma_and_signal_batch(means, covs, vels[:, None, :]))
-    if kind == FINSLER:
-        e, live, h = _finsler_terms(sigma, signal, d)
-    else:
-        e = _norms_from_forms(sigma, signal, d, kind)
-    sv = np.einsum("nqp,np->nq", covs, vels)
-    dsigma = np.einsum("nabc,na,nb->nc", dcovs, vels, vels)
-    if kind == ALPHA_SIGMA:
-        a = alpha_coefficient(d)
-        return e, 2.0 * a * sv, a * dsigma
+    forms = _sigma_and_signal_batch(means, covs, vels[:, None, :])
+    e, p_sigma, p_signal = _norm_partials(*forms, field.data_dim, kind)  # broadcast to (n, 1)
     jv = np.einsum("ndq,nq->nd", means, vels)
+    sv = np.einsum("nqp,np->nq", covs, vels)
     jtjv = np.einsum("ndq,nd->nq", means, jv)
+    dsigma = np.einsum("nabc,na,nb->nc", dcovs, vels, vels)
     dsignal = 2.0 * np.einsum("nd,ndqc,nq->nc", jv, dmeans, vels)
-    if kind == RIEMANN:
-        return e, 2.0 * (jtjv + d * sv), dsignal + d * dsigma
-    grad_v = 2.0 * jtjv  # the deterministic limit
-    grad_z = dsignal
-    w = signal[live] / sigma[live]
-    b = 0.5 * d
-    hx = (-0.5 / b) * kummer_1f1_array(0.5, b + 1.0, -0.5 * w)  # d 1F1 / dx at x = -w/2
-    # norm^2 = alpha sigma h(w)^2 with dh/dw = -hx/2
-    a = alpha_coefficient(d)
-    grad_v[live] = (2.0 * a) * (
-        (h * h + h * hx * w)[:, None] * sv[live] - (h * hx)[:, None] * jtjv[live]
-    )
-    grad_z[live] = a * (
-        (h * h + h * hx * w)[:, None] * dsigma[live] - (h * hx)[:, None] * dsignal[live]
-    )
-    return e, grad_v, grad_z
+    return e[:, 0], 2.0 * (p_sigma * sv + p_signal * jtjv), p_sigma * dsigma + p_signal * dsignal
 
 
 def _energy_and_gradient(field, c: DiscreteCurve, kind: str):

@@ -315,6 +315,9 @@ def make_model(X: np.ndarray, Y: np.ndarray, kernel: Kernel, noise: float) -> Gp
         raise ValueError("X must be N x q and Y must be N x D with matching N")
     if X.shape[0] < 2:
         raise ValueError("need at least two training points")
+    for name, values in (("latent_inputs", X), ("outputs", Y)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} must be finite")
     if not 0.0 <= noise < math.inf:
         raise ValueError("noise must be finite and nonnegative")
     means = Y.mean(axis=0)
@@ -489,7 +492,7 @@ def _log_marginal_terms(
     alpha = cho_solve((chol.T, False), Yc)
     lml = _log_marginal(chol, alpha, Yc)
     mmat = _gradient_matrix(chol, alpha)
-    c = _radial_coefficients(kernel, r2)[0]
+    c = _radial_coefficients(kernel, r2, hessian=False)[0]
     grad = np.array(
         [
             0.5 * float(np.sum(mmat * (-c * r2))),

@@ -11,12 +11,12 @@ Every norm depends on D and two quadratic forms only: sigma = v^T Sigma v
 and signal = ||E[J] v||^2. The scalar functions take one `MetricPoint` and
 one vector. `norms_sq` evaluates a norm kind for many points and
 directions at once, on arrays of Jacobian posteriors with one data
-dimension D for all points or one per point; indicatrices, volume fields
-and geodesic energies go through it. Callers that need several kinds of the
-same directions form sigma and the signal once (`_sigma_and_signal_batch`)
-and apply each kind's formula to them (`_norms_from_forms`): the geodesic
-gradient, both verification sweeps. `gap_bound` is the Wishart bound on the
-relative gap, for scalars or arrays.
+dimension D for all points or one per point. Callers that need several
+kinds of the same directions form sigma and the signal once
+(`_sigma_and_signal_batch`) and apply each kind's formula to them
+(`_norms_from_forms`): geodesic energies, both verification sweeps. Each
+kind's derivatives in the two forms live in `_norm_partials`, whence the
+geodesic gradient. `gap_bound` bounds the relative gap (Wishart).
 """
 
 from __future__ import annotations
@@ -268,10 +268,10 @@ def _norms_from_forms(sigma, signal, dim_data, kind: str) -> np.ndarray:
 
 def _finsler_terms(sigma, signal, dim_data):
     """Squared Finsler norms from the forms sigma and signal, with their
-    terms: (norm_sq, live, h), live = sigma >= 1e-14 and h =
-    1F1(-1/2, D/2, -signal/(2 sigma)) at the live entries only; geodesic
-    gradients differentiate these terms. dim_data is an int or an integer
-    array that broadcasts to sigma's shape."""
+    terms: (norm_sq, live, d, h), live = sigma >= 1e-14 and, at the live
+    entries only, d = D and h = 1F1(-1/2, D/2, -signal/(2 sigma)).
+    dim_data is an int or an integer array that broadcasts to sigma's
+    shape."""
     live = sigma >= DETERMINISTIC_SIGMA
     s = sigma[live]
     if np.ndim(dim_data) > 0:
@@ -279,7 +279,31 @@ def _finsler_terms(sigma, signal, dim_data):
     h = kummer_1f1_array(-0.5, 0.5 * dim_data, -0.5 * signal[live] / s)
     out = signal.copy()
     out[live] = _alpha(dim_data) * s * (h * h)
-    return out, live, h
+    return out, live, dim_data, h
+
+
+def _norm_partials(sigma, signal, dim_data, kind: str) -> tuple:
+    """`_norms_from_forms` of kind riemann, alpha_sigma or finsler and its
+    partials (norm_sq, d/dsigma, d/dsignal); a constant partial is a number
+    or an array that broadcasts to sigma's shape. riemann (D, 1);
+    alpha_sigma (alpha, 0); finsler, with w = signal/sigma, h =
+    1F1(-1/2, D/2, x) at x = -w/2 and hx = dh/dx = -1F1(1/2, D/2 + 1, x)/D:
+    alpha (h^2 + h hx w) and -alpha h hx where sigma >= 1e-14, and (0, 1)
+    in the deterministic limit."""
+    if kind == "finsler":
+        norm_sq, live, d, h = _finsler_terms(sigma, signal, dim_data)
+        w = signal[live] / sigma[live]
+        hx = kummer_1f1_array(0.5, 0.5 * d + 1.0, -0.5 * w) / -d
+        a = _alpha(d)
+        d_sigma, d_signal = np.zeros(sigma.shape), np.ones(sigma.shape)
+        d_sigma[live] = a * h * (h + hx * w)
+        d_signal[live] = -a * h * hx
+        return norm_sq, d_sigma, d_signal
+    if kind == "riemann":
+        return _norms_from_forms(sigma, signal, dim_data, kind), dim_data, 1.0
+    if kind == "alpha_sigma":
+        return _norms_from_forms(sigma, signal, dim_data, kind), _alpha(dim_data), 0.0
+    raise ValueError(f"no partials for norm kind {kind!r}")
 
 
 def bound_report(p: MetricPoint, v: np.ndarray) -> BoundReport:

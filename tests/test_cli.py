@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -345,6 +346,27 @@ def test_model_file_mismatched_rows_exits_2(circles_model, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert _one_error_line(err) and "same N" in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("latent_inputs", math.inf), ("outputs", math.nan), ("outputs", -math.inf)],
+    ids=["inf_latent", "nan_output", "inf_output"],
+)
+def test_model_file_non_finite_data_exits_2(circles_model, tmp_path, capsys, key, value):
+    doc = json.loads(circles_model.read_text())
+    doc[key][3][0] = value
+    bad = tmp_path / "non_finite.json"
+    bad.write_text(json.dumps(doc))  # written as Infinity or NaN, which json reads back
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["indicatrix", "--model", str(bad), "--at", "0,0",
+                   "--out", str(tmp_path / "i.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert _one_error_line(err) and f"{key} must be finite" in err
+    assert not caught
+    assert not (tmp_path / "i.csv").exists()
 
 
 def test_series_convergence_failure_exits_1(circles_model, tmp_path, monkeypatch, capsys):

@@ -12,6 +12,8 @@ from finslergp.gp import JacobianPosterior
 from finslergp.metric import (
     BoundReport,
     MetricPoint,
+    _norm_partials,
+    _norms_from_forms,
     alpha_coefficient,
     alpha_sigma_norm,
     bound_report,
@@ -429,3 +431,32 @@ def test_norms_sq_rejects_malformed_per_point_dims():
     for bad in (np.array([3, 3, 3]), np.array([3.0, 3.0, 3.0, 3.0])):
         with pytest.raises(ValueError, match="dim_data"):
             norms_sq(means, covs, bad, V, "riemann")
+
+
+@pytest.mark.parametrize("kind", ["riemann", "alpha_sigma", "finsler"])
+@pytest.mark.parametrize("dim", [1, 3, 512, "per_entry"])
+def test_norm_partials_match_central_differences(kind, dim):
+    # one batch of live entries and deterministic ones (sigma = 0), with
+    # omega from 0 to 2000 (1F1 past x = -700) and a zero signal
+    sigma = np.array([0.0, 0.5, 2.0, 0.0, 1e-3, 3.0, 0.2, 0.0])
+    signal = np.array([1.2, 0.3, 5.0, 0.0, 2.0, 0.0, 40.0, 7.0])
+    if dim == "per_entry":
+        dim = np.array([1, 3, 512, 3, 1, 512, 3, 512])
+    norm_sq, d_sigma, d_signal = _norm_partials(sigma, signal, dim, kind)
+    assert np.array_equal(norm_sq, _norms_from_forms(sigma, signal, dim, kind))
+
+    def f(s, y):
+        return _norms_from_forms(s, y, dim, kind)
+
+    # central differences, forward ones at sigma = 0, where a finsler step
+    # stays below the 1e-14 threshold of the deterministic limit
+    hi = sigma + np.where(sigma > 0.0, 1e-5 * sigma, 1e-15 if kind == "finsler" else 1e-5)
+    lo = np.where(sigma > 0.0, sigma - 1e-5 * sigma, 0.0)
+    hy = 1e-5 * np.maximum(signal, 1.0)
+    fd_sigma = (f(hi, signal) - f(lo, signal)) / (hi - lo)
+    fd_signal = (f(sigma, signal + hy) - f(sigma, signal - hy)) / (2.0 * hy)
+    np.testing.assert_allclose(d_sigma, fd_sigma, rtol=1e-6, atol=1e-6)
+    np.testing.assert_allclose(d_signal, fd_signal, rtol=1e-6, atol=1e-6)
+    dead = sigma == 0.0
+    if kind == "finsler":
+        assert np.all(d_sigma[dead] == 0.0) and np.all(d_signal[dead] == 1.0)
