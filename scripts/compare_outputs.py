@@ -1,6 +1,6 @@
 """Worst relative difference per (file kind, CSV column) between two output trees.
 
-    python3 scripts/compare_outputs.py A B [--tol T]
+    python3 scripts/compare_outputs.py A B
 
 A and B are directories written by the same commands, such as two
 `scripts/op_digests.py --work` directories or two
@@ -20,8 +20,8 @@ must be equal byte for byte.
 Prints one line per (file kind, column) that holds numbers: the worst
 relative difference, the kind, the column and the number of files. Exits 1
 when the trees hold different files, when two files differ in rows, keys
-or a non-numeric cell, or when a worst difference exceeds --tol (default:
-none does); 2 when A or B is not a directory; 0 otherwise.
+or a non-numeric cell, or when a worst difference is not 0; 2 when A or B
+is not a directory; 0 otherwise.
 """
 
 from __future__ import annotations
@@ -127,8 +127,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("a")
     ap.add_argument("b")
-    ap.add_argument("--tol", type=float, default=math.inf,
-                    help="exit 1 when a column's worst relative difference exceeds this")
     args = ap.parse_args(argv)
     for root in (args.a, args.b):
         if not os.path.isdir(root):
@@ -139,10 +137,10 @@ def main(argv=None) -> int:
         print(f"{diff:.3g}\t{kind}\t{col}\t{n} file(s)")
     for problem in problems:
         print(f"differ: {problem}", file=sys.stderr)
-    over = [key for key, (diff, _) in worst.items() if diff > args.tol]
-    if over:
-        print(f"{len(over)} column(s) above --tol {args.tol:g}", file=sys.stderr)
-    return 1 if problems or over else 0
+    moved = [key for key, (diff, _) in worst.items() if diff != 0.0]
+    if moved:
+        print(f"{len(moved)} column(s) differ", file=sys.stderr)
+    return 1 if problems or moved else 0
 
 
 if __name__ == "__main__":

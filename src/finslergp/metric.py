@@ -260,10 +260,10 @@ def _norms_from_forms(sigma, signal, dim_data, kind: str) -> np.ndarray:
         return _alpha(dim_data) * sigma
     if kind == "riemann":
         return signal + dim_data * sigma
-    out = np.full(sigma.shape, math.inf)
-    live = sigma >= DETERMINISTIC_SIGMA
-    out[live] = signal[live] / sigma[live]
-    return out
+    if kind == "omega":
+        live = sigma >= DETERMINISTIC_SIGMA
+        return np.divide(signal, sigma, out=np.full(sigma.shape, math.inf), where=live)
+    raise ValueError(f"no norm kind {kind!r}")
 
 
 def _finsler_terms(sigma, signal, dim_data):

@@ -460,3 +460,9 @@ def test_norm_partials_match_central_differences(kind, dim):
     dead = sigma == 0.0
     if kind == "finsler":
         assert np.all(d_sigma[dead] == 0.0) and np.all(d_signal[dead] == 1.0)
+
+
+def test_norms_from_forms_rejects_unknown_kinds():
+    for fn in (_norms_from_forms, _norm_partials):
+        with pytest.raises(ValueError, match="riemman"):
+            fn(np.array([0.5]), np.array([2.0]), 3, "riemman")
