@@ -23,8 +23,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .data import write_csv
 from .fields import as_field, latent_lattice, padded_box
@@ -315,6 +313,10 @@ def grid_initialize(
     weights = np.sqrt(_segment_norms_sq(field, mids, deltas, (metric_kind,))[0])
     # strictly positive weights keep degenerate-metric regions traversable
     weights = np.maximum(weights, 1e-12)
+
+    # scipy.sparse is imported here, so only a grid-seeded geodesic loads it
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
 
     graph = csr_matrix((weights, (us, vs)), shape=(grid * grid, grid * grid))
     i_start = int(np.argmin(np.sum((nodes - start) ** 2, axis=1)))

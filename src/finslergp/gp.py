@@ -15,6 +15,13 @@ Timing). The N x N matrices are built in place: the kernel plus noise and
 its factor share one buffer, and in the fit the inverse and the
 likelihood-gradient matrix share the factor's.
 
+scipy.linalg is imported where it is used, not when gp is, so a command
+that never touches a GP (`generate`, `verify`) never loads scipy. The two
+solves are gp's own module-level `cho_solve` and `solve_triangular`, which
+gp's code calls by those names: rebinding them (as a tracer does) sees every
+solve. The four functions that call BLAS or LAPACK directly import them in
+their bodies.
+
 The Jacobian posteriors at n points are one pass, `_jacobian_pass`. The
 kernel gradients against the training inputs are q planes of shape (n, N),
 solved against the factor in one triangular solve of q columns per point;
@@ -30,7 +37,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, cho_solve, lapack, solve_triangular
 
 from .data import ParseError
 
@@ -251,6 +257,21 @@ class GpModel:
         return self.latent_inputs.min(axis=0), self.latent_inputs.max(axis=0)
 
 
+def cho_solve(c_and_lower, b, **kwargs):
+    """scipy.linalg.cho_solve, through which gp's code makes every Cholesky solve."""
+    import scipy.linalg
+
+    return scipy.linalg.cho_solve(c_and_lower, b, **kwargs)
+
+
+def solve_triangular(a, b, **kwargs):
+    """scipy.linalg.solve_triangular, through which gp's code makes every
+    triangular solve."""
+    import scipy.linalg
+
+    return scipy.linalg.solve_triangular(a, b, **kwargs)
+
+
 def _finite_cholesky(kmat: np.ndarray) -> np.ndarray | None:
     """Lower Cholesky factor of the symmetric, C-ordered kmat, computed in
     kmat's own buffer, or None if LAPACK fails."""
@@ -258,6 +279,8 @@ def _finite_cholesky(kmat: np.ndarray) -> np.ndarray | None:
     # it without a copy; its upper factor U = L^T, read in C order, is L.
     # LAPACK can report success yet emit non-finite factors (NaN/inf input);
     # treat those as failures so they reach the jitter ladder
+    from scipy.linalg import lapack
+
     upper, info = lapack.dpotrf(kmat.T, lower=False, overwrite_a=True)
     if info != 0 or not np.all(np.isfinite(upper)):
         return None
@@ -298,6 +321,8 @@ def _gradient_matrix(chol: np.ndarray, alpha: np.ndarray) -> np.ndarray:
 
     LAPACK potri writes K^-1 to one triangle and BLAS syrk updates that
     triangle to M; the triangle is then mirrored row by row."""
+    from scipy.linalg import blas, lapack
+
     kinv, info = lapack.dpotri(chol.T, lower=False, overwrite_c=True)
     if info:
         raise np.linalg.LinAlgError(f"kernel matrix inversion failed (potri info {info})")
@@ -369,6 +394,8 @@ def _alpha_products(planes: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """sum_N planes[j, i, N] alpha[N, :] as (n, D, q), by one scipy dgemm."""
     # the points run along dgemm's first dimension: a point's sums are then
     # the same bits in a batch of any size up to a few hundred points
+    from scipy.linalg import blas
+
     q, n, big_n = planes.shape
     prod = blas.dgemm(1.0, planes.reshape(q * n, big_n).T, alpha.T, trans_a=True, trans_b=True)
     return prod.T.reshape(-1, q, n).transpose(2, 0, 1)
@@ -516,6 +543,8 @@ def _fit_objective(params, X, r2, Yc, family) -> tuple[float, np.ndarray]:
     lml, grad, w, c = _log_marginal_terms(_sqdist(X, X), Yc, kernel, noise)
     # d lml / d x_n = sum_m M[n, m] grad_z1 k(x_n, x_m), using symmetry of M;
     # w = M * c in M's buffer, and w.T is w in Fortran order for dgemm
+    from scipy.linalg import blas
+
     w *= c
     np.fill_diagonal(w, 0.0)
     gx = w.sum(axis=1)[:, None] * X - blas.dgemm(1.0, w.T, X, trans_a=True) - X
@@ -659,9 +688,10 @@ def save_model(m: GpModel, path: str) -> None:
 def load_model(path: str) -> GpModel:
     """Rebuild a model from JSON; the Cholesky factor is recomputed.
 
-    Raises ParseError when a key is missing, a value is not a number, or
-    latent_inputs and outputs are not N x q and N x D matrices with the
-    same N.
+    Raises ParseError, its message starting with the path, when a key is
+    missing, a value is not a number, latent_inputs and outputs are not
+    N x q and N x D matrices with the same N, or `make_model` rejects the
+    values (non-finite data, negative noise).
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -688,4 +718,7 @@ def load_model(path: str) -> GpModel:
             f"{path}: latent_inputs and outputs must be N x q and N x D matrices "
             f"with the same N, got shapes {X.shape} and {Y.shape}"
         )
-    return make_model(X, Y, kernel, noise)
+    try:
+        return make_model(X, Y, kernel, noise)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}")

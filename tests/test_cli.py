@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
 import pytest
 
+import finslergp
 from finslergp import cli, gp, specfun
 from finslergp.cli import _parse_dims, main
 from finslergp.gp import load_model
@@ -369,6 +374,28 @@ def test_model_file_non_finite_data_exits_2(circles_model, tmp_path, capsys, key
     assert not (tmp_path / "i.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "key, index, value",
+    [("latent_inputs", (3, 0), math.inf), ("outputs", (3, 0), math.nan), ("noise", None, -0.5)],
+    ids=["inf_latent", "nan_output", "negative_noise"],
+)
+def test_model_file_rejected_by_make_model_names_the_file(
+    circles_model, tmp_path, capsys, key, index, value
+):
+    doc = json.loads(circles_model.read_text())
+    if index is None:
+        doc[key] = value
+    else:
+        doc[key][index[0]][index[1]] = value
+    bad = tmp_path / "rejected_model.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["indicatrix", "--model", str(bad), "--at", "0,0",
+               "--out", str(tmp_path / "i.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert _one_error_line(err) and err.startswith(f"error: {bad}: ") and key in err
+
+
 def test_series_convergence_failure_exits_1(circles_model, tmp_path, monkeypatch, capsys):
     def diverge(*args):
         raise specfun.ConvergenceError("1F1 series did not converge")
@@ -420,3 +447,34 @@ def test_indicatrix_non_finite_point_exits_2(circles_model, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert _one_error_line(err) and "finite" in err
+
+
+def test_scipy_stays_off_the_import_path(tmp_path):
+    # a fresh interpreter: importing the CLI, generate and verify load no
+    # scipy module; a fit then loads scipy.linalg at its first factorization
+    code = textwrap.dedent("""
+        import json, sys
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+        from finslergp.cli import main
+        loaded = {"import": scipy_modules()}
+        assert main(["generate", "circles", "--n", "60", "--seed", "1", "--out", "d.csv"]) == 0
+        loaded["generate"] = scipy_modules()
+        assert main(["verify", "--n", "100", "--dims", "2:64:dyadic", "--v-samples", "8",
+                     "--out", "verify"]) == 0
+        loaded["verify"] = scipy_modules()
+        assert main(["fit", "--data", "d.csv", "--out", "m.json", "--steps", "2"]) == 0
+        loaded["fit"] = scipy_modules()
+        print(json.dumps(loaded))
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(finslergp.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert loaded["import"] == loaded["generate"] == loaded["verify"] == []
+    assert "scipy.linalg" in loaded["fit"]
+    assert (tmp_path / "m.json").exists()

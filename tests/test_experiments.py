@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from finslergp.experiments import (
     ComparisonRow,
@@ -20,6 +21,7 @@ from finslergp.experiments import (
     make_truncation_ensemble,
     truncation_sweep,
     _draw_sweep,
+    _smallest_noncentrality,
     _spec_values,
 )
 from finslergp.fields import ConstantField, GpField, SphereField, SyntheticField
@@ -229,6 +231,27 @@ def test_bound_sweep_form_linear_norms_are_the_scalar_ones_bit_for_bit(seed):
         p = MetricPoint(JacobianPosterior(mean=mean, cov=cov, dim_data=len(mean)))
         for kind, fn in scalar.items():
             assert values[kind][i] == fn(p, v), (kind, i)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_smallest_noncentrality_matches_scipy_generalized_eigh(seed):
+    # the sweep's volume specs (q = 2), the same specs cut to their first
+    # row (D = 1: E[J]^T E[J] is singular) and with E[J] = 0, against
+    # scipy's generalized eigh spec by spec
+    _, _, volumes = _draw_sweep(1000, seed)
+    dims = [len(m) for m, _, _ in volumes]
+    means = np.zeros((len(volumes), max(dims), 2))
+    for i, (m, _, _) in enumerate(volumes):
+        means[i, : dims[i]] = m
+    covs = np.stack([c for _, c, _ in volumes])
+    for mm in (means, means[:, :1], np.zeros_like(means)):
+        got = _smallest_noncentrality(mm, covs)
+        want = np.array([
+            max(float(scipy.linalg.eigh(m.T @ m, c, eigvals_only=True)[0]), 0.0)
+            for m, c in zip(mm, covs)
+        ])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+        assert np.all(got >= 0.0)
 
 
 def test_export_violations_csv(tmp_path):

@@ -488,6 +488,36 @@ def test_gp_never_factorizes_with_numpy(monkeypatch, tmp_path):
     fit_gplvm(m.outputs, 2, Kernel(MATERN52, 0.8, 1.2), 1e-2, steps=3, optimize_latents=True)
 
 
+def test_every_solve_calls_through_gps_own_names(monkeypatch):
+    # a tracer counts triangular work by rebinding gp.cho_solve and
+    # gp.solve_triangular: every scipy solve gp makes must go through them,
+    # so wrappers on gp's names and on scipy's own see the same columns
+    import scipy.linalg
+
+    from finslergp import gp
+    from finslergp.fields import GpField
+    from finslergp.gp import _posterior_mean_var_batch
+
+    cols = {}
+
+    def counting(name, fn):
+        def wrapper(a, b, **kwargs):
+            cols[name] = cols.get(name, 0) + (1 if np.ndim(b) < 2 else np.shape(b)[1])
+            return fn(a, b, **kwargs)
+        return wrapper
+
+    for name in ("cho_solve", "solve_triangular"):
+        monkeypatch.setattr(gp, name, counting(f"gp.{name}", getattr(gp, name)))
+        monkeypatch.setattr(scipy.linalg, name, counting(f"scipy.{name}", getattr(scipy.linalg, name)))
+    m = make_smooth_model(noise=1e-3, seed=8)  # 25 points, D = 3
+    assert cols == {"gp.cho_solve": 3, "scipy.cho_solve": 3}
+    Z = np.random.default_rng(9).uniform(-0.8, 0.8, (7, 2))
+    GpField(m).jacobian_batch_dz(Z)  # 2q columns per point
+    _posterior_mean_var_batch(m, Z)  # one column per point
+    assert cols["gp.solve_triangular"] == cols["scipy.solve_triangular"] == 7 * 4 + 7
+    assert cols["gp.cho_solve"] == cols["scipy.cho_solve"] == 3
+
+
 def test_factor_and_gradient_matrix_stay_in_their_buffers():
     from finslergp.gp import _finite_cholesky, _gradient_matrix, _sqdist
 

@@ -1,8 +1,10 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,6 +41,20 @@ def test_log_gamma_ratio_matches_extended_precision():
         got = log_gamma_ratio(num, den)
         want = float(loggamma_mp(num) - loggamma_mp(den))
         assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_log_gamma_ratio_matches_scipy_gammaln():
+    # Gamma(d/2 + 1/2) / Gamma(d/2), as the norms use it. Past d of a few
+    # hundred the difference cancels: ln Gamma(2048) is about 1.4e4 and the
+    # ratio about 3.5, so rounding each log-gamma to its last bit moves the
+    # ratio by up to ~1e-12 relative, for lgamma and gammaln alike (both
+    # differ that much from mpmath near d = 3500). The bound is 2e-13
+    # relative or 8 ulps of the larger log-gamma, whichever is wider.
+    for d in range(1, 4097):
+        num, den = 0.5 * d + 0.5, 0.5 * d
+        want = float(scipy.special.gammaln(num) - scipy.special.gammaln(den))
+        ulps = 8.0 * sys.float_info.epsilon * max(abs(math.lgamma(num)), abs(math.lgamma(den)))
+        assert math.isclose(log_gamma_ratio(num, den), want, rel_tol=2e-13, abs_tol=ulps), d
 
 
 @pytest.mark.parametrize("bad", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
