@@ -306,8 +306,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--data", required=True)
     p_fit.add_argument("--out", required=True)
     p_fit.add_argument("--kernel", choices=("rbf", "matern52"), default="rbf")
-    p_fit.add_argument("--steps", type=int, default=200)
-    p_fit.add_argument("--lr", type=float, default=0.05)
+    p_fit.add_argument("--steps", type=int, default=200, help="L-BFGS iteration cap")
+    p_fit.add_argument("--lr", type=float, default=0.05, help="fallback step: lr * sign(gradient)")
     p_fit.add_argument("--noise", type=float, default=0.01)
     p_fit.add_argument("--lengthscale", type=float, default=1.0)
     p_fit.add_argument("--variance", type=float, default=1.0)
@@ -325,7 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="single metric; omitted runs all three")
     p_geo.add_argument("--nc", type=int, default=64, help="curve points")
     p_geo.add_argument("--grid", type=int, default=10, help="grid-initialization resolution")
-    p_geo.add_argument("--tol", type=float, default=1e-8)
+    p_geo.add_argument("--tol", type=float, default=1e-10,
+                       help="stop once a step's predicted energy decrease is below tol * energy")
     p_geo.add_argument("--max-iter", type=int, default=600)
     p_geo.add_argument("--out", required=True, help="comparison table path")
     p_geo.set_defaults(func=cmd_geodesic)

@@ -489,7 +489,7 @@ def comparison_entries(
     n_points: int = 64,
     grid: int = 10,
     max_iter: int = 600,
-    tol: float = 1e-8,
+    tol: float = 1e-10,
 ) -> list[tuple[ComparisonRow, DiscreteCurve]]:
     """One optimized (row, curve) per (endpoint pair, metric kind).
 
@@ -540,7 +540,7 @@ def geodesic_comparison(
     n_points: int = 64,
     grid: int = 10,
     max_iter: int = 600,
-    tol: float = 1e-8,
+    tol: float = 1e-10,
 ) -> list[ComparisonRow]:
     """Optimize a curve per (endpoint pair, metric) and tabulate lengths,
     ambient length, mean posterior variance and convergence.

@@ -5,8 +5,8 @@ curve of N points has N-1 segments, velocity (p[i+1]-p[i])*(N-1) on each.
 Lengths and energies follow the midpoint rule (second order), held by two
 functions: `_segment_norms_sq` evaluates the norms at segment midpoints
 and `_length_and_energy` weights each segment 1/(N-1). Geodesics minimize
-the discretized energy by limited-memory BFGS (the two-loop recursion over
-the last 10 steps, in numpy) with Armijo backtracking, optionally seeded
+the discretized energy by the library's one limited-memory BFGS with
+Armijo backtracking (`_lbfgs`, shared with the GP fit), optionally seeded
 by a shortest path on an 8-connected latent grid. The energy gradient is
 exact: the field's posterior and its derivative in z at the midpoints come
 from one pass, and one chain rule through the norms' partials
@@ -19,11 +19,11 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lbfgs
 from .data import write_csv
 from .fields import as_field, latent_lattice, padded_box
 from .metric import METRIC_KINDS, _norm_partials, _norms_from_forms, _sigma_and_signal_batch
@@ -49,11 +49,6 @@ __all__ = [
 RIEMANN = "riemann"
 FINSLER = "finsler"
 EUCLID = "euclid"
-
-_ARMIJO_C = 1e-4
-_ARMIJO_SHRINK = 0.5
-_LBFGS_MEMORY = 10
-_CONVERGED_STREAK = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,114 +339,42 @@ def grid_initialize(
 # optimization
 
 
-def _lbfgs_direction(g: np.ndarray, history) -> np.ndarray:
-    """Two-loop recursion: minus the inverse-Hessian estimate of the
-    (s, y, 1/s^T y) pairs in history, oldest first, applied to g, with the
-    initial estimate scaled by s^T y / y^T y of the newest pair."""
-    q = g.copy()
-    alphas = []
-    for s, y, rho in reversed(history):
-        a = rho * float(s @ q)
-        q -= a * y
-        alphas.append(a)
-    s, y, _ = history[-1]
-    q *= float(s @ y) / float(y @ y)
-    for (s, y, rho), a in zip(history, reversed(alphas)):
-        q += (a - rho * float(y @ q)) * s
-    return -q
-
-
 def minimize_energy(
     m,
     init: DiscreteCurve,
     metric_kind: str = RIEMANN,
     max_iter: int = 500,
-    tol: float = 1e-8,
+    tol: float = 1e-10,
     on_step=None,
 ) -> GeodesicResult:
-    """Limited-memory BFGS on the curve energy with Armijo backtracking.
-
-    The interior points move along the two-loop L-BFGS direction built from
-    the last 10 accepted steps with positive curvature; each step starts at
-    length 1 and is halved until the Armijo condition (c = 1e-4) holds, so
-    accepted energies never increase. Without history (the first step, or
-    after a direction that does not descend) the step is steepest descent of
-    Euclidean length 0.01 (1 + max |z|); a failed line search clears the
-    history and retries once that way before the curve counts as
-    stationary. Convergence is declared after 10 consecutive iterations with
-    relative energy change below tol; hitting max_iter first returns the
-    best curve with converged=False. on_step(energy) is called after every
-    accepted step.
-    """
+    """`_lbfgs.minimize` on the energy of the interior points: converged once
+    a step's predicted energy decrease is at most tol times the energy, or
+    none decreases it at rounding scale; max_iter iterations return the last
+    curve unconverged. The steepest-descent fallback step has length
+    0.01 (1 + max |z|). on_step(energy) follows every accepted step."""
     _check_kind(metric_kind)
     if not tol >= 0.0 or max_iter < 1:
         raise ValueError(f"need tol >= 0 and max_iter >= 1, got tol={tol}, max_iter={max_iter}")
     field = as_field(m)
-    cur = DiscreteCurve(np.array(init.points, dtype=float))
+    start = DiscreteCurve(np.array(init.points, dtype=float))
+    ends = float(np.max(np.abs(start.points[[0, -1]])))
+
     # one pass per trial curve; the accepted trial's gradient is the next
-    # iteration's, and its length is the returned one
-    length, energy, grad = _energy_and_gradient(field, cur, metric_kind)
-    history = deque(maxlen=_LBFGS_MEMORY)
-    streak = 0
-    iterations = 0
-    converged = False
+    # iteration's, and its curve and length are the returned ones
+    def evaluate(x):
+        curve = start.with_interior(x.reshape(-1, start.dim))
+        length, energy, grad = _energy_and_gradient(field, curve, metric_kind)
+        return energy, grad.ravel(), (curve, length)
 
-    for it in range(max_iter):
-        g = grad.ravel()
-        gnorm2 = float(g @ g)
-        if gnorm2 == 0.0:
-            converged = True
-            break
-        iterations = it + 1
-        x = cur.points[1:-1].ravel()
-        while True:
-            direction = _lbfgs_direction(g, history) if history else None
-            # "not < 0" also rejects a NaN slope
-            if direction is None or not float(direction @ g) < 0.0:
-                history.clear()
-                scale = 1.0 + float(np.max(np.abs(cur.points)))
-                direction = (-0.01 * scale / math.sqrt(gnorm2)) * g
-            slope = float(direction @ g)
-            step = 1.0
-            accepted = False
-            for _ in range(60):
-                cand = cur.with_interior((x + step * direction).reshape(grad.shape))
-                l_new, e_new, g_new = _energy_and_gradient(field, cand, metric_kind)
-                if e_new <= energy + _ARMIJO_C * step * slope:
-                    accepted = True
-                    break
-                step *= _ARMIJO_SHRINK
-            if accepted or not history:
-                break
-            history.clear()
-        if not accepted:
-            # no decrease at machine scale: numerically stationary
-            converged = True
-            break
-        s = cand.points[1:-1].ravel() - x
-        y = (g_new - grad).ravel()
-        sy = float(s @ y)
-        if sy > 0.0:
-            history.append((s, y, 1.0 / sy))
-        rel = abs(energy - e_new) / max(energy, 1e-300)
-        cur, length, energy, grad = cand, l_new, e_new, g_new
-        if on_step is not None:
-            on_step(energy)
-        streak = streak + 1 if rel < tol else 0
-        if streak >= _CONVERGED_STREAK:
-            converged = True
-            break
+    def fallback(x, g):
+        scale = 1.0 + max(ends, float(np.max(np.abs(x))))
+        return (-0.01 * scale / math.sqrt(float(g @ g))) * g
 
+    res = _lbfgs.minimize(evaluate, start.points[1:-1].ravel(), fallback, max_iter, tol, on_step)
+    curve, length = res.aux
     if metric_kind != EUCLID:
-        _warn_if_outside(field, cur)
-    return GeodesicResult(
-        curve=cur,
-        energy=energy,
-        length=length,
-        metric_kind=metric_kind,
-        iterations=iterations,
-        converged=converged,
-    )
+        _warn_if_outside(field, curve)
+    return GeodesicResult(curve, res.value, length, metric_kind, res.iterations, res.converged)
 
 
 def geodesic_between(
@@ -462,7 +385,7 @@ def geodesic_between(
     n_points: int = 64,
     grid: int = 0,
     max_iter: int = 600,
-    tol: float = 1e-8,
+    tol: float = 1e-10,
 ) -> GeodesicResult:
     """End-to-end geodesic: initialize, then refine coarse-to-fine.
 

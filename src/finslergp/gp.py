@@ -4,7 +4,7 @@ A GP maps latent coordinates to data space; its derivative is again a GP,
 so the Jacobian at a latent point has a Gaussian posterior with one shared
 q x q covariance across all D output dimensions. Both the closed-form
 (kernel derivative) and the finite-difference constructions are provided,
-along with marginal-likelihood fitting of the hyperparameters.
+along with marginal-likelihood fitting of the hyperparameters by `_lbfgs`.
 
 Linear algebra on N x N operands or results (N training points) goes
 through scipy's BLAS and LAPACK only: the factorization (`dpotrf`), the
@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lbfgs
 from .data import ParseError
 
 __all__ = [
@@ -531,11 +532,12 @@ def _log_marginal_terms(
 
 
 def _fit_objective(params, X, r2, Yc, family) -> tuple[float, np.ndarray]:
-    """`_adam_ascent`'s objective and gradient at params = [log theta] with the
+    """`_ascend`'s objective and gradient at params = [log theta] with the
     latents X fixed and r2 their squared distances, or at [log theta, X] with
     r2 None: the log marginal likelihood, less |X|^2/2 when X moves. Its own
-    function, so its N x N arrays are freed before the next step factorizes."""
-    ell, var, noise = np.exp(params[:3])
+    function, so its N x N arrays are freed before the next trial factorizes."""
+    with np.errstate(over="ignore"):  # an overflow is Kernel's error
+        ell, var, noise = np.exp(params[:3])
     kernel = Kernel(family, ell, var)
     if r2 is not None:
         return _log_marginal_terms(r2, Yc, kernel, noise)[:2]
@@ -551,7 +553,7 @@ def _fit_objective(params, X, r2, Yc, family) -> tuple[float, np.ndarray]:
     return lml - 0.5 * float(np.sum(X * X)), np.concatenate([grad, gx.ravel()])
 
 
-def _adam_ascent(
+def _ascend(
     X: np.ndarray,
     Y: np.ndarray,
     k0: Kernel,
@@ -560,38 +562,29 @@ def _adam_ascent(
     lr: float,
     optimize_latents: bool,
 ) -> GpModel:
-    """Adam ascent of `_fit_objective` from k0, noise0 and X; returns the
-    model of the best step seen."""
+    """`_lbfgs.minimize` on minus `_fit_objective` from k0, noise0 and X, for
+    at most steps iterations. The fallback is the steepest-ascent step of
+    max-norm lr, lr sign(g), which is Adam's first step. A trial point whose
+    Kernel or jitter ladder raises is a failed line-search trial."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    if steps < 0 or not noise0 >= 0.0 or not lr > 0.0:
-        raise ValueError(f"need steps >= 0, noise >= 0, lr > 0; got {steps}, {noise0}, {lr}")
+    if steps < 0 or not noise0 >= 0.0 or not 0.0 < lr < math.inf:
+        raise ValueError(f"need steps >= 0, noise >= 0, finite lr > 0; got {steps}, {noise0}, {lr}")
     if steps == 0:
         return make_model(X, Y, k0, noise0)
     Yc = Y - Y.mean(axis=0)
     # fixed latents: their squared distances serve every step
     r2 = None if optimize_latents else _sqdist(X, X)
-    # one state vector [log theta, X]: every Adam operation is elementwise,
-    # so each entry follows exactly the update it would get on its own
     params = np.log(np.array([k0.lengthscale, k0.variance, max(noise0, 1e-12)]))
     if optimize_latents:
         params = np.concatenate([params, X.ravel()])
-    best, best_objective = params, -np.inf
-    m1 = m2 = np.zeros_like(params)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    for step in range(steps + 1):
-        objective, grad = _fit_objective(params, X, r2, Yc, k0.family)
-        if objective > best_objective:
-            best, best_objective = params, objective
-        if step == steps:
-            break
-        m1 = beta1 * m1 + (1.0 - beta1) * grad
-        m2 = beta2 * m2 + (1.0 - beta2) * grad**2
-        m1_hat = m1 / (1.0 - beta1 ** (step + 1))
-        m2_hat = m2 / (1.0 - beta2 ** (step + 1))
-        params = params + lr * m1_hat / (np.sqrt(m2_hat) + eps)
+    def negated(x):
+        objective, grad = _fit_objective(x, X, r2, Yc, k0.family)
+        return -objective, -grad, None
 
+    best = _lbfgs.minimize(negated, params, lambda x, g: -lr * np.sign(g), steps, _lbfgs.TOL,
+                           failed=(ValueError, np.linalg.LinAlgError)).x
     ell, var, noise = np.exp(best[:3])
     if optimize_latents:
         X = best[3:].reshape(X.shape)
@@ -608,11 +601,11 @@ def fit_hyperparameters(
 ) -> GpModel:
     """Maximize the log marginal likelihood over kernel and noise.
 
-    Adam ascent on (log lengthscale, log variance, log noise); the returned
-    model carries the best parameters seen, so its likelihood is never below
-    the initial one. steps=0 returns the initial hyperparameters unchanged.
+    L-BFGS ascent (`_ascend`) on (log lengthscale, log variance, log noise),
+    at most steps iterations; accepted steps never lower the likelihood.
+    steps=0 returns the initial hyperparameters unchanged.
     """
-    return _adam_ascent(X, Y, k0, noise0, steps, lr, optimize_latents=False)
+    return _ascend(X, Y, k0, noise0, steps, lr, optimize_latents=False)
 
 
 def pca_latents(Y: np.ndarray, q: int) -> np.ndarray:
@@ -649,12 +642,12 @@ def fit_gplvm(
 ) -> GpModel:
     """Fit a latent-variable model: PCA latents, then hyperparameters.
 
-    With optimize_latents the latent coordinates are moved jointly with the
-    hyperparameters by Adam ascent on the posterior (marginal likelihood
-    plus a standard normal prior on the latents); by default they stay at
-    the PCA initialization so fits are exactly reproducible.
+    With optimize_latents the latent coordinates move jointly with the
+    hyperparameters, on the posterior (marginal likelihood plus a standard
+    normal prior on the latents); by default they stay at the PCA
+    initialization.
     """
-    return _adam_ascent(pca_latents(Y, q), Y, k0, noise0, steps, lr, optimize_latents)
+    return _ascend(pca_latents(Y, q), Y, k0, noise0, steps, lr, optimize_latents)
 
 
 def log_marginal_likelihood(m: GpModel) -> float:

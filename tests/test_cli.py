@@ -94,6 +94,19 @@ def test_fit_steps_zero_echoes_initials(workdir, circles_model, capsys):
     assert (workdir / "echo_model.json.config.json").exists()
 
 
+def test_fit_huge_lr_fails_its_trials_and_keeps_the_initial_model(workdir, circles_model, capsys):
+    # every trial step overflows exp(log theta): each is a failed line-search
+    # trial, not an error, and the fit returns its initial point
+    model_path = workdir / "huge_lr.json"
+    data = str(workdir / "circ.csv")
+    assert main(["fit", "--data", data, "--out", str(model_path), "--steps", "5",
+                 "--lr", "1e300", "--lengthscale", "0.7", "--variance", "1.1"]) == 0
+    doc = json.loads(model_path.read_text())
+    assert doc["kernel"]["lengthscale"] == pytest.approx(0.7, rel=1e-14)
+    assert doc["kernel"]["variance"] == pytest.approx(1.1, rel=1e-14)
+    assert capsys.readouterr().err == ""
+
+
 def test_fit_pinwheel_sanity_range(tmp_path):
     data = tmp_path / "pin.csv"
     model = tmp_path / "m.json"
@@ -124,12 +137,13 @@ def test_fit_factorization_failure_exits_one(workdir, circles_model, monkeypatch
         (["--steps", "-3"], "steps"),
         (["--lr", "0"], "lr > 0"),
         (["--lr", "-0.05", "--steps", "0"], "lr > 0"),
+        (["--lr", "inf"], "finite lr > 0"),
         (["--lengthscale", "nan", "--steps", "0"], "lengthscale"),
         (["--variance", "inf", "--steps", "0"], "variance"),
         (["--variance", "nan", "--steps", "0"], "variance"),
     ],
     ids=["latent_dim_zero", "latent_dim_above_data_dim", "negative_noise", "negative_steps",
-         "zero_lr", "negative_lr", "nan_lengthscale", "inf_variance", "nan_variance"],
+         "zero_lr", "negative_lr", "inf_lr", "nan_lengthscale", "inf_variance", "nan_variance"],
 )
 def test_fit_bad_input_exits_2(workdir, circles_model, capsys, flags, named):
     # the circles data are 3-d; nothing is written, not even a sidecar

@@ -384,6 +384,15 @@ def test_minimize_energy_reaches_a_stationary_curve(kind):
     assert g1 < 1e-5 * g0
 
 
+def test_geodesic_between_stops_at_once_on_a_straight_euclidean_line():
+    # the straight start is the minimizer and its gradient is rounding noise,
+    # so each of the 9-, 17- and 33-point levels stops at its first iteration
+    res = geodesic_between(EuclideanField(2), np.array([-0.8, -0.4]), np.array([0.8, 0.4]),
+                           "euclid", n_points=33)
+    assert res.converged
+    assert res.iterations <= 3
+
+
 # ---------------------------------------------------------------------------
 # sphere sanity (one pair here; the acceptance gate runs ten)
 

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from finslergp.data import gen_pinwheel_sphere
 from finslergp.gp import (
     MATERN52,
     RBF,
@@ -319,6 +320,28 @@ def test_fit_recovers_lengthscale_within_factor_two():
         ratios.append(m.kernel.lengthscale / true.lengthscale)
     med = float(np.median(ratios))
     assert 0.5 < med < 2.0
+
+
+# the log marginal likelihood that 200 Adam steps at lr 0.05 reached on the
+# fit below (201 objective evaluations), before L-BFGS replaced Adam
+_ADAM_200_STEPS = 661.1459325695404
+
+
+def test_fit_converges_in_few_evaluations(monkeypatch):
+    from finslergp import gp
+
+    calls = []
+    objective = gp._fit_objective
+
+    def counted(*args):
+        calls.append(1)
+        return objective(*args)
+
+    monkeypatch.setattr(gp, "_fit_objective", counted)
+    Y = gen_pinwheel_sphere(n=200, arms=5, noise=0.05, seed=0).points
+    m = fit_hyperparameters(pca_latents(Y, 2), Y, Kernel(RBF, 0.6, 1.0), 0.005, steps=200)
+    assert log_marginal_likelihood(m) >= _ADAM_200_STEPS
+    assert len(calls) <= 30
 
 
 def test_fit_is_deterministic():
