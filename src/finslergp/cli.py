@@ -22,6 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from ._lbfgs import TOL
 from .data import (
     ParseError,
     gen_circles_sphere,
@@ -325,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="single metric; omitted runs all three")
     p_geo.add_argument("--nc", type=int, default=64, help="curve points")
     p_geo.add_argument("--grid", type=int, default=10, help="grid-initialization resolution")
-    p_geo.add_argument("--tol", type=float, default=1e-10,
+    p_geo.add_argument("--tol", type=float, default=TOL,
                        help="stop once a step's predicted energy decrease is below tol * energy")
     p_geo.add_argument("--max-iter", type=int, default=600)
     p_geo.add_argument("--out", required=True, help="comparison table path")

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _lbfgs
 from .data import write_csv
 from .fields import GpField, SyntheticField, as_field
 from .geodesic import (
@@ -28,20 +29,17 @@ from .gp import _posterior_mean_var_batch
 from .measure import bh_volumes
 from .metric import _norms_from_forms, _sigma_and_signal, _sigma_and_signal_batch, gap_bound
 from .randmat import ScalarWishart, batch_rng, wishart_scalar_moments
-from .specfun import log_gamma_ratio
 
 __all__ = [
     "ConvergenceRow",
     "TruncationEnsemble",
     "ViolationReport",
     "ComparisonRow",
-    "central_norm_gap",
     "make_truncation_ensemble",
     "truncation_sweep",
     "convergence_violations",
     "bound_sweep",
     "comparison_entries",
-    "geodesic_comparison",
     "export_convergence_csv",
     "export_violations_csv",
     "export_comparison_csv",
@@ -53,18 +51,6 @@ COMPARISON_KINDS = ("riemann", "finsler", "euclid")
 
 # polar quadrature angles of the volume gaps of both sweeps
 VOLUME_ANGLES = 64
-
-
-def central_norm_gap(d: int) -> float:
-    """Relative norm gap when the Jacobian mean vanishes.
-
-    In that case both norms are explicit moments of the same chi
-    distribution and the gap is 1 - sqrt(2/d) * Gamma((d+1)/2) / Gamma(d/2),
-    independent of the direction and of the covariance.
-    """
-    if d < 1:
-        raise ValueError("dimension must be positive")
-    return 1.0 - math.sqrt(2.0 / d) * math.exp(log_gamma_ratio(0.5 * (d + 1), 0.5 * d))
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +475,7 @@ def comparison_entries(
     n_points: int = 64,
     grid: int = 10,
     max_iter: int = 600,
-    tol: float = 1e-10,
+    tol: float = _lbfgs.TOL,
 ) -> list[tuple[ComparisonRow, DiscreteCurve]]:
     """One optimized (row, curve) per (endpoint pair, metric kind).
 
@@ -530,38 +516,6 @@ def comparison_entries(
             )
             entries.append((row, res.curve))
     return entries
-
-
-def geodesic_comparison(
-    m,
-    endpoints,
-    out_path: str | None = None,
-    metric_kinds=COMPARISON_KINDS,
-    n_points: int = 64,
-    grid: int = 10,
-    max_iter: int = 600,
-    tol: float = 1e-10,
-) -> list[ComparisonRow]:
-    """Optimize a curve per (endpoint pair, metric) and tabulate lengths,
-    ambient length, mean posterior variance and convergence.
-
-    With out_path the table is also written as CSV.
-    """
-    rows = [
-        row
-        for row, _ in comparison_entries(
-            m,
-            endpoints,
-            metric_kinds=metric_kinds,
-            n_points=n_points,
-            grid=grid,
-            max_iter=max_iter,
-            tol=tol,
-        )
-    ]
-    if out_path is not None:
-        export_comparison_csv(out_path, rows)
-    return rows
 
 
 def export_comparison_csv(path: str, rows: list[ComparisonRow]) -> None:

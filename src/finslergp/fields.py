@@ -30,8 +30,7 @@ import numpy as np
 from .gp import (
     GpModel,
     JacobianPosterior,
-    _jacobian_posterior_batch,
-    _jacobian_posterior_batch_dz,
+    _jacobian_pass,
     _posterior_mean_var_batch,
     _query_points,
     posterior_mean_var,
@@ -47,7 +46,6 @@ __all__ = [
     "latent_lattice",
     "padded_box",
     "sphere_chart",
-    "sphere_chart_inverse",
 ]
 
 
@@ -102,10 +100,10 @@ class GpField(_Field):
         return self.model.dim_data
 
     def jacobian_batch(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _jacobian_posterior_batch(self.model, Z)
+        return _jacobian_pass(self.model, Z, dz=False)
 
     def jacobian_batch_dz(self, Z: np.ndarray):
-        return _jacobian_posterior_batch_dz(self.model, Z)
+        return _jacobian_pass(self.model, Z, dz=True)
 
     def latent_box(self) -> tuple[np.ndarray, np.ndarray]:
         return self.model.latent_bounds
@@ -172,11 +170,6 @@ def sphere_chart(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     t, p = z[..., 0], z[..., 1]
     return np.stack([np.cos(t) * np.sin(p), np.sin(t) * np.sin(p), np.cos(p)], axis=-1)
-
-
-def sphere_chart_inverse(x: np.ndarray) -> np.ndarray:
-    """Unit vector -> (azimuth in [-pi, pi], polar in [0, pi])."""
-    return np.array([math.atan2(x[1], x[0]), math.acos(np.clip(x[2], -1.0, 1.0))])
 
 
 class SphereField(_Field):

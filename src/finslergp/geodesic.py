@@ -11,7 +11,7 @@ by a shortest path on an 8-connected latent grid. The energy gradient is
 exact: the field's posterior and its derivative in z at the midpoints come
 from one pass, and one chain rule through the norms' partials
 (`metric._norm_partials`) gives both the velocity and the midpoint part.
-`energy_gradient_fd` differences the whole energy as the slow reference.
+The tests difference the whole energy as the slow reference.
 """
 
 from __future__ import annotations
@@ -35,11 +35,8 @@ __all__ = [
     "line_curve",
     "resample_curve",
     "curve_energy",
-    "energy_riemannian",
-    "energy_finsler",
     "curve_length",
     "energy_gradient",
-    "energy_gradient_fd",
     "grid_initialize",
     "minimize_energy",
     "geodesic_between",
@@ -47,7 +44,6 @@ __all__ = [
 ]
 
 RIEMANN = "riemann"
-FINSLER = "finsler"
 EUCLID = "euclid"
 
 
@@ -181,14 +177,6 @@ def curve_energy(m, c: DiscreteCurve, metric_kind: str) -> float:
     return _measure(m, c, metric_kind)[1]
 
 
-def energy_riemannian(m, c: DiscreteCurve) -> float:
-    return curve_energy(m, c, RIEMANN)
-
-
-def energy_finsler(m, c: DiscreteCurve) -> float:
-    return curve_energy(m, c, FINSLER)
-
-
 def curve_length(m, c: DiscreteCurve, metric_kind: str) -> float:
     """Discretized length: sum of segment norms times 1/(N-1)."""
     return _measure(m, c, metric_kind)[0]
@@ -237,26 +225,6 @@ def energy_gradient(m, c: DiscreteCurve, metric_kind: str) -> np.ndarray:
     """
     _check_kind(metric_kind)
     return _energy_and_gradient(as_field(m), c, metric_kind)[2]
-
-
-def energy_gradient_fd(m, c: DiscreteCurve, metric_kind: str, step: float = 1e-5) -> np.ndarray:
-    """All-finite-difference energy gradient; the slow reference path."""
-    _check_kind(metric_kind)
-    field = as_field(m)
-
-    def energy(k, j, h):
-        pts = c.points.copy()
-        pts[k, j] += h
-        b = DiscreteCurve(pts)
-        (seg,) = _segment_norms_sq(field, b.midpoints, b.velocities, (metric_kind,))
-        return _length_and_energy(seg)[1]
-
-    n, q = c.points.shape
-    grad = np.empty((n - 2, q))
-    for k in range(1, n - 1):
-        for j in range(q):
-            grad[k - 1, j] = (energy(k, j, step) - energy(k, j, -step)) / (2.0 * step)
-    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +293,9 @@ def grid_initialize(
         if prev < 0:
             raise RuntimeError("grid path search failed on a connected grid")
         path.append(int(prev))
-    poly = [start] + [nodes[i] for i in reversed(path)] + [end]
+    # a path of one node carries no route: through that node it is a detour
+    route = [nodes[i] for i in reversed(path)] if len(path) > 1 else []
+    poly = [start] + route + [end]
     pts = [poly[0]]
     for p in poly[1:]:
         if np.linalg.norm(p - pts[-1]) > 1e-12:
@@ -344,7 +314,7 @@ def minimize_energy(
     init: DiscreteCurve,
     metric_kind: str = RIEMANN,
     max_iter: int = 500,
-    tol: float = 1e-10,
+    tol: float = _lbfgs.TOL,
     on_step=None,
 ) -> GeodesicResult:
     """`_lbfgs.minimize` on the energy of the interior points: converged once
@@ -353,8 +323,10 @@ def minimize_energy(
     curve unconverged. The steepest-descent fallback step has length
     0.01 (1 + max |z|). on_step(energy) follows every accepted step."""
     _check_kind(metric_kind)
-    if not tol >= 0.0 or max_iter < 1:
-        raise ValueError(f"need tol >= 0 and max_iter >= 1, got tol={tol}, max_iter={max_iter}")
+    if not 0.0 <= tol < math.inf or max_iter < 1:
+        raise ValueError(
+            f"need finite tol >= 0 and max_iter >= 1, got tol={tol}, max_iter={max_iter}"
+        )
     field = as_field(m)
     start = DiscreteCurve(np.array(init.points, dtype=float))
     ends = float(np.max(np.abs(start.points[[0, -1]])))
@@ -385,7 +357,7 @@ def geodesic_between(
     n_points: int = 64,
     grid: int = 0,
     max_iter: int = 600,
-    tol: float = 1e-10,
+    tol: float = _lbfgs.TOL,
 ) -> GeodesicResult:
     """End-to-end geodesic: initialize, then refine coarse-to-fine.
 

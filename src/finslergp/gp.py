@@ -2,9 +2,9 @@
 
 A GP maps latent coordinates to data space; its derivative is again a GP,
 so the Jacobian at a latent point has a Gaussian posterior with one shared
-q x q covariance across all D output dimensions. Both the closed-form
-(kernel derivative) and the finite-difference constructions are provided,
-along with marginal-likelihood fitting of the hyperparameters by `_lbfgs`.
+q x q covariance across all D output dimensions. It is computed in closed
+form from the kernel's derivatives; the hyperparameters are fitted to the
+marginal likelihood by `_lbfgs`.
 
 Linear algebra on N x N operands or results (N training points) goes
 through scipy's BLAS and LAPACK only: the factorization (`dpotrf`), the
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,11 +46,8 @@ __all__ = [
     "Kernel",
     "GpModel",
     "JacobianPosterior",
-    "kernel_eval",
     "make_model",
     "posterior_mean_var",
-    "jacobian_posterior_closed_form",
-    "jacobian_posterior_discretized",
     "fit_hyperparameters",
     "pca_latents",
     "fit_gplvm",
@@ -206,22 +202,9 @@ def _differences(k: Kernel, a: np.ndarray, b: np.ndarray, hessian: bool = False)
     return (d, *_radial_coefficients(k, _sqdist(a, b), hessian))
 
 
-def _kernel_grad_first(k: Kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gradient of k(z1, z2) in z1, for all pairs: shape (n, m, q)."""
-    d, c, _ = _differences(k, a, b)
-    return np.moveaxis(c * d, 0, -1)
-
-
 def _prior_derivative_cov(k: Kernel, q: int) -> np.ndarray:
     """Cross derivative of k in both arguments at coincident points, q x q."""
     return -_radial_coefficients(k, np.zeros(()))[0] * np.eye(q)
-
-
-def kernel_eval(k: Kernel, z1: np.ndarray, z2: np.ndarray) -> float:
-    """Covariance between function values at two latent points."""
-    z1 = np.atleast_2d(np.asarray(z1, dtype=float))
-    z2 = np.atleast_2d(np.asarray(z2, dtype=float))
-    return float(_kernel_matrix(k, z1, z2)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -434,51 +417,6 @@ def _jacobian_pass(m: GpModel, Z: np.ndarray, dz: bool) -> tuple[np.ndarray, ...
     return means, _clamp_psd_batch(covs), dmeans, -(cross + cross.transpose(0, 2, 1, 3))
 
 
-def _jacobian_posterior_batch(m: GpModel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """means (n, D, q) and covs (n, q, q) of `_jacobian_pass`."""
-    return _jacobian_pass(m, Z, dz=False)
-
-
-def _jacobian_posterior_batch_dz(m: GpModel, Z: np.ndarray) -> tuple[np.ndarray, ...]:
-    """means, covs, dmeans and dcovs of `_jacobian_pass`."""
-    return _jacobian_pass(m, Z, dz=True)
-
-
-def jacobian_posterior_closed_form(m: GpModel, z: np.ndarray) -> JacobianPosterior:
-    """Jacobian posterior at z via analytic kernel derivatives."""
-    means, covs = _jacobian_posterior_batch(m, np.asarray(z, dtype=float)[None, :])
-    return JacobianPosterior(mean=means[0], cov=covs[0], dim_data=m.dim_data)
-
-
-def jacobian_posterior_discretized(m: GpModel, z: np.ndarray, h: float) -> JacobianPosterior:
-    """Jacobian posterior at z from forward differences with step h.
-
-    Uses the joint predictive covariance of z and the q shifted points
-    z + h e_j, so the covariance of the difference quotients is exact for
-    the given step rather than a diagonal approximation.
-    """
-    if h <= 0.0:
-        raise ValueError("step h must be positive")
-    if h > m.kernel.lengthscale / 10.0:
-        warnings.warn(
-            f"difference step h={h:g} exceeds a tenth of the lengthscale "
-            f"{m.kernel.lengthscale:g}; the Jacobian will be smoothed",
-            stacklevel=2,
-        )
-    z = _query_points(z, m.dim_latent)[0]
-    q = len(z)
-    pts = np.vstack([z[None, :], z[None, :] + h * np.eye(q)])
-
-    ks = _kernel_matrix(m.kernel, pts, m.latent_inputs)
-    means = ks @ m.alpha  # centered predictive means, (q+1, D)
-    w = solve_triangular(m.chol, ks.T, lower=True, check_finite=False)
-    joint = _kernel_matrix(m.kernel, pts, pts) - w.T @ w  # (q+1, q+1)
-
-    mean = (means[1:] - means[0]).T / h  # (D, q)
-    cov = (joint[1:, 1:] - joint[1:, :1] - joint[:1, 1:] + joint[0, 0]) / h**2
-    return JacobianPosterior(mean=mean, cov=cov, dim_data=m.dim_data)
-
-
 # ---------------------------------------------------------------------------
 # fitting
 
@@ -493,28 +431,14 @@ def _log_marginal(chol: np.ndarray, alpha: np.ndarray, yc: np.ndarray) -> float:
     )
 
 
-def _log_marginal_and_grad(
-    X: np.ndarray, Yc: np.ndarray, kernel: Kernel, noise: float
-) -> tuple[float, np.ndarray]:
-    """Log marginal likelihood and its gradient in (log lengthscale,
-    log variance, log noise)."""
-    return _log_marginal_terms(_sqdist(X, X), Yc, kernel, noise)[:2]
-
-
-def _log_marginal_grad_mmat(
-    X: np.ndarray, Yc: np.ndarray, kernel: Kernel, noise: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """`_log_marginal_and_grad` plus M = alpha alpha^T - D K^-1, from which
-    the gradient in the latents follows (`_fit_objective`), so a step
-    that moves the latents factorizes the kernel matrix once."""
-    return _log_marginal_terms(_sqdist(X, X), Yc, kernel, noise)[:3]
-
-
 def _log_marginal_terms(
     r2: np.ndarray, Yc: np.ndarray, kernel: Kernel, noise: float
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """`_log_marginal_grad_mmat` at the squared distances r2 of the latents,
-    plus the radial coefficient c at r2 that the latent gradient also needs."""
+    """Log marginal likelihood at the squared distances r2 of the latents,
+    its gradient in (log lengthscale, log variance, log noise), M = alpha
+    alpha^T - D K^-1 and the radial coefficient c at r2: the gradient in the
+    latents follows from M and c (`_fit_objective`), so a step that moves
+    the latents factorizes the kernel matrix once."""
     gram = _kernel_of_r2(kernel, r2)
     chol = _robust_cholesky(gram, noise, kernel.variance)
     alpha = cho_solve((chol.T, False), Yc)

@@ -118,7 +118,12 @@ def _norms_sq_all_angles(means, covs, dim_data: int, K: int, kind: str) -> np.nd
 
 
 def _radii(means, covs, dim_data: int, K: int, metric_kind: str) -> np.ndarray:
-    """Indicatrix radii 1/norm(e(theta)) at K angles for n points, (n, K)."""
+    """Indicatrix radii 1/norm(e(theta)) at K angles for n points, (n, K).
+
+    A non-finite norm, or a zero riemann or finsler norm, is a degenerate
+    metric and raises. alpha_sigma is 0 wherever Sigma e(theta) = 0, as
+    everywhere on a deterministic field; its radius there is inf, and an
+    unbounded unit ball has volume 0."""
     if means.shape[-1] != 2:
         raise ValueError("indicatrices are only defined for 2-d latent spaces")
     if K < 16:
@@ -126,9 +131,11 @@ def _radii(means, covs, dim_data: int, K: int, metric_kind: str) -> np.ndarray:
     if metric_kind not in METRIC_KINDS:
         raise ValueError(f"unknown metric kind {metric_kind!r}")
     values = np.sqrt(_norms_sq_all_angles(means, covs, dim_data, K, metric_kind))
-    if not (np.all(np.isfinite(values)) and np.all(values > 0.0)):
+    zero_ok = metric_kind == "alpha_sigma"
+    if not (np.all(np.isfinite(values)) and (zero_ok or np.all(values > 0.0))):
         raise ValueError("metric is degenerate along a sampled direction")
-    return 1.0 / values
+    with np.errstate(divide="ignore"):
+        return 1.0 / values
 
 
 def _ratio_bounds(means, covs, dim_data: int, K: int) -> np.ndarray:

@@ -1,15 +1,43 @@
-"""Extended-precision and scalar oracles used only by the test suite."""
+"""Extended-precision, scalar and finite-difference oracles, and the
+single-point or one-kind views of package computations, used only by the
+test suite."""
+
+import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import scipy.linalg
 
-from finslergp.experiments import SLACK, ViolationReport, _random_curve
-from finslergp.fields import SyntheticField
-from finslergp.geodesic import _length_and_energy, _segment_norms_sq
+from finslergp.experiments import (
+    COMPARISON_KINDS,
+    SLACK,
+    ViolationReport,
+    _random_curve,
+    comparison_entries,
+    export_comparison_csv,
+)
+from finslergp.fields import GpField, SyntheticField, as_field
+from finslergp.geodesic import (
+    DiscreteCurve,
+    _check_kind,
+    _length_and_energy,
+    _segment_norms_sq,
+    curve_energy,
+)
+from finslergp.gp import (
+    JacobianPosterior,
+    _differences,
+    _jacobian_pass,
+    _kernel_matrix,
+    _log_marginal_terms,
+    _query_points,
+    _sqdist,
+)
 from finslergp.measure import bh_volume
 from finslergp.metric import bound_report, gap_bound, relative_gap
 from finslergp.randmat import batch_rng
+from finslergp.specfun import log_gamma_ratio
 
 from util import random_point_and_vector
 
@@ -129,3 +157,132 @@ def bound_sweep_scalar(n_specs, seed, draws=None):
             counts["volume_gap_bound"] += 1
 
     return ViolationReport(seed=seed, n_specs=n_specs, counts=counts, trials=trials)
+
+
+def central_norm_gap(d: int) -> float:
+    """Relative norm gap when the Jacobian mean vanishes.
+
+    In that case both norms are explicit moments of the same chi
+    distribution and the gap is 1 - sqrt(2/d) * Gamma((d+1)/2) / Gamma(d/2),
+    independent of the direction and of the covariance.
+    """
+    if d < 1:
+        raise ValueError("dimension must be positive")
+    return 1.0 - math.sqrt(2.0 / d) * math.exp(log_gamma_ratio(0.5 * (d + 1), 0.5 * d))
+
+
+def sphere_chart_inverse(x: np.ndarray) -> np.ndarray:
+    """Unit vector -> (azimuth in [-pi, pi], polar in [0, pi])."""
+    return np.array([math.atan2(x[1], x[0]), math.acos(np.clip(x[2], -1.0, 1.0))])
+
+
+# ---------------------------------------------------------------------------
+# GP kernels, likelihood and Jacobian posteriors
+
+
+def kernel_eval(k, z1, z2) -> float:
+    """Covariance between function values at two latent points."""
+    z1 = np.atleast_2d(np.asarray(z1, dtype=float))
+    z2 = np.atleast_2d(np.asarray(z2, dtype=float))
+    return float(_kernel_matrix(k, z1, z2)[0, 0])
+
+
+def _kernel_grad_first(k, a, b) -> np.ndarray:
+    """Gradient of k(z1, z2) in z1, for all pairs: shape (n, m, q)."""
+    d, c, _ = _differences(k, a, b)
+    return np.moveaxis(c * d, 0, -1)
+
+
+def _log_marginal_and_grad(X, Yc, kernel, noise):
+    """Log marginal likelihood and its gradient in (log lengthscale,
+    log variance, log noise)."""
+    return _log_marginal_terms(_sqdist(X, X), Yc, kernel, noise)[:2]
+
+
+def _log_marginal_grad_mmat(X, Yc, kernel, noise):
+    """`_log_marginal_and_grad` plus M = alpha alpha^T - D K^-1."""
+    return _log_marginal_terms(_sqdist(X, X), Yc, kernel, noise)[:3]
+
+
+def _jacobian_posterior_batch(m, Z):
+    """means (n, D, q) and covs (n, q, q) of `gp._jacobian_pass`."""
+    return _jacobian_pass(m, Z, dz=False)
+
+
+def _jacobian_posterior_batch_dz(m, Z):
+    """means, covs, dmeans and dcovs of `gp._jacobian_pass`."""
+    return _jacobian_pass(m, Z, dz=True)
+
+
+def jacobian_posterior_closed_form(m, z) -> JacobianPosterior:
+    """Jacobian posterior at z via analytic kernel derivatives."""
+    return GpField(m).jacobian_posterior(z)
+
+
+def jacobian_posterior_discretized(m, z, h: float) -> JacobianPosterior:
+    """Jacobian posterior at z from forward differences with step h.
+
+    Uses the joint predictive covariance of z and the q shifted points
+    z + h e_j, so the covariance of the difference quotients is exact for
+    the given step rather than a diagonal approximation.
+    """
+    if h <= 0.0:
+        raise ValueError("step h must be positive")
+    if h > m.kernel.lengthscale / 10.0:
+        warnings.warn(
+            f"difference step h={h:g} exceeds a tenth of the lengthscale "
+            f"{m.kernel.lengthscale:g}; the Jacobian will be smoothed",
+            stacklevel=2,
+        )
+    z = _query_points(z, m.dim_latent)[0]
+    q = len(z)
+    pts = np.vstack([z[None, :], z[None, :] + h * np.eye(q)])
+
+    ks = _kernel_matrix(m.kernel, pts, m.latent_inputs)
+    means = ks @ m.alpha  # centered predictive means, (q+1, D)
+    w = scipy.linalg.solve_triangular(m.chol, ks.T, lower=True)
+    joint = _kernel_matrix(m.kernel, pts, pts) - w.T @ w  # (q+1, q+1)
+
+    mean = (means[1:] - means[0]).T / h  # (D, q)
+    cov = (joint[1:, 1:] - joint[1:, :1] - joint[:1, 1:] + joint[0, 0]) / h**2
+    return JacobianPosterior(mean=mean, cov=cov, dim_data=m.dim_data)
+
+
+# ---------------------------------------------------------------------------
+# curve energies and geodesic tables
+
+
+def energy_riemannian(m, c: DiscreteCurve) -> float:
+    return curve_energy(m, c, "riemann")
+
+
+def energy_finsler(m, c: DiscreteCurve) -> float:
+    return curve_energy(m, c, "finsler")
+
+
+def energy_gradient_fd(m, c: DiscreteCurve, metric_kind: str, step: float = 1e-5) -> np.ndarray:
+    """All-finite-difference energy gradient; the slow reference path."""
+    _check_kind(metric_kind)
+    field = as_field(m)
+
+    def energy(k, j, h):
+        pts = c.points.copy()
+        pts[k, j] += h
+        b = DiscreteCurve(pts)
+        (seg,) = _segment_norms_sq(field, b.midpoints, b.velocities, (metric_kind,))
+        return _length_and_energy(seg)[1]
+
+    n, q = c.points.shape
+    grad = np.empty((n - 2, q))
+    for k in range(1, n - 1):
+        for j in range(q):
+            grad[k - 1, j] = (energy(k, j, step) - energy(k, j, -step)) / (2.0 * step)
+    return grad
+
+
+def geodesic_comparison(m, endpoints, out_path=None, metric_kinds=COMPARISON_KINDS, **kwargs):
+    """The rows of `comparison_entries`, also written as CSV with out_path."""
+    rows = [row for row, _ in comparison_entries(m, endpoints, metric_kinds, **kwargs)]
+    if out_path is not None:
+        export_comparison_csv(out_path, rows)
+    return rows

@@ -14,7 +14,6 @@ import pytest
 
 from finslergp.experiments import (
     bound_sweep,
-    central_norm_gap,
     convergence_violations,
     make_truncation_ensemble,
     truncation_sweep,
@@ -30,6 +29,8 @@ from finslergp.metric import (
     riemannian_norm,
 )
 from finslergp.randmat import WishartSpec, expected_norm_mc
+
+from oracles import central_norm_gap
 
 SEED = 20260819
 

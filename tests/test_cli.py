@@ -313,6 +313,26 @@ def test_indicatrix_near_data_and_nesting(circles_model, tmp_path):
     assert out.read_bytes() == first
 
 
+def test_sphere_volume_and_indicatrix(tmp_path):
+    # a deterministic field: Sigma = 0 makes alpha-Sigma 0 in every
+    # direction, an unbounded unit ball (radius inf, volume 0), while the
+    # other two metrics are the round one, whose volume is sin(polar)
+    vol = tmp_path / "vol.csv"
+    assert main(["volume", "--model", "sphere", "--grid", "4", "--out", str(vol)]) == 0
+    rows = np.genfromtxt(vol, delimiter=",", skip_header=1)
+    polar, v_r, v_f, v_a = rows[:, 1], rows[:, 2], rows[:, 3], rows[:, 4]
+    assert np.array_equal(v_r, v_f) and np.all(v_a == 0.0)
+    assert np.allclose(v_r, np.sin(polar), rtol=0.02, atol=0)
+    ind = tmp_path / "ind.csv"
+    assert main(["indicatrix", "--model", "sphere", "--at", "0.3,1.2", "--k", "16",
+                 "--out", str(ind)]) == 0
+    rows = np.genfromtxt(ind, delimiter=",", skip_header=1)
+    theta, r_r, r_f, r_a = rows.T
+    assert np.array_equal(r_r, r_f) and np.all(r_a == np.inf)
+    want = 1.0 / np.hypot(math.sin(1.2) * np.cos(theta), np.sin(theta))
+    assert np.allclose(r_r, want, rtol=1e-14, atol=0)
+
+
 def _one_error_line(err: str) -> bool:
     return err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
@@ -429,9 +449,10 @@ def test_series_convergence_failure_exits_1(circles_model, tmp_path, monkeypatch
         (["--start", "0,0,0", "--end", "0.5,0.5"],
          "has 3 coordinates; the model's latent space is 2-d"),
         (["--start", "0,0", "--end", "0.5,0.5", "--tol", "-1"], "tol >= 0"),
+        (["--start", "0,0", "--end", "0.5,0.5", "--tol", "inf"], "tol >= 0"),
         (["--start", "0,0", "--end", "0.5,0.5", "--max-iter", "0"], "max_iter >= 1"),
     ],
-    ids=["pairs_3d_on_2d", "start_3d_on_2d", "negative_tol", "zero_max_iter"],
+    ids=["pairs_3d_on_2d", "start_3d_on_2d", "negative_tol", "inf_tol", "zero_max_iter"],
 )
 def test_geodesic_bad_input_exits_2(circles_model, tmp_path, capsys, flags, named):
     pairs = tmp_path / "pairs.csv"

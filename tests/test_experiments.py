@@ -11,13 +11,11 @@ from finslergp.experiments import (
     ComparisonRow,
     ConvergenceRow,
     bound_sweep,
-    central_norm_gap,
     comparison_entries,
     convergence_violations,
     export_comparison_csv,
     export_convergence_csv,
     export_violations_csv,
-    geodesic_comparison,
     make_truncation_ensemble,
     truncation_sweep,
     _draw_sweep,
@@ -36,7 +34,7 @@ from finslergp.metric import (
     riemannian_norm,
 )
 
-from oracles import bound_sweep_scalar
+from oracles import bound_sweep_scalar, central_norm_gap, geodesic_comparison
 
 DYADIC = [2, 4, 8, 16, 32, 64, 128, 256]
 

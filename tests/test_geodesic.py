@@ -15,10 +15,7 @@ from finslergp.geodesic import (
     GeodesicResult,
     curve_energy,
     curve_length,
-    energy_finsler,
     energy_gradient,
-    energy_gradient_fd,
-    energy_riemannian,
     export_curve_csv,
     geodesic_between,
     grid_initialize,
@@ -26,6 +23,10 @@ from finslergp.geodesic import (
     minimize_energy,
     resample_curve,
 )
+
+from oracles import energy_finsler, energy_gradient_fd, energy_riemannian
+
+
 def wiggly_curve(rng, n=8, q=2, span=1.4):
     start = rng.uniform(-span, span, q)
     end = rng.uniform(-span, span, q)
@@ -443,6 +444,21 @@ def test_grid_initialize_validation():
     flat2 = EuclideanField(2, box=1.0)
     with pytest.raises(ValueError):
         grid_initialize(flat2, np.zeros(2), np.array([9.0, 0.0]))
+
+
+@pytest.mark.parametrize("kind", ["riemann", "finsler"])
+def test_endpoints_sharing_a_lattice_node_start_straight(gp_model_2d, kind):
+    # both endpoints are nearest to the same node of a 9-grid over the
+    # padded box, at (0.038, -0.003); a path through it would be a detour
+    start, end = np.array([0.05, -0.03]), np.array([-0.04, 0.06])
+    c = grid_initialize(gp_model_2d, start, end, grid=9, metric_kind=kind, n_points=9)
+    assert np.allclose(c.points, line_curve(start, end, 9).points, rtol=0, atol=1e-15)
+    # start == end: the constant curve, which no step improves
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = geodesic_between(gp_model_2d, start, start, kind, n_points=9, grid=9)
+    assert res.converged and res.iterations == 0 and res.energy == 0.0
+    assert np.all(res.curve.points == start)
 
 
 def test_grid_path_detours_around_high_variance_region(gp_arc_model):

@@ -18,19 +18,11 @@ from finslergp.gp import (
     Kernel,
     _PD_MARGIN,
     _clamp_psd_batch,
-    _jacobian_posterior_batch,
-    _jacobian_posterior_batch_dz,
-    _kernel_grad_first,
     _kernel_matrix,
-    _log_marginal_and_grad,
-    _log_marginal_grad_mmat,
     _prior_derivative_cov,
     _radial_coefficients,
     fit_gplvm,
     fit_hyperparameters,
-    jacobian_posterior_closed_form,
-    jacobian_posterior_discretized,
-    kernel_eval,
     load_model,
     log_marginal_likelihood,
     make_model,
@@ -39,7 +31,16 @@ from finslergp.gp import (
     save_model,
 )
 
-from oracles import hyp1f1_mp  # noqa: F401  (import path sanity for test env)
+from oracles import (
+    _jacobian_posterior_batch,
+    _jacobian_posterior_batch_dz,
+    _kernel_grad_first,
+    _log_marginal_and_grad,
+    _log_marginal_grad_mmat,
+    jacobian_posterior_closed_form,
+    jacobian_posterior_discretized,
+    kernel_eval,
+)
 
 
 def smooth_targets(X, d=3):
