@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -281,7 +282,10 @@ def cmd_indicatrix(args) -> int:
 # parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: the scripts and perfbench call `main` once per
+    # command in one interpreter, and parsing leaves the parser unchanged
     parser = argparse.ArgumentParser(
         prog="finslergp",
         description="Expected-Riemannian and Finsler latent-space geometry tools",

@@ -9,11 +9,17 @@ with deterministic content for a fixed seed.
 The two sweeps, which `verify` runs, use numpy only, so `verify` never
 loads scipy: the volume check's smallest generalized eigenvalue of
 (E[J]^T E[J], Sigma) comes from whitening by Sigma's Cholesky factor, for
-all volume specs in one batch (`_smallest_noncentrality`).
+all volume specs in one batch (`_smallest_noncentrality`). Both sweeps form
+sigma and the signal once for the norms and volumes they need of one set of
+specs: the truncation sweep once per dimension, from one Gram, for its
+directions and the half-turn of its volume angles together; each norm kind
+is then one `_norms_from_forms` call (for finsler, one 1F1 array call per
+dimension), and the volumes go through `measure._volumes_from_norms_sq`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -26,7 +32,7 @@ from .geodesic import (
     DiscreteCurve, _length_and_energy, _segment_norms_sq, _warn_if_outside, geodesic_between
 )
 from .gp import _posterior_mean_var_batch
-from .measure import bh_volumes
+from .measure import _evaluated_directions, _volumes_from_norms_sq
 from .metric import _norms_from_forms, _sigma_and_signal, _sigma_and_signal_batch, gap_bound
 from .randmat import ScalarWishart, batch_rng, wishart_scalar_moments
 
@@ -80,20 +86,18 @@ class TruncationEnsemble:
     def dim_latent(self) -> int:
         return self.means.shape[2]
 
-    @property
+    @functools.cached_property
     def m_constant(self) -> float:
         """Smallest M with omega_D <= M * D for every spec, direction and D.
 
         Row i contributes at most ||row_i||^2 / lambda_min(cov) to the
         noncentrality per dimension, so the maximum over rows and specs
-        works for every unit direction.
+        works for every unit direction. Computed on first access, with one
+        batched `eigvalsh` over the specs.
         """
-        worst = 0.0
-        for s in range(self.n_specs):
-            row_sq = float(np.max(np.sum(self.means[s] ** 2, axis=1)))
-            lam = float(np.linalg.eigvalsh(self.covs[s])[0])
-            worst = max(worst, row_sq / lam)
-        return worst
+        row_sq = np.max(np.sum(self.means**2, axis=2), axis=1)
+        lam = np.linalg.eigvalsh(self.covs)[:, 0]
+        return float(np.max(row_sq / lam, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -135,7 +139,11 @@ def truncation_sweep(
 
     The same unit directions are reused at every dimension so the trend in
     D is not confounded by direction sampling noise. Volume gaps need a
-    2-D latent space.
+    2-D latent space. Each dimension forms the specs' Grams E[J]^T E[J]
+    once, and sigma and the signal of the directions and of the first
+    `VOLUME_ANGLES` / 2 volume angles in one pass; riemann and finsler are
+    each one `_norms_from_forms` call over all of them, bit for bit the
+    values of `relative_gap` and `bh_volume` per spec.
     """
     dims = [int(d) for d in dims]
     if not dims:
@@ -153,25 +161,26 @@ def truncation_sweep(
     dirs = rng.standard_normal((ensemble.n_specs, v_samples, ensemble.dim_latent))
     dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
 
+    # the unit directions of the norm gaps, then the half-turn of the volume
+    # angles, in one (n, v_samples + K/2, 2) array of directions per spec
+    angles = _evaluated_directions(VOLUME_ANGLES)
+    V = np.concatenate([dirs, np.broadcast_to(angles, (len(dirs), *angles.shape))], axis=1)
     rows = []
-    covs = ensemble.covs
     for d in dims:
-        # every spec and direction at once, the forms once for the three
-        # kinds; the same quantities as relative_gap and bh_volume per spec
-        means = ensemble.means[:, :d]
-        forms = _sigma_and_signal_batch(means, covs, dirs)
-        upper, finsler = (np.sqrt(_norms_from_forms(*forms, d, k)) for k in ("riemann", "finsler"))
+        sigma, signal = _sigma_and_signal_batch(ensemble.means[:, :d], ensemble.covs, V)
+        sq_r, sq_f = (_norms_from_forms(sigma, signal, d, k) for k in ("riemann", "finsler"))
+        upper, finsler = np.sqrt(sq_r[:, :v_samples]), np.sqrt(sq_f[:, :v_samples])
         gaps = (upper - finsler) / np.where(upper == 0.0, 1.0, upper)
-        bounds = gap_bound(d, _norms_from_forms(*forms, d, "omega"))
-        v_r = bh_volumes(means, covs, d, VOLUME_ANGLES, "riemann")
-        v_f = bh_volumes(means, covs, d, VOLUME_ANGLES, "finsler")
+        w = _norms_from_forms(sigma[:, :v_samples], signal[:, :v_samples], d, "omega")
+        v_r = _volumes_from_norms_sq(sq_r[:, v_samples:], VOLUME_ANGLES, "riemann")
+        v_f = _volumes_from_norms_sq(sq_f[:, v_samples:], VOLUME_ANGLES, "finsler")
         gap_norm = float(np.mean(gaps))
         rows.append(
             ConvergenceRow(
                 d=d,
                 gap_norm=gap_norm,
                 gap_volume=float(np.mean((v_r - v_f) / v_r)),
-                bound=float(np.mean(bounds)),
+                bound=float(np.mean(gap_bound(d, w))),
                 gap_times_d=d * gap_norm,
             )
         )
@@ -367,16 +376,18 @@ def _smallest_noncentrality(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
 
 
 def _volume_checks(volumes: list, counts: dict, trials: dict) -> None:
-    # volume ordering and the eigenvalue bound on the volume ratio: one
-    # bh_volumes call per kind over all volume specs, their q = 2 means
-    # zero-padded to the largest D (zero rows of E[J] leave the Gram unchanged)
+    # volume ordering and the eigenvalue bound on the volume ratio: one forms
+    # pass over all volume specs at the volume half-turn, their q = 2 means
+    # zero-padded to the largest D (zero rows of E[J] leave the Gram
+    # unchanged), then each kind's volumes from its squared norms
     dims = np.array([len(m) for m, _, _ in volumes])
     means = np.zeros((len(volumes), dims.max(), 2))
     for i, (m, _, _) in enumerate(volumes):
         means[i, : dims[i]] = m
     covs = np.stack([c for _, c, _ in volumes])
+    forms = _sigma_and_signal_batch(means, covs, _evaluated_directions(VOLUME_ANGLES))
     v_a, v_f, v_r = (
-        bh_volumes(means, covs, dims, VOLUME_ANGLES, kind)
+        _volumes_from_norms_sq(_norms_from_forms(*forms, dims[:, None], kind), VOLUME_ANGLES, kind)
         for kind in ("alpha_sigma", "finsler", "riemann")
     )
     ratio = (v_r - v_f) / v_r
@@ -402,8 +413,9 @@ def bound_sweep(n_specs: int = 10_000, seed: int = 0) -> ViolationReport:
     spec's and each curve segment's sigma = v^T Sigma v and signal =
     ||E[J] v||^2 once and evaluates each norm kind in one
     `_norms_from_forms` call over all specs (one D per spec) and one over
-    the segments of all curves; the volume specs take one `bh_volumes`
-    call per kind. The Jensen bound goes through
+    the segments of all curves; the volume specs form theirs once at the
+    volume angles, and each kind's volumes come from one
+    `_norms_from_forms` call. The Jensen bound goes through
     `randmat.wishart_scalar_moments` per spec, a separate code path on
     purpose.
     """

@@ -362,7 +362,9 @@ def _query_points(Z: np.ndarray, latent_dim: int) -> np.ndarray:
 def _posterior_mean_var_batch(m: GpModel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Z = _query_points(Z, m.dim_latent)
     ks = _kernel_matrix(m.kernel, Z, m.latent_inputs)
-    means = m.output_means + ks @ m.alpha
+    # by scipy's dgemm, points along its first dimension: a point's mean is
+    # the same bits at any row of the batch
+    means = m.output_means + _alpha_products(ks[None], m.alpha)[..., 0]
     w = solve_triangular(m.chol, ks.T, lower=True, check_finite=False)
     var = np.maximum(m.kernel.variance - np.einsum("ij,ij->j", w, w), 0.0)
     return means, var
@@ -597,9 +599,10 @@ def save_model(m: GpModel, path: str) -> None:
         "outputs": m.outputs.tolist(),
         "output_means": m.output_means.tolist(),
     }
+    # one json.dumps: json.dump writes through the pure-Python encoder
+    text = json.dumps(doc, sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_model(path: str) -> GpModel:

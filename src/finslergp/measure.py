@@ -11,8 +11,13 @@ points in one call: one point for `indicatrix`, `bh_volume` and
 `volume_ratio_bound`, every grid point for `volume_field`. Every norm kind
 is even bit for bit, and for even K the directions at the second K/2 angles
 are the exact negations of the first, so only the first half-turn is
-evaluated and its values are repeated for the second. The per-point
-functions take a `MetricPoint` or a `JacobianPosterior`.
+evaluated and its values are repeated for the second
+(`_evaluated_directions`). The step from those squared norms to volumes
+(degeneracy check, radii, polygon area) has one home,
+`_volumes_from_norms_sq`: `bh_volumes` goes through it, and so do the
+verification sweeps, which form the norms of several kinds from one pass
+of sigma and the signal. The per-point functions take a `MetricPoint` or a
+`JacobianPosterior`.
 """
 
 from __future__ import annotations
@@ -74,7 +79,13 @@ class Indicatrix:
     metric_kind: str
 
     def is_convex(self) -> bool:
-        """Cross-product sign test on the sampled polygon (CCW traversal)."""
+        """Cross-product sign test on the sampled polygon (CCW traversal).
+
+        An infinite radius (alpha_sigma where Sigma e(theta) = 0) makes the
+        unit ball the unbounded ball of a seminorm, which is convex; no
+        polygon is formed then."""
+        if not np.all(np.isfinite(self.radii)):
+            return True
         pts = self.radii[:, None] * _unit_directions(len(self.radii))
         e = np.roll(pts, -1, axis=0) - pts
         cross = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
@@ -108,29 +119,35 @@ def _posterior_arrays(p) -> tuple[np.ndarray, np.ndarray, int]:
     return p.mean[None], p.cov[None], p.dim_data
 
 
-def _norms_sq_all_angles(means, covs, dim_data: int, K: int, kind: str) -> np.ndarray:
-    """`norms_sq` at the K directions of `_unit_directions(K)`, (n, K); for
-    even K evaluated at the first K/2 and repeated, since the norms are even
-    and the other K/2 directions are their exact negations."""
-    if K % 2:
-        return norms_sq(means, covs, dim_data, _unit_directions(K), kind)
-    return np.tile(norms_sq(means, covs, dim_data, _unit_directions(K)[: K // 2], kind), 2)
+def _evaluated_directions(K: int) -> np.ndarray:
+    """The directions at which the norms of K angles are evaluated: for even
+    K the first K/2 of `_unit_directions(K)`, since the norms are even and
+    the other K/2 directions are their exact negations; for odd K all K."""
+    dirs = _unit_directions(K)
+    return dirs if K % 2 else dirs[: K // 2]
 
 
-def _radii(means, covs, dim_data: int, K: int, metric_kind: str) -> np.ndarray:
-    """Indicatrix radii 1/norm(e(theta)) at K angles for n points, (n, K).
-
-    A non-finite norm, or a zero riemann or finsler norm, is a degenerate
-    metric and raises. alpha_sigma is 0 wherever Sigma e(theta) = 0, as
-    everywhere on a deterministic field; its radius there is inf, and an
-    unbounded unit ball has volume 0."""
+def _evaluated_norms_sq(means, covs, dim_data, K: int, metric_kind: str) -> np.ndarray:
+    """`norms_sq` of n points at `_evaluated_directions(K)`, once q = 2, K and
+    the metric kind are checked."""
     if means.shape[-1] != 2:
         raise ValueError("indicatrices are only defined for 2-d latent spaces")
     if K < 16:
         raise ValueError("need at least 16 angles")
     if metric_kind not in METRIC_KINDS:
         raise ValueError(f"unknown metric kind {metric_kind!r}")
-    values = np.sqrt(_norms_sq_all_angles(means, covs, dim_data, K, metric_kind))
+    return norms_sq(means, covs, dim_data, _evaluated_directions(K), metric_kind)
+
+
+def _radii_from_norms_sq(values_sq: np.ndarray, K: int, metric_kind: str) -> np.ndarray:
+    """Indicatrix radii 1/norm(e(theta)) at K angles, (n, K), from the
+    squared norms (n, len(`_evaluated_directions(K)`)) of a metric kind.
+
+    A non-finite norm, or a zero riemann or finsler norm, is a degenerate
+    metric and raises. alpha_sigma is 0 wherever Sigma e(theta) = 0, as
+    everywhere on a deterministic field; its radius there is inf, and an
+    unbounded unit ball has volume 0."""
+    values = np.sqrt(values_sq if K % 2 else np.tile(values_sq, 2))
     zero_ok = metric_kind == "alpha_sigma"
     if not (np.all(np.isfinite(values)) and (zero_ok or np.all(values > 0.0))):
         raise ValueError("metric is degenerate along a sampled direction")
@@ -138,9 +155,22 @@ def _radii(means, covs, dim_data: int, K: int, metric_kind: str) -> np.ndarray:
         return 1.0 / values
 
 
+def _volumes_from_norms_sq(values_sq: np.ndarray, K: int, metric_kind: str) -> np.ndarray:
+    """Unit-ball-ratio volumes pi / area of n indicatrix polygons, (n,), from
+    squared norms as `_radii_from_norms_sq` takes them."""
+    return math.pi / _polygon_area(_radii_from_norms_sq(values_sq, K, metric_kind))
+
+
+def _radii(means, covs, dim_data: int, K: int, metric_kind: str) -> np.ndarray:
+    """Indicatrix radii at K angles for n points, (n, K); see
+    `_radii_from_norms_sq`."""
+    values_sq = _evaluated_norms_sq(means, covs, dim_data, K, metric_kind)
+    return _radii_from_norms_sq(values_sq, K, metric_kind)
+
+
 def _ratio_bounds(means, covs, dim_data: int, K: int) -> np.ndarray:
     """Volume-ratio bound of each point; see `volume_ratio_bound`."""
-    w = _norms_sq_all_angles(means, covs, dim_data, K, "omega")
+    w = norms_sq(means, covs, dim_data, _evaluated_directions(K), "omega")
     m = np.max(gap_bound(dim_data, w), axis=1)
     return 1.0 - (1.0 - m) ** 2
 
@@ -167,7 +197,8 @@ def bh_volumes(
     means (n, D, q) and covs (n, q, q), with one dim_data for all points or
     an (n,) integer array of them, as `norms_sq` takes it; returns shape
     (n,)."""
-    return math.pi / _polygon_area(_radii(means, covs, dim_data, K, metric_kind))
+    values_sq = _evaluated_norms_sq(means, covs, dim_data, K, metric_kind)
+    return _volumes_from_norms_sq(values_sq, K, metric_kind)
 
 
 def volume_ratio_bound(p, K: int = QUADRATURE_ANGLES) -> float:

@@ -7,13 +7,17 @@ The module needs numpy and the standard library only: the log-gamma ratios
 take `math.lgamma`.
 `kummer_1f1` takes scalars; `kummer_1f1_array` evaluates it for an array of
 arguments, with one b for all of them or one b per element, by the same
-floating-point operations per element. While at least `_LOCKSTEP_MIN`
-series are still running, one numpy step adds the next term to all of them
-(the lockstep). Fewer series are summed in blocks: the next 32, then 64,
-terms of every running series at once, each row's terms and partial sums
-taken by sequential accumulates and cut at its first converged term (the
-block tail). Both functions scale the transformed series by numpy's exp, so
-the two agree bit for bit.
+floating-point operations per element. In arrays it sums only the
+transformed series with b - a > 0, whose terms are all nonnegative: the
+whole documented regime a in [-3, 0], and the derivative's (1/2, b + 1).
+Such a series stops at its first term below 1e-15 of its partial sum, one
+comparison per element. While at least `_LOCKSTEP_MIN` series are still
+running, one numpy step adds the next term to all of them (the lockstep).
+Fewer series are summed in blocks: the next 32, then 64, terms of every
+running series at once, each row's terms and partial sums taken by
+sequential accumulates and cut at its first converged term (the block
+tail). Every other element goes through `kummer_1f1`. Both functions scale
+the transformed series by numpy's exp, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -194,11 +198,14 @@ def kummer_1f1(a: float, b: float, x: float) -> float:
 
 def _series_1f1_lockstep(a, b, x: np.ndarray) -> np.ndarray:
     # _series_1f1(a, b, x[i]) for every i, with its rounding and stop rule
-    # per element: the lockstep, then the block tail (see the module
-    # docstring). a and b are floats, or arrays of x's shape holding each
-    # element's own parameters. In a block, multiply.accumulate continues
-    # the carried term and add.accumulate the carried sum, both left to
-    # right, so each term and partial sum is the one the scalar loop reaches.
+    # per element, for a > 0, b > 0 and x >= 0: every term is nonnegative,
+    # so the scalar loop's tests (term == 0, or |term| < 1e-15 |sum|) stop
+    # at the first term < 1e-15 * sum, the one test taken here. The
+    # lockstep, then the block tail (see the module docstring). a and b are
+    # floats, or arrays of x's shape holding each element's own parameters.
+    # In a block, multiply.accumulate continues the carried term and
+    # add.accumulate the carried sum, both left to right, so each term and
+    # partial sum is the one the scalar loop reaches.
     per_element = np.ndim(b) > 0
     total = np.empty(x.size)
     active = np.arange(x.size)
@@ -209,7 +216,7 @@ def _series_1f1_lockstep(a, b, x: np.ndarray) -> np.ndarray:
         term *= (a + k) / (b + k) * x / (k + 1)
         run += term
         k += 1
-        done = (term == 0.0) | (np.abs(term) < _REL_TOL * np.abs(run))
+        done = term < _REL_TOL * run
         if done.any():
             total[active[done]] = run[done]
             keep = ~done
@@ -224,7 +231,7 @@ def _series_1f1_lockstep(a, b, x: np.ndarray) -> np.ndarray:
                 f"1F1 series did not converge for a={first[0]}, b={first[1]}, x={x[0]}"
             )
         ks = np.arange(k, min(k + width, _MAX_TERMS), dtype=float)
-        # built in place, so that at most four (n, width + 1) arrays are live
+        # built in place, so that at most three (n, width + 1) arrays are live
         ca, cb = (a[:, None], b[:, None]) if per_element else (a, b)
         terms = (ca + ks) / (cb + ks) * x[:, None]
         terms /= ks + 1.0
@@ -234,9 +241,7 @@ def _series_1f1_lockstep(a, b, x: np.ndarray) -> np.ndarray:
         sums[:, 0] = run
         sums[:, 1:] = terms
         sums = np.add.accumulate(sums, axis=1, out=sums)[:, 1:]
-        limit = np.abs(sums)
-        limit *= _REL_TOL
-        stop = (terms == 0.0) | (np.abs(terms) < limit)
+        stop = terms < _REL_TOL * sums
         done = stop.any(axis=1)
         rows = np.nonzero(done)[0]
         total[active[rows]] = sums[rows, stop[rows].argmax(axis=1)]
@@ -257,19 +262,21 @@ def kummer_1f1_array(a: float, b, x) -> np.ndarray:
     points differ in D). Either way each element's result is
     `kummer_1f1(a, b_i, x_i)` bit for bit.
 
-    Elements with x <= 0 that `kummer_1f1` sums directly (x >= -700, or
-    closer to 0 for the (a, b) whose transformed sum would exceed e^705
-    there; both compare with the same cached cutoff) are summed together
-    through the same transformed series as the scalar function, with the
-    same stop rule per element: one term per numpy step for all of them
-    while at least `_LOCKSTEP_MIN` are unconverged, then blocks of 32 and 64
-    terms per remaining element, whose terms and partial sums come from
-    sequential accumulates. Each term and partial sum is rounded as in the
-    scalar loop (with a per-element b, the term ratio is the same division
-    taken elementwise) and both forms take e^x from numpy's exp, so each
-    result equals the scalar one bit for bit. Every other element (x past
-    the asymptotic cutoff, a transformed sum estimated too large, or x > 0)
-    goes through `kummer_1f1` itself.
+    Elements with x <= 0 and b - a > 0 that `kummer_1f1` sums directly
+    (x >= -700, or closer to 0 for the (a, b) whose transformed sum would
+    exceed e^705 there; both compare with the same cached cutoff) are
+    summed together through the same transformed series as the scalar
+    function. Its terms are nonnegative, so each element stops at its first
+    term below 1e-15 of its partial sum, the term the scalar loop stops at:
+    one term per numpy step for all of them while at least `_LOCKSTEP_MIN`
+    are unconverged, then blocks of 32 and 64 terms per remaining element,
+    whose terms and partial sums come from sequential accumulates. Each
+    term and partial sum is rounded as in the scalar loop (with a
+    per-element b, the term ratio is the same division taken elementwise)
+    and both forms take e^x from numpy's exp, so each result equals the
+    scalar one bit for bit. Every other element (x past the asymptotic
+    cutoff, a transformed sum estimated too large, x > 0, or b <= a) goes
+    through `kummer_1f1` itself.
     """
     a = float(a)
     x = np.asarray(x, dtype=float)
@@ -285,7 +292,7 @@ def kummer_1f1_array(a: float, b, x) -> np.ndarray:
         values, which = np.unique(b, return_inverse=True)
         cutoff = np.array([_deep_below(a, float(v)) for v in values])[which.reshape(x.shape)]
     out = np.empty(x.shape)
-    series = (x >= cutoff) & (x <= 0.0)
+    series = (x >= cutoff) & (x <= 0.0) & (b - a > 0.0)
     if not series.all():
         for i in zip(*np.nonzero(~series)):
             out[i] = kummer_1f1(a, b if isinstance(b, float) else float(b[i]), float(x[i]))

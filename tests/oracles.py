@@ -12,6 +12,8 @@ import scipy.linalg
 from finslergp.experiments import (
     COMPARISON_KINDS,
     SLACK,
+    VOLUME_ANGLES,
+    ConvergenceRow,
     ViolationReport,
     _random_curve,
     comparison_entries,
@@ -34,8 +36,14 @@ from finslergp.gp import (
     _query_points,
     _sqdist,
 )
-from finslergp.measure import bh_volume
-from finslergp.metric import bound_report, gap_bound, relative_gap
+from finslergp.measure import bh_volume, bh_volumes
+from finslergp.metric import (
+    _norms_from_forms,
+    _sigma_and_signal_batch,
+    bound_report,
+    gap_bound,
+    relative_gap,
+)
 from finslergp.randmat import batch_rng
 from finslergp.specfun import log_gamma_ratio
 
@@ -157,6 +165,36 @@ def bound_sweep_scalar(n_specs, seed, draws=None):
             counts["volume_gap_bound"] += 1
 
     return ViolationReport(seed=seed, n_specs=n_specs, counts=counts, trials=trials)
+
+
+def truncation_sweep_per_kind(ensemble, dims, v_samples=64, seed=0):
+    """`experiments.truncation_sweep` with the sigma and signal of its
+    directions formed per dimension by `_sigma_and_signal_batch`, and each
+    volume by its own `bh_volumes` call (each forms the Gram again)."""
+    rng = batch_rng(seed, 997)
+    dirs = rng.standard_normal((ensemble.n_specs, v_samples, ensemble.dim_latent))
+    dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+    rows = []
+    covs = ensemble.covs
+    for d in dims:
+        means = ensemble.means[:, :d]
+        forms = _sigma_and_signal_batch(means, covs, dirs)
+        upper, finsler = (np.sqrt(_norms_from_forms(*forms, d, k)) for k in ("riemann", "finsler"))
+        gaps = (upper - finsler) / np.where(upper == 0.0, 1.0, upper)
+        bounds = gap_bound(d, _norms_from_forms(*forms, d, "omega"))
+        v_r = bh_volumes(means, covs, d, VOLUME_ANGLES, "riemann")
+        v_f = bh_volumes(means, covs, d, VOLUME_ANGLES, "finsler")
+        gap_norm = float(np.mean(gaps))
+        rows.append(
+            ConvergenceRow(
+                d=d,
+                gap_norm=gap_norm,
+                gap_volume=float(np.mean((v_r - v_f) / v_r)),
+                bound=float(np.mean(bounds)),
+                gap_times_d=d * gap_norm,
+            )
+        )
+    return rows
 
 
 def central_norm_gap(d: int) -> float:

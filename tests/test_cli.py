@@ -1,5 +1,6 @@
 """End-to-end command-line tests, run in-process through main(argv)."""
 
+import csv
 import json
 import math
 import os
@@ -41,6 +42,29 @@ def test_usage_and_version(capsys):
     assert main(["--help"]) == 0
     assert main(["--version"]) == 0
     capsys.readouterr()
+
+
+def test_parser_built_once_for_successive_commands(tmp_path, capsys):
+    # one parser serves every main call of a process: different subcommands
+    # in a row, a usage error (exit 2) between them, and each call's flags
+    # and defaults stay its own
+    cli._build_parser.cache_clear()
+    data = tmp_path / "d.csv"
+    assert main(["generate", "circles", "--n", "20", "--out", str(data)]) == 0
+    assert main(["verify", "--n", "100", "--dims", "2,4", "--v-samples", "2",
+                 "--out", str(tmp_path / "v")]) == 0
+    assert main(["verify", "--dims", "2,4", "--no-such-flag"]) == 2
+    assert main(["generate", "pinwheel", "--n", "30", "--out", str(tmp_path / "p.csv")]) == 0
+    assert main(["fit"]) == 2
+    assert main(["generate", "circles", "--n", "20", "--out", str(tmp_path / "e.csv")]) == 0
+    assert (tmp_path / "e.csv").read_bytes() == data.read_bytes()
+    pinwheel = json.loads((tmp_path / "p.csv.config.json").read_text())
+    assert pinwheel["n"] == 30 and pinwheel["arms"] == 5 and "radii" not in pinwheel
+    verify = json.loads((tmp_path / "v" / "convergence.csv.config.json").read_text())
+    assert verify["v_samples"] == 2 and "shape" not in verify
+    assert cli._build_parser.cache_info().misses == 1
+    err = capsys.readouterr().err
+    assert "--no-such-flag" in err and "the following arguments are required" in err
 
 
 def test_generate_pinwheel_thousand(tmp_path):
@@ -166,6 +190,21 @@ def test_geodesic_euclid_straight_line(circles_model, tmp_path):
     t = np.linspace(0.0, 1.0, 17)
     assert np.allclose(curve[:, 1], -0.8 + 1.6 * t, atol=1e-9)
     assert np.allclose(curve[:, 2], -0.4 + 0.8 * t, atol=1e-9)
+
+
+def test_identical_points_decode_equal(circles_model, tmp_path):
+    # the decoded mean of a point does not depend on its row in the batch:
+    # nine copies of one point decode to nine equal rows, so the geodesic
+    # between a point and itself has ambient length 0
+    means, var = gp._posterior_mean_var_batch(load_model(str(circles_model)), np.zeros((9, 2)))
+    assert np.all(means == means[0]) and np.all(var == var[0])
+    out = tmp_path / "geo.csv"
+    assert main(["geodesic", "--model", str(circles_model), "--start", "0,0", "--end", "0,0",
+                 "--nc", "9", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3
+    assert all(float(r["length_ambient"]) == 0.0 for r in rows)
 
 
 def test_geodesic_all_metrics_table(circles_model, tmp_path):

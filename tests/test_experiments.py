@@ -22,6 +22,7 @@ from finslergp.experiments import (
     _smallest_noncentrality,
     _spec_values,
 )
+from finslergp import metric
 from finslergp.fields import ConstantField, GpField, SphereField, SyntheticField
 from finslergp.geodesic import curve_length
 from finslergp.gp import JacobianPosterior
@@ -33,10 +34,17 @@ from finslergp.metric import (
     relative_gap,
     riemannian_norm,
 )
+from finslergp.specfun import kummer_1f1_array
 
-from oracles import bound_sweep_scalar, central_norm_gap, geodesic_comparison
+from oracles import (
+    bound_sweep_scalar,
+    central_norm_gap,
+    geodesic_comparison,
+    truncation_sweep_per_kind,
+)
 
 DYADIC = [2, 4, 8, 16, 32, 64, 128, 256]
+DYADIC_1024 = [*DYADIC, 512, 1024]
 
 
 def test_central_gap_matches_lgamma_oracle():
@@ -63,6 +71,24 @@ def test_ensemble_construction_and_reproducibility():
         assert np.linalg.eigvalsh(a.covs[s])[0] >= 0.1 - 1e-12
     central = make_truncation_ensemble(n_specs=2, d_max=16, seed=0, central=True)
     assert not central.means.any()
+
+
+def test_m_constant_is_the_per_spec_loop_bit_for_bit(monkeypatch):
+    # one batched eigvalsh, taken on first access only, gives the value of
+    # the per-spec loop
+    for seed in (0, 5):
+        ens = make_truncation_ensemble(n_specs=12, d_max=1024, seed=seed)
+        worst = 0.0
+        for s in range(ens.n_specs):
+            row_sq = float(np.max(np.sum(ens.means[s] ** 2, axis=1)))
+            lam = float(np.linalg.eigvalsh(ens.covs[s])[0])
+            worst = max(worst, row_sq / lam)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        assert ens.m_constant == worst and ens.m_constant == worst
+        assert len(calls) == 1
+        monkeypatch.undo()
 
 
 def test_m_constant_dominates_noncentrality():
@@ -98,6 +124,32 @@ def test_sweep_row_invariants():
         "trunc_gap_range": 0,
         "trunc_gap_scaled": 0,
     }
+
+
+def test_sweep_equals_the_per_kind_formulation():
+    # one Gram and one forms pass per dimension for the directions and the
+    # volume angles give, bit for bit, the rows of forming the directions'
+    # sigma and signal on their own and each volume in its own bh_volumes
+    # call: at verify's defaults and at the benchmark's 8 directions
+    ens = make_truncation_ensemble(n_specs=12, d_max=1024, seed=0)
+    for v_samples in (64, 8):
+        got = truncation_sweep(ens, DYADIC_1024, v_samples=v_samples, seed=0)
+        assert got == truncation_sweep_per_kind(ens, DYADIC_1024, v_samples=v_samples, seed=0)
+
+
+def test_sweep_takes_one_1f1_call_per_dimension(monkeypatch):
+    # the finsler norms of every spec, direction and volume angle of a
+    # dimension are one kummer_1f1_array call with the scalar b = D/2
+    calls = []
+
+    def recording(a, b, x):
+        calls.append(b)
+        return kummer_1f1_array(a, b, x)
+
+    monkeypatch.setattr(metric, "kummer_1f1_array", recording)
+    ens = make_truncation_ensemble(n_specs=12, d_max=1024, seed=0)
+    truncation_sweep(ens, DYADIC_1024, v_samples=8, seed=0)
+    assert calls == [0.5 * d for d in DYADIC_1024]
 
 
 def test_central_sweep_matches_closed_forms():

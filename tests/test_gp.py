@@ -5,6 +5,7 @@ and of the posterior mean itself; posteriors are checked against a dense
 linear-algebra oracle that never touches the Cholesky caching path.
 """
 
+import json
 import math
 
 import numpy as np
@@ -400,6 +401,17 @@ def test_fit_gplvm_smoke_and_determinism():
     assert np.array_equal(a.latent_inputs, b.latent_inputs)
     fixed = fit_gplvm(Y, 2, Kernel(RBF, 1.0, 1.0), 0.01, steps=0)
     assert np.array_equal(fixed.latent_inputs, pca_latents(Y, 2))
+
+
+def test_save_model_writes_the_bytes_of_json_dump(tmp_path):
+    # one json.dumps, written at once: the bytes json.dump writes for the
+    # same document, key-sorted, with a trailing newline
+    path = tmp_path / "model.json"
+    save_model(make_smooth_model(noise=1e-4, seed=6), str(path))
+    with open(tmp_path / "dumped.json", "w") as fh:
+        json.dump(json.loads(path.read_text()), fh, sort_keys=True)
+        fh.write("\n")
+    assert path.read_bytes() == (tmp_path / "dumped.json").read_bytes()
 
 
 def test_save_load_round_trip(tmp_path):

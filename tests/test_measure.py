@@ -1,12 +1,13 @@
 """Indicatrix geometry and volume measures."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from finslergp import measure
-from finslergp.fields import ConstantField, as_field
+from finslergp.fields import ConstantField, SphereField, as_field
 from finslergp.gp import JacobianPosterior, posterior_mean_var
 from finslergp.measure import (
     Indicatrix,
@@ -103,6 +104,17 @@ def test_indicatrix_convexity():
         p = _random_planar_point(rng)
         for kind in ("riemann", "finsler", "alpha_sigma"):
             assert indicatrix(p, 64, kind).is_convex()
+
+
+def test_unbounded_indicatrix_is_convex():
+    # alpha_sigma on the deterministic sphere chart is 0 in every direction:
+    # every radius is inf, the unit ball is the whole plane
+    p = SphereField().jacobian_posterior([0.3, 1.2])
+    ind = indicatrix(p, 64, "alpha_sigma")
+    assert np.all(np.isinf(ind.radii))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ind.is_convex()
 
 
 def test_degenerate_direction_raises():

@@ -287,3 +287,27 @@ def test_kummer_array_per_element_b_is_bitwise_the_scalar_function():
 def test_kummer_array_per_element_b_rejects_nonpositive_b():
     with pytest.raises(ValueError, match="b > 0"):
         kummer_1f1_array(-0.5, np.array([1.0, 0.0]), np.array([-1.0, -2.0]))
+
+
+def test_kummer_array_b_not_above_a_takes_the_scalar_function(monkeypatch):
+    # b <= a: the transformed series 1F1(b - a, b, -x) has a nonpositive
+    # first parameter, so its terms are not all nonnegative and those
+    # elements never enter the lockstep; with a scalar b and a per-element
+    # b mixing both sides of b = a, every element is the scalar value
+    summed = []
+
+    def recording_lockstep(a, b, x):
+        summed.append(np.broadcast_to(a, x.shape).copy())
+        return lockstep(a, b, x)
+
+    lockstep = specfun._series_1f1_lockstep
+    monkeypatch.setattr(specfun, "_series_1f1_lockstep", recording_lockstep)
+    rng = np.random.default_rng(31)
+    x = np.concatenate([-rng.uniform(0.0, 50.0, 300), [0.0, -1e-3, -650.0, -700.0]])
+    for a, b in ((1.0, 0.5), (2.5, 1.0), (1.0, 1.0)):
+        want = np.array([kummer_1f1(a, b, float(v)) for v in x])
+        assert np.array_equal(kummer_1f1_array(a, b, x), want), (a, b)
+    b = rng.choice([0.5, 1.0, 2.5, 4.0], x.size)
+    want = np.array([kummer_1f1(1.0, bb, float(v)) for bb, v in zip(b, x)])
+    assert np.array_equal(kummer_1f1_array(1.0, b, x), want)
+    assert all(np.all(a > 0.0) for a in summed) and sum(a.size for a in summed) > 0
