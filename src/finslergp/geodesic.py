@@ -7,7 +7,8 @@ functions: `_segment_norms_sq` evaluates the norms at segment midpoints
 and `_length_and_energy` weights each segment 1/(N-1). Geodesics minimize
 the discretized energy by the library's one limited-memory BFGS with
 Armijo backtracking (`_lbfgs`, shared with the GP fit), optionally seeded
-by a shortest path on an 8-connected latent grid. The energy gradient is
+by a shortest path on an 8-connected latent grid, found by Dijkstra's
+search on the standard library's heap (no scipy). The energy gradient is
 exact: the field's posterior and its derivative in z at the midpoints come
 from one pass, and one chain rule through the norms' partials
 (`metric._norm_partials`) gives both the velocity and the midpoint part.
@@ -231,6 +232,75 @@ def energy_gradient(m, c: DiscreteCurve, metric_kind: str) -> np.ndarray:
 # initialization
 
 
+def _lattice_edges(grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each edge (u, v) of the 8-connected grid x grid lattice once, u < v,
+    in the node numbering of `latent_lattice`; u ascends, and a node's edges
+    run to (ix + 1, iy), (ix, iy + 1), (ix + 1, iy + 1), (ix + 1, iy - 1)."""
+    us, vs = [], []
+    for ix in range(grid):
+        for iy in range(grid):
+            for dx, dy in ((1, 0), (0, 1), (1, 1), (1, -1)):
+                jx, jy = ix + dx, iy + dy
+                if 0 <= jx < grid and 0 <= jy < grid:
+                    us.append(ix * grid + iy)
+                    vs.append(jx * grid + jy)
+    return np.array(us), np.array(vs)
+
+
+def _lattice_graph(field, grid: int, metric_kind: str) -> tuple[np.ndarray, ...]:
+    """The field's `latent_lattice` nodes and its `_lattice_edges` (us, vs)
+    with their weights: segment lengths under the metric, evaluated at the
+    edge midpoints, at least 1e-12."""
+    nodes = latent_lattice(field, grid)
+    us, vs = _lattice_edges(grid)
+    mids = 0.5 * (nodes[us] + nodes[vs])
+    deltas = nodes[vs] - nodes[us]
+    weights = np.sqrt(_segment_norms_sq(field, mids, deltas, (metric_kind,))[0])
+    # strictly positive weights keep degenerate-metric regions traversable
+    return nodes, us, vs, np.maximum(weights, 1e-12)
+
+
+def _shortest_path(n_nodes: int, us, vs, weights, source: int, target: int) -> list[int]:
+    """Nodes of a shortest path from source to target over the undirected
+    edges (us[i], vs[i]) of nonnegative weights[i], by Dijkstra's search
+    with a binary heap.
+
+    Tie rule: the heap pops entries (distance, node) in tuple order, so of
+    two nodes at one distance the lower-numbered settles first, and a
+    node's predecessor changes only on a strictly shorter distance. Where
+    no two paths tie, the path is the one every exact search returns.
+    """
+    # heapq maps a shared library of its own: imported here, a command that
+    # runs no grid search (verify) does not pay its resident pages
+    import heapq
+
+    adjacency = [[] for _ in range(n_nodes)]
+    for u, v, w in zip(us.tolist(), vs.tolist(), weights.tolist()):
+        adjacency[u].append((v, w))
+        adjacency[v].append((u, w))
+    dist = [math.inf] * n_nodes
+    pred = [-1] * n_nodes
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u == target:
+            break
+        if d > dist[u]:
+            continue  # a stale entry: u settled at a shorter distance
+        for v, w in adjacency[u]:
+            if d + w < dist[v]:
+                dist[v] = d + w
+                pred[v] = u
+                heapq.heappush(heap, (dist[v], v))
+    path = [target]
+    while path[-1] != source:
+        if pred[path[-1]] < 0:
+            raise RuntimeError("grid path search failed on a connected grid")
+        path.append(pred[path[-1]])
+    return path[::-1]
+
+
 def grid_initialize(
     m,
     start: np.ndarray,
@@ -243,7 +313,10 @@ def grid_initialize(
 
     The grid is the field's `latent_lattice` over its padded box, where
     both endpoints must lie; edge weights are segment lengths under the
-    chosen metric, evaluated at edge midpoints.
+    chosen metric, evaluated at edge midpoints. The path runs between the
+    lattice nodes nearest the endpoints, by `_shortest_path`: Dijkstra's
+    search on a binary heap from the standard library, whose tie rule
+    settles the lower-numbered of two nodes at one distance first.
     """
     _check_kind(metric_kind)
     field = as_field(m)
@@ -258,43 +331,12 @@ def grid_initialize(
         if np.any(z < lo) or np.any(z > hi):
             raise ValueError(f"{name} point {z} outside the grid box [{lo}, {hi}]")
 
-    nodes = latent_lattice(field, grid)
-
-    us, vs = [], []
-    for ix in range(grid):
-        for iy in range(grid):
-            u = ix * grid + iy
-            for dx, dy in ((1, 0), (0, 1), (1, 1), (1, -1)):
-                jx, jy = ix + dx, iy + dy
-                if 0 <= jx < grid and 0 <= jy < grid:
-                    us.append(u)
-                    vs.append(jx * grid + jy)
-    us = np.array(us)
-    vs = np.array(vs)
-    mids = 0.5 * (nodes[us] + nodes[vs])
-    deltas = nodes[vs] - nodes[us]
-    weights = np.sqrt(_segment_norms_sq(field, mids, deltas, (metric_kind,))[0])
-    # strictly positive weights keep degenerate-metric regions traversable
-    weights = np.maximum(weights, 1e-12)
-
-    # scipy.sparse is imported here, so only a grid-seeded geodesic loads it
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
-
-    graph = csr_matrix((weights, (us, vs)), shape=(grid * grid, grid * grid))
+    nodes, us, vs, weights = _lattice_graph(field, grid, metric_kind)
     i_start = int(np.argmin(np.sum((nodes - start) ** 2, axis=1)))
     i_end = int(np.argmin(np.sum((nodes - end) ** 2, axis=1)))
-    _, pred = dijkstra(
-        graph, directed=False, indices=i_start, return_predecessors=True
-    )
-    path = [i_end]
-    while path[-1] != i_start:
-        prev = pred[path[-1]]
-        if prev < 0:
-            raise RuntimeError("grid path search failed on a connected grid")
-        path.append(int(prev))
+    path = _shortest_path(len(nodes), us, vs, weights, i_start, i_end)
     # a path of one node carries no route: through that node it is a detour
-    route = [nodes[i] for i in reversed(path)] if len(path) > 1 else []
+    route = [nodes[i] for i in path] if len(path) > 1 else []
     poly = [start] + route + [end]
     pts = [poly[0]]
     for p in poly[1:]:

@@ -11,9 +11,14 @@ through scipy's BLAS and LAPACK only: the factorization (`dpotrf`), the
 inverse (`dpotri`), the products (`dsyrk`, `dgemm`) and the solves
 (`cho_solve`, `solve_triangular`). numpy's OpenBLAS keeps a thread pool of
 its own, whose spinning workers take the cores from scipy's (README,
-Timing). The N x N matrices are built in place: the kernel plus noise and
-its factor share one buffer, and in the fit the inverse and the
-likelihood-gradient matrix share the factor's.
+Timing). The N x N matrices are built in place: `make_model` forms the
+kernel in the squared distances' buffer and factors it there (the jitter
+ladder rebuilds the kernel only when a factorization fails), and in the fit
+the inverse and the likelihood-gradient matrix share the factor's buffer.
+A fit evaluation forms the kernel and its radial coefficient from one exp
+(one sqrt and one exp for matern52) and takes its traces in one scratch
+buffer. The in-place steps are the formulas' operations in the formulas'
+order, so every result has the bits of the formula with temporaries.
 
 scipy.linalg is imported where it is used, not when gp is, so a command
 that never touches a GP (`generate`, `verify`) never loads scipy. The two
@@ -24,7 +29,10 @@ their bodies.
 
 The Jacobian posteriors at n points are one pass, `_jacobian_pass`. The
 kernel gradients against the training inputs are q planes of shape (n, N),
-solved against the factor in one triangular solve of q columns per point;
+formed from the difference planes, whose squared distances hold the radial
+coefficient (without the derivative in z, the gradients overwrite the
+differences), and solved against the factor in one triangular solve of q
+columns per point;
 the derivative in z adds a second solve of q columns (2q per point) and
 contracts the kernel Hessian with it, so no Hessian column is solved.
 """
@@ -163,21 +171,53 @@ def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _kernel_matrix(k: Kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _kernel_of_r2(k, _sqdist(a, b))
+    r2 = _sqdist(a, b)
+    return _kernel_of_r2(k, r2, out=r2)[0]
 
 
-def _kernel_of_r2(k: Kernel, r2: np.ndarray) -> np.ndarray:
-    """k at squared distances r2."""
+# The kernel and its radial coefficients below are evaluated one operation
+# at a time into the out buffer, in the order and with the operands of the
+# formulas in their docstrings, so an in-place result has the same bits as
+# the formula evaluated with temporaries.
+
+
+def _kernel_of_r2(k: Kernel, r2: np.ndarray, out: np.ndarray | None = None,
+                  radial: bool = False) -> tuple:
+    """(k, c): k at squared distances r2, in out's buffer when given (out may
+    be r2), RBF sigma^2 exp(-r^2/(2 l^2)), Matern-5/2 with u = sqrt(5)/l
+    sigma^2 (1 + u r + (u r)^2/3) exp(-u r); c is None unless radial, and
+    then the radial coefficient of `_radial_coefficients`, from the same
+    exp."""
     if k.family == RBF:
-        return k.variance * np.exp(-0.5 * r2 / k.lengthscale**2)
+        kr = np.multiply(r2, -0.5, out=out)
+        kr /= k.lengthscale**2
+        np.exp(kr, out=kr)
+        c = kr * -(k.variance / k.lengthscale**2) if radial else None
+        kr *= k.variance
+        return kr, c
     u = math.sqrt(5.0) / k.lengthscale
-    r = np.sqrt(r2)
-    return k.variance * (1.0 + u * r + (u * r) ** 2 / 3.0) * np.exp(-u * r)
+    kr = np.sqrt(r2, out=out)
+    kr *= u
+    decay = np.negative(kr)
+    np.exp(decay, out=decay)
+    poly = np.square(kr)
+    poly /= 3.0
+    kr += 1.0
+    c = None
+    if radial:
+        c = kr * -(k.variance * u**2 / 3.0)
+        c *= decay
+    kr += poly
+    kr *= k.variance
+    kr *= decay
+    return kr, c
 
 
-def _radial_coefficients(k: Kernel, r2: np.ndarray, hessian: bool = True) -> tuple:
+def _radial_coefficients(k: Kernel, r2: np.ndarray, hessian: bool = True,
+                         out: np.ndarray | None = None) -> tuple:
     """First and second radial coefficients (c, e) of k at squared distances
-    r2; e is None unless hessian.
+    r2, c in out's buffer when given (out may be r2); e is None unless
+    hessian.
 
     With d = z1 - z2 and r = |d|, the gradient of k(z1, z2) in z1 is c d and
     its Hessian in z1 is c I + e d d^T, where c = k'(r)/r and e = c'(r)/r.
@@ -186,25 +226,44 @@ def _radial_coefficients(k: Kernel, r2: np.ndarray, hessian: bool = True) -> tup
     e = (sigma^2 u^4/3) exp(-u r); both are finite at r = 0.
     """
     if k.family == RBF:
-        c = -(k.variance / k.lengthscale**2) * np.exp(-0.5 * r2 / k.lengthscale**2)
-        return c, -c / k.lengthscale**2 if hessian else None
+        c = np.multiply(r2, -0.5, out=out)
+        c /= k.lengthscale**2
+        np.exp(c, out=c)
+        c *= -(k.variance / k.lengthscale**2)
+        if not hessian:
+            return c, None
+        e = np.negative(c)
+        e /= k.lengthscale**2
+        return c, e
     u = math.sqrt(5.0) / k.lengthscale
-    r = np.sqrt(r2)
-    decay = np.exp(-u * r)
-    c = -(k.variance * u**2 / 3.0) * (1.0 + u * r) * decay
-    return c, (k.variance * u**4 / 3.0) * decay if hessian else None
+    c = np.sqrt(r2, out=out)
+    c *= u
+    decay = np.negative(c)
+    np.exp(decay, out=decay)
+    c += 1.0
+    c *= -(k.variance * u**2 / 3.0)
+    c *= decay
+    if not hessian:
+        return c, None
+    decay *= k.variance * u**4 / 3.0
+    return c, decay
 
 
 def _differences(k: Kernel, a: np.ndarray, b: np.ndarray, hessian: bool = False) -> tuple:
     """Row differences of a and b as q C-ordered planes d[j] = a[:, j] - b[:, j],
-    (q, n, m), and k's radial coefficients (c, e) at their squared distances."""
+    (q, n, m), and k's radial coefficients (c, e) at their squared distances.
+    The squared distances are summed from the planes in `_sqdist`'s order
+    (the same bits), and c is formed in their buffer."""
     d = np.subtract(a.T[:, :, None], b.T[:, None, :], order="C")
-    return (d, *_radial_coefficients(k, _sqdist(a, b), hessian))
+    r2 = d[0] * d[0]
+    for plane in d[1:]:
+        r2 += plane * plane
+    return (d, *_radial_coefficients(k, r2, hessian, out=r2))
 
 
 def _prior_derivative_cov(k: Kernel, q: int) -> np.ndarray:
     """Cross derivative of k in both arguments at coincident points, q x q."""
-    return -_radial_coefficients(k, np.zeros(()))[0] * np.eye(q)
+    return -_radial_coefficients(k, np.zeros(1), hessian=False)[0] * np.eye(q)
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +330,11 @@ def _finite_cholesky(kmat: np.ndarray) -> np.ndarray | None:
     return upper.T
 
 
-def _robust_cholesky(gram: np.ndarray, noise: float, variance: float) -> np.ndarray:
-    """Lower Cholesky factor of gram + noise I, built and factored in one
-    new buffer; gram itself is left as it is."""
-    kmat = np.array(gram, dtype=float, order="C")
+def _robust_cholesky(kmat: np.ndarray, noise: float, variance: float, rebuild) -> np.ndarray:
+    """Lower Cholesky factor of K + noise I, where kmat holds the symmetric,
+    C-ordered kernel matrix K; it is factored in kmat's buffer, which it
+    overwrites. rebuild() returns K again, and is called only when a
+    factorization fails."""
     diag = kmat.reshape(-1)[:: len(kmat) + 1]
     diag += noise
     chol = _finite_cholesky(kmat)
@@ -285,7 +345,7 @@ def _robust_cholesky(gram: np.ndarray, noise: float, variance: float) -> np.ndar
     jitter = _JITTER0 * variance
     with np.errstate(invalid="ignore"):
         for _ in range(_JITTER_ESCALATIONS):
-            np.copyto(kmat, gram)
+            np.copyto(kmat, rebuild())
             diag += noise
             diag += jitter
             chol = _finite_cholesky(kmat)
@@ -330,7 +390,9 @@ def make_model(X: np.ndarray, Y: np.ndarray, kernel: Kernel, noise: float) -> Gp
     if not 0.0 <= noise < math.inf:
         raise ValueError("noise must be finite and nonnegative")
     means = Y.mean(axis=0)
-    chol = _robust_cholesky(_kernel_matrix(kernel, X, X), noise, kernel.variance)
+    # the kernel matrix is built in the buffer that is factored
+    chol = _robust_cholesky(_kernel_matrix(kernel, X, X), noise, kernel.variance,
+                            lambda: _kernel_matrix(kernel, X, X))
     alpha = cho_solve((chol.T, False), Y - means)
     return GpModel(
         kernel=kernel,
@@ -399,7 +461,8 @@ def _jacobian_pass(m: GpModel, Z: np.ndarray, dz: bool) -> tuple[np.ndarray, ...
     Z = _query_points(Z, m.dim_latent)
     n, q = Z.shape
     d, c, e = _differences(m.kernel, Z, m.latent_inputs, hessian=dz)
-    grads = c * d
+    # without dz the differences are not needed again: G in their buffer
+    grads = c * d if dz else np.multiply(d, c, out=d)
     means = _alpha_products(grads, m.alpha)
     # W, in grads' buffer: row a n + i of w.T is column a of point i
     solve = dict(lower=True, overwrite_b=True, check_finite=False)
@@ -440,20 +503,22 @@ def _log_marginal_terms(
     its gradient in (log lengthscale, log variance, log noise), M = alpha
     alpha^T - D K^-1 and the radial coefficient c at r2: the gradient in the
     latents follows from M and c (`_fit_objective`), so a step that moves
-    the latents factorizes the kernel matrix once."""
-    gram = _kernel_of_r2(kernel, r2)
-    chol = _robust_cholesky(gram, noise, kernel.variance)
+    the latents factorizes the kernel matrix once.
+
+    The kernel and c share one exp (rbf), or one sqrt and one exp
+    (matern52); r2 is left as it is."""
+    gram, c = _kernel_of_r2(kernel, r2, radial=True)
+    chol = _robust_cholesky(gram.copy(), noise, kernel.variance, lambda: gram)
     alpha = cho_solve((chol.T, False), Yc)
     lml = _log_marginal(chol, alpha, Yc)
     mmat = _gradient_matrix(chol, alpha)
-    c = _radial_coefficients(kernel, r2, hessian=False)[0]
-    grad = np.array(
-        [
-            0.5 * float(np.sum(mmat * (-c * r2))),
-            0.5 * float(np.sum(mmat * gram)),
-            0.5 * noise * float(np.trace(mmat)),
-        ]
-    )
+    # the two full traces, sum(M * (-c r2)) and sum(M * K), in one scratch buffer
+    scratch = np.negative(c)
+    scratch *= r2
+    scratch *= mmat
+    trace_ell = float(np.sum(scratch))
+    trace_var = float(np.sum(np.multiply(mmat, gram, out=scratch)))
+    grad = np.array([0.5 * trace_ell, 0.5 * trace_var, 0.5 * noise * float(np.trace(mmat))])
     return lml, grad, mmat, c
 
 

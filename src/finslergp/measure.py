@@ -8,7 +8,9 @@ expected-norm (Riemannian) metric this reproduces sqrt(det E[G]).
 
 Radii come from `metric.norms_sq`, which evaluates the angles of all
 points in one call: one point for `indicatrix`, `bh_volume` and
-`volume_ratio_bound`, every grid point for `volume_field`. Every norm kind
+`volume_ratio_bound`. `volume_field` forms sigma and the signal of every
+grid point and angle once, and takes its three volume kinds and the ratio
+bound's omega from them (`metric._norms_sq_of_kinds`). Every norm kind
 is even bit for bit, and for even K the directions at the second K/2 angles
 are the exact negations of the first, so only the first half-turn is
 evaluated and its values are repeated for the second
@@ -30,7 +32,7 @@ import numpy as np
 from .data import write_csv
 from .fields import as_field, latent_lattice
 from .gp import JacobianPosterior
-from .metric import METRIC_KINDS, MetricPoint, gap_bound, norms_sq
+from .metric import METRIC_KINDS, MetricPoint, _norms_sq_of_kinds, gap_bound, norms_sq
 
 __all__ = [
     "Indicatrix",
@@ -127,13 +129,17 @@ def _evaluated_directions(K: int) -> np.ndarray:
     return dirs if K % 2 else dirs[: K // 2]
 
 
-def _evaluated_norms_sq(means, covs, dim_data, K: int, metric_kind: str) -> np.ndarray:
-    """`norms_sq` of n points at `_evaluated_directions(K)`, once q = 2, K and
-    the metric kind are checked."""
+def _check_angles(means, K: int) -> None:
     if means.shape[-1] != 2:
         raise ValueError("indicatrices are only defined for 2-d latent spaces")
     if K < 16:
         raise ValueError("need at least 16 angles")
+
+
+def _evaluated_norms_sq(means, covs, dim_data, K: int, metric_kind: str) -> np.ndarray:
+    """`norms_sq` of n points at `_evaluated_directions(K)`, once q = 2, K and
+    the metric kind are checked."""
+    _check_angles(means, K)
     if metric_kind not in METRIC_KINDS:
         raise ValueError(f"unknown metric kind {metric_kind!r}")
     return norms_sq(means, covs, dim_data, _evaluated_directions(K), metric_kind)
@@ -171,6 +177,11 @@ def _radii(means, covs, dim_data: int, K: int, metric_kind: str) -> np.ndarray:
 def _ratio_bounds(means, covs, dim_data: int, K: int) -> np.ndarray:
     """Volume-ratio bound of each point; see `volume_ratio_bound`."""
     w = norms_sq(means, covs, dim_data, _evaluated_directions(K), "omega")
+    return _ratio_bounds_from_omega(w, dim_data)
+
+
+def _ratio_bounds_from_omega(w: np.ndarray, dim_data: int) -> np.ndarray:
+    """`_ratio_bounds` from omega at the evaluated directions, (n, k)."""
     m = np.max(gap_bound(dim_data, w), axis=1)
     return 1.0 - (1.0 - m) ** 2
 
@@ -219,8 +230,9 @@ def volume_field(m, grid: int = 32, K: int = QUADRATURE_ANGLES) -> VolumeField:
     The lattice is the field's `latent_lattice`, over the latent box plus a
     10% margin on each side. All volumes use the same polar quadrature, so
     the shared discretization bias cancels in the ratio and the pointwise
-    orderings are exact. Each quantity is one batched evaluation over all
-    grid points and angles.
+    orderings are exact. sigma and the signal of all grid points and
+    angles are formed once (one pass per block of `norms_sq`'s size), and
+    each volume kind and the ratio bound's omega are taken from them.
     """
     field = as_field(m)
     if field.latent_dim != 2:
@@ -229,16 +241,18 @@ def volume_field(m, grid: int = 32, K: int = QUADRATURE_ANGLES) -> VolumeField:
         raise ValueError("grid must be at least 2")
     pts = latent_lattice(field, grid)
     means, covs = field.jacobian_batch(pts)
+    _check_angles(means, K)
     d = field.data_dim
-    v_r = bh_volumes(means, covs, d, K, "riemann")
-    v_f = bh_volumes(means, covs, d, K, "finsler")
+    kinds = ("riemann", "finsler", "alpha_sigma")
+    *values_sq, w = _norms_sq_of_kinds(means, covs, d, _evaluated_directions(K), (*kinds, "omega"))
+    v_r, v_f, v_a = (_volumes_from_norms_sq(sq, K, kind) for sq, kind in zip(values_sq, kinds))
     return VolumeField(
         grid_points=pts,
         v_riemann=v_r,
         v_finsler=v_f,
-        v_alpha_sigma=bh_volumes(means, covs, d, K, "alpha_sigma"),
+        v_alpha_sigma=v_a,
         ratio=(v_r - v_f) / v_r,
-        ratio_bound=_ratio_bounds(means, covs, d, K),
+        ratio_bound=_ratio_bounds_from_omega(w, d),
     )
 
 

@@ -14,7 +14,8 @@ directions at once, on arrays of Jacobian posteriors with one data
 dimension D for all points or one per point. Callers that need several
 kinds of the same directions form sigma and the signal once
 (`_sigma_and_signal_batch`) and apply each kind's formula to them
-(`_norms_from_forms`): geodesic energies, both verification sweeps. Each
+(`_norms_from_forms`): geodesic energies, both verification sweeps, and
+volume fields, blockwise as `norms_sq` (`_norms_sq_of_kinds`). Each
 kind's derivatives in the two forms live in `_norm_partials`, whence the
 geodesic gradient. `gap_bound` bounds the relative gap (Wishart).
 """
@@ -219,26 +220,35 @@ def norms_sq(means, covs, dim_data, V, kind: str) -> np.ndarray:
     """
     if kind not in NORM_KINDS:
         raise ValueError(f"unknown norm kind {kind!r}, expected one of {NORM_KINDS}")
+    if kind == "euclid":
+        V = np.asarray(V, dtype=float)
+        return np.broadcast_to(np.sum(V * V, axis=-1), (len(means), V.shape[-2])).copy()
+    return _norms_sq_of_kinds(means, covs, dim_data, V, (kind,))[0]
+
+
+def _norms_sq_of_kinds(means, covs, dim_data, V, kinds) -> list:
+    """`norms_sq` of each kind in kinds (`NORM_KINDS` but euclid), one array
+    per kind, from one `_sigma_and_signal_batch` pass per block for all of
+    them: each array is the one-kind call's, bit for bit."""
     means = np.asarray(means, dtype=float)
     covs = np.asarray(covs, dtype=float)
     V = np.asarray(V, dtype=float)
     n, k = means.shape[0], V.shape[-2]
-    if kind == "euclid":
-        return np.broadcast_to(np.sum(V * V, axis=-1), (n, k)).copy()
     per_point = np.ndim(dim_data) > 0
     if per_point:
         dim_data = np.asarray(dim_data)
         if dim_data.shape != (n,) or dim_data.dtype.kind not in "iu":
             raise ValueError(f"dim_data must be an int or {n} integers, one per point")
-    out = np.empty((n, k))
+    outs = [np.empty((n, k)) for _ in kinds]
     step = max(1, _BLOCK_VALUES // max(k, 1))
     for lo in range(0, n, step):
         block = slice(lo, lo + step)
         forms = _sigma_and_signal_batch(means[block], covs[block], V if V.ndim == 2 else V[block])
-        out[block] = _norms_from_forms(
-            *forms, dim_data[block, None] if per_point else dim_data, kind
-        )
-    return out
+        for out, kind in zip(outs, kinds):
+            out[block] = _norms_from_forms(
+                *forms, dim_data[block, None] if per_point else dim_data, kind
+            )
+    return outs
 
 
 def _alpha(dim_data):

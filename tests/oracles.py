@@ -8,6 +8,8 @@ import warnings
 import mpmath as mp
 import numpy as np
 import scipy.linalg
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from finslergp.experiments import (
     COMPARISON_KINDS,
@@ -28,13 +30,18 @@ from finslergp.geodesic import (
     curve_energy,
 )
 from finslergp.gp import (
+    RBF,
     JacobianPosterior,
     _differences,
+    _gradient_matrix,
     _jacobian_pass,
     _kernel_matrix,
+    _log_marginal,
     _log_marginal_terms,
     _query_points,
+    _robust_cholesky,
     _sqdist,
+    cho_solve,
 )
 from finslergp.measure import bh_volume, bh_volumes
 from finslergp.metric import (
@@ -231,6 +238,47 @@ def _kernel_grad_first(k, a, b) -> np.ndarray:
     return np.moveaxis(c * d, 0, -1)
 
 
+def kernel_of_r2_formula(k, r2) -> np.ndarray:
+    """k at squared distances r2, the formula evaluated with temporaries."""
+    if k.family == RBF:
+        return k.variance * np.exp(-0.5 * r2 / k.lengthscale**2)
+    u = math.sqrt(5.0) / k.lengthscale
+    r = np.sqrt(r2)
+    return k.variance * (1.0 + u * r + (u * r) ** 2 / 3.0) * np.exp(-u * r)
+
+
+def radial_coefficients_formula(k, r2) -> tuple:
+    """The radial coefficients (c, e) of `gp._radial_coefficients` at r2, the
+    formulas evaluated with temporaries."""
+    if k.family == RBF:
+        c = -(k.variance / k.lengthscale**2) * np.exp(-0.5 * r2 / k.lengthscale**2)
+        return c, -c / k.lengthscale**2
+    u = math.sqrt(5.0) / k.lengthscale
+    r = np.sqrt(r2)
+    decay = np.exp(-u * r)
+    return -(k.variance * u**2 / 3.0) * (1.0 + u * r) * decay, (k.variance * u**4 / 3.0) * decay
+
+
+def log_marginal_terms_separate_exps(r2, Yc, kernel, noise):
+    """`gp._log_marginal_terms` with the kernel and its radial coefficient
+    each from its own formula (an exp each), and each trace a full N x N
+    product."""
+    gram = kernel_of_r2_formula(kernel, r2)
+    chol = _robust_cholesky(gram.copy(), noise, kernel.variance, lambda: gram)
+    alpha = cho_solve((chol.T, False), Yc)
+    lml = _log_marginal(chol, alpha, Yc)
+    mmat = _gradient_matrix(chol, alpha)
+    c = radial_coefficients_formula(kernel, r2)[0]
+    grad = np.array(
+        [
+            0.5 * float(np.sum(mmat * (-c * r2))),
+            0.5 * float(np.sum(mmat * gram)),
+            0.5 * noise * float(np.trace(mmat)),
+        ]
+    )
+    return lml, grad, mmat, c
+
+
 def _log_marginal_and_grad(X, Yc, kernel, noise):
     """Log marginal likelihood and its gradient in (log lengthscale,
     log variance, log noise)."""
@@ -316,6 +364,34 @@ def energy_gradient_fd(m, c: DiscreteCurve, metric_kind: str, step: float = 1e-5
         for j in range(q):
             grad[k - 1, j] = (energy(k, j, step) - energy(k, j, -step)) / (2.0 * step)
     return grad
+
+
+# ---------------------------------------------------------------------------
+# shortest paths
+
+
+def lattice_path_scipy(n_nodes, us, vs, weights, source, target):
+    """Nodes of a shortest path from source to target over the undirected
+    edges (us[i], vs[i]) with weights[i], by scipy's Dijkstra search, and
+    its length."""
+    graph = csr_matrix((weights, (us, vs)), shape=(n_nodes, n_nodes))
+    dist, pred = dijkstra(graph, directed=False, indices=source, return_predecessors=True)
+    path = [target]
+    while path[-1] != source:
+        path.append(int(pred[path[-1]]))
+    return path[::-1], float(dist[target])
+
+
+def path_length(us, vs, weights, path):
+    """Length of a path over the undirected edges (us[i], vs[i]), its edge
+    weights summed from the source on."""
+    weight = {}
+    for u, v, w in zip(us.tolist(), vs.tolist(), weights.tolist()):
+        weight[u, v] = weight[v, u] = w
+    length = 0.0
+    for u, v in zip(path[:-1], path[1:]):
+        length += weight[u, v]
+    return length
 
 
 def geodesic_comparison(m, endpoints, out_path=None, metric_kinds=COMPARISON_KINDS, **kwargs):

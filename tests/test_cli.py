@@ -525,7 +525,8 @@ def test_indicatrix_non_finite_point_exits_2(circles_model, tmp_path, capsys):
 
 def test_scipy_stays_off_the_import_path(tmp_path):
     # a fresh interpreter: importing the CLI, generate and verify load no
-    # scipy module; a fit then loads scipy.linalg at its first factorization
+    # scipy module; a fit then loads scipy.linalg at its first factorization,
+    # and a grid-seeded geodesic on a model file loads no scipy.sparse module
     code = textwrap.dedent("""
         import json, sys
 
@@ -541,6 +542,9 @@ def test_scipy_stays_off_the_import_path(tmp_path):
         loaded["verify"] = scipy_modules()
         assert main(["fit", "--data", "d.csv", "--out", "m.json", "--steps", "2"]) == 0
         loaded["fit"] = scipy_modules()
+        assert main(["geodesic", "--model", "m.json", "--start=-0.5,-0.5", "--end=0.5,0.5",
+                     "--grid", "10", "--nc", "9", "--out", "geo.csv"]) == 0
+        loaded["geodesic"] = scipy_modules()
         print(json.dumps(loaded))
     """)
     src = os.path.dirname(os.path.dirname(os.path.abspath(finslergp.__file__)))
@@ -552,3 +556,6 @@ def test_scipy_stays_off_the_import_path(tmp_path):
     assert loaded["import"] == loaded["generate"] == loaded["verify"] == []
     assert "scipy.linalg" in loaded["fit"]
     assert (tmp_path / "m.json").exists()
+    assert "scipy.linalg" in loaded["geodesic"]
+    assert not [m for m in loaded["geodesic"] if m.startswith("scipy.sparse")]
+    assert (tmp_path / "geo.csv").exists()

@@ -12,6 +12,9 @@ from finslergp.fields import EuclideanField, GpField, SphereField, SyntheticFiel
 from finslergp.gp import MATERN52, Kernel, make_model
 from finslergp.geodesic import (
     DiscreteCurve,
+    _lattice_edges,
+    _lattice_graph,
+    _shortest_path,
     GeodesicResult,
     curve_energy,
     curve_length,
@@ -24,7 +27,13 @@ from finslergp.geodesic import (
     resample_curve,
 )
 
-from oracles import energy_finsler, energy_gradient_fd, energy_riemannian
+from oracles import (
+    energy_finsler,
+    energy_gradient_fd,
+    energy_riemannian,
+    lattice_path_scipy,
+    path_length,
+)
 
 
 def wiggly_curve(rng, n=8, q=2, span=1.4):
@@ -471,6 +480,61 @@ def test_grid_path_detours_around_high_variance_region(gp_arc_model):
     path_var = np.mean([field.posterior_variance(z) for z in path.points])
     chord_var = np.mean([field.posterior_variance(z) for z in chord.points])
     assert path_var < chord_var
+
+
+@pytest.mark.parametrize("grid", range(2, 16))
+def test_lattice_search_takes_the_oracle_path_without_ties(grid):
+    # continuous random weights: no two paths tie, so the heap search and
+    # scipy's Dijkstra must return the same path
+    rng = np.random.default_rng(grid)
+    us, vs = _lattice_edges(grid)
+    n = grid * grid
+    for _ in range(5):
+        weights = rng.uniform(0.05, 1.0, len(us))
+        source, target = (int(i) for i in rng.integers(0, n, 2))
+        path = _shortest_path(n, us, vs, weights, source, target)
+        want, length = lattice_path_scipy(n, us, vs, weights, source, target)
+        assert path == want
+        assert path_length(us, vs, weights, path) == length
+
+
+def test_lattice_edges_are_the_8_neighbourhood_once():
+    us, vs = _lattice_edges(4)
+    assert np.all(us < vs) and len(set(zip(us, vs))) == len(us) == 3 * 4 * 2 + 2 * 3 * 3
+    steps = {(v // 4 - u // 4, v % 4 - u % 4) for u, v in zip(us, vs)}
+    assert steps == {(1, 0), (0, 1), (1, 1), (1, -1)}
+
+
+@pytest.mark.parametrize(
+    "field, grid, start, end",
+    [
+        (EuclideanField(2, box=2.0), 10, (-1.5, -1.5), (1.5, 1.5)),
+        (EuclideanField(2, box=2.0), 7, (-1.9, 0.3), (1.2, -0.8)),
+        (EuclideanField(2, box=2.0), 12, (0.1, -1.7), (0.2, 1.8)),
+        # scipy and the heap search take mirror-image routes here
+        (SphereField(), 6, (-1.826121, 2.373315), (1.492082, 0.438283)),
+    ],
+)
+def test_lattice_search_ties_give_an_equally_short_path(field, grid, start, end):
+    kind = "euclid" if isinstance(field, EuclideanField) else "riemann"
+    nodes, us, vs, weights = _lattice_graph(field, grid, kind)
+    source, target = (int(np.argmin(np.sum((nodes - z) ** 2, axis=1))) for z in (start, end))
+    path = _shortest_path(len(nodes), us, vs, weights, source, target)
+    want, length = lattice_path_scipy(len(nodes), us, vs, weights, source, target)
+    assert path[0] == source and path[-1] == target
+    assert path_length(us, vs, weights, path) == path_length(us, vs, weights, want) == length
+
+
+def test_lattice_search_breaks_ties_by_node_number():
+    # the square 0-1-3-2 with its diagonal 0-3: at unit sides both routes
+    # over a corner tie; node 1 settles before node 2 at the same distance,
+    # and a predecessor changes only on a strictly shorter distance, so the
+    # route over 1 is kept, and a diagonal as long, relaxed first, over both
+    us, vs = np.array([0, 0, 1, 2, 0]), np.array([1, 2, 3, 3, 3])
+    sides = [1.0, 1.0, 1.0, 1.0]
+    assert _shortest_path(4, us, vs, np.array(sides + [6.0]), 0, 3) == [0, 1, 3]
+    assert _shortest_path(4, us, vs, np.array(sides + [2.0]), 0, 3) == [0, 3]
+    assert _shortest_path(4, us, vs, np.array(sides + [6.0]), 2, 2) == [2]
 
 
 # ---------------------------------------------------------------------------

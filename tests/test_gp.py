@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from finslergp import gp
 from finslergp.data import gen_pinwheel_sphere
 from finslergp.gp import (
     MATERN52,
@@ -19,9 +20,12 @@ from finslergp.gp import (
     Kernel,
     _PD_MARGIN,
     _clamp_psd_batch,
+    _differences,
+    _jacobian_pass,
     _kernel_matrix,
     _prior_derivative_cov,
     _radial_coefficients,
+    _sqdist,
     fit_gplvm,
     fit_hyperparameters,
     load_model,
@@ -41,6 +45,9 @@ from oracles import (
     jacobian_posterior_closed_form,
     jacobian_posterior_discretized,
     kernel_eval,
+    kernel_of_r2_formula,
+    log_marginal_terms_separate_exps,
+    radial_coefficients_formula,
 )
 
 
@@ -714,3 +721,71 @@ def test_clamp_other_latent_dimensions_run_eigh(eigh_calls):
         covs = a @ np.swapaxes(a, -1, -2) + 0.1 * np.eye(q)
         assert _clamp_psd_batch(covs).tobytes() == _clamp_by_eigh(covs).tobytes()
     assert len(eigh_calls) == 4  # two per q: the clamp's and the reference's
+
+
+# ---------------------------------------------------------------------------
+# in-place kernel work against the formulas evaluated with temporaries
+
+
+@pytest.mark.parametrize("family", [RBF, MATERN52])
+def test_in_place_kernel_and_coefficients_are_the_formulas_bit_for_bit(family):
+    rng = np.random.default_rng(79)
+    k = Kernel(family, 0.7, 1.9)
+    a, b = rng.uniform(-2.0, 2.0, (13, 2)), rng.uniform(-2.0, 2.0, (17, 2))
+    r2 = _sqdist(a, b)
+    assert _kernel_matrix(k, a, b).tobytes() == kernel_of_r2_formula(k, r2).tobytes()
+    for hessian in (False, True):
+        d, c, e = _differences(k, a, b, hessian)
+        want_c, want_e = radial_coefficients_formula(k, r2)
+        assert c.tobytes() == want_c.tobytes()
+        assert (e is None) if not hessian else e.tobytes() == want_e.tobytes()
+        assert np.array_equal(d, np.moveaxis(a[:, None, :] - b[None, :, :], -1, 0))
+    # a gradient pass without dz forms G in the differences' buffer; its
+    # posteriors are those of the pass with dz
+    m = make_smooth_model(family, noise=1e-4, seed=3)
+    plain, with_dz = _jacobian_pass(m, a, dz=False), _jacobian_pass(m, a, dz=True)
+    for got, want in zip(plain, with_dz[:2]):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("latents", ["fixed", "free"])
+@pytest.mark.parametrize("family", [RBF, MATERN52])
+def test_fit_objective_shares_its_exp_bit_for_bit(family, latents, monkeypatch):
+    # one exp (and for matern52 one sqrt) serves the kernel and its radial
+    # coefficient, and the traces share a scratch buffer: the objective and
+    # its gradient are the bits of the formulation with separate formulas
+    rng = np.random.default_rng(83)
+    X = rng.uniform(-2.0, 2.0, (40, 2))
+    Y = smooth_targets(X, 3) + 0.05 * rng.standard_normal((40, 3))
+    Yc = Y - Y.mean(axis=0)
+    params = np.log([0.8, 1.3, 1e-3])
+    r2 = _sqdist(X, X)
+    if latents == "free":
+        params, r2 = np.concatenate([params, X.ravel()]), None
+    got = gp._fit_objective(params, X, r2, Yc, family)
+    monkeypatch.setattr(gp, "_log_marginal_terms", log_marginal_terms_separate_exps)
+    want = gp._fit_objective(params, X, r2, Yc, family)
+    assert got[0] == want[0]
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_jitter_ladder_rebuilds_the_kernel_from_the_latents(monkeypatch):
+    # make_model factors the kernel in the buffer it built; when that
+    # attempt fails, the next one rebuilds K from X and adds the jitter
+    m = make_smooth_model(noise=1e-3, seed=5)
+    factor = gp._finite_cholesky
+    attempts = []
+
+    def first_fails(kmat):
+        attempts.append(kmat.copy())
+        return None if len(attempts) == 1 else factor(kmat)
+
+    monkeypatch.setattr(gp, "_finite_cholesky", first_fails)
+    jittered = make_model(m.latent_inputs, m.outputs, m.kernel, m.noise)
+    want = _kernel_matrix(m.kernel, m.latent_inputs, m.latent_inputs)
+    diag = want.reshape(-1)[::26]
+    diag += m.noise
+    assert len(attempts) == 2 and attempts[0].tobytes() == want.tobytes()
+    diag += gp._JITTER0 * m.kernel.variance
+    assert attempts[1].tobytes() == want.tobytes()
+    assert jittered.chol.tobytes() == factor(want).tobytes()

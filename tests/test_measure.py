@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from finslergp import measure
+from finslergp import measure, metric
 from finslergp.fields import ConstantField, SphereField, as_field
 from finslergp.gp import JacobianPosterior, posterior_mean_var
 from finslergp.measure import (
@@ -283,6 +283,36 @@ def test_volume_field_matches_per_point_functions(gp_model_2d):
         assert vf.v_finsler[i] == pytest.approx(bh_volume(p, 64, "finsler"), rel=1e-13)
         assert vf.v_alpha_sigma[i] == pytest.approx(bh_volume(p, 64, "alpha_sigma"), rel=1e-13)
         assert vf.ratio_bound[i] == pytest.approx(volume_ratio_bound(p, 64), rel=1e-13)
+
+
+@pytest.mark.parametrize("grid, K", [(16, 256), (5, 64), (3, 17)])
+def test_volume_field_is_the_per_kind_calls_bit_for_bit(gp_model_2d, grid, K):
+    # one pass of the forms serves every kind: each volume and the ratio
+    # bound are the bits of their own `bh_volumes` and `_ratio_bounds`
+    # calls, each of which forms sigma and the signal again
+    vf = volume_field(gp_model_2d, grid=grid, K=K)
+    field = as_field(gp_model_2d)
+    means, covs = field.jacobian_batch(vf.grid_points)
+    d = field.data_dim
+    for kind, got in (("riemann", vf.v_riemann), ("finsler", vf.v_finsler),
+                      ("alpha_sigma", vf.v_alpha_sigma)):
+        assert got.tobytes() == measure.bh_volumes(means, covs, d, K, kind).tobytes(), kind
+    assert vf.ratio_bound.tobytes() == _ratio_bounds(means, covs, d, K).tobytes()
+
+
+def test_volume_field_forms_sigma_and_signal_once_per_block(monkeypatch):
+    # 256 grid points at 128 evaluated angles are two blocks of norms_sq's
+    # size: one forms pass each serves all three volumes and the bound
+    calls = []
+    forms = metric._sigma_and_signal_batch
+
+    def counted(means, covs, V):
+        calls.append(len(means))
+        return forms(means, covs, V)
+
+    monkeypatch.setattr(metric, "_sigma_and_signal_batch", counted)
+    volume_field(SphereField(), grid=16, K=256)
+    assert calls == [128, 128]
 
 
 def test_batched_radii_exactly_even(gp_model_2d):
