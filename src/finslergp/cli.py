@@ -34,9 +34,10 @@ from .data import (
 )
 from .experiments import (
     COMPARISON_KINDS,
+    _convergence_checks,
+    _with_checks,
     bound_sweep,
     comparison_entries,
-    convergence_violations,
     export_comparison_csv,
     export_convergence_csv,
     export_violations_csv,
@@ -235,9 +236,9 @@ def cmd_verify(args) -> int:
     ensemble = make_truncation_ensemble(d_max=dims[-1], seed=args.seed)
     rows = truncation_sweep(ensemble, dims, v_samples=args.v_samples, seed=args.seed)
     report = bound_sweep(n_specs=args.n, seed=args.seed)
+    report = _with_checks(report, _convergence_checks(rows, ensemble.m_constant))
 
     counts = dict(report.counts)
-    counts.update(convergence_violations(rows, ensemble.m_constant))
     if args.inject_violation:
         counts["injected_self_test"] = 1
 

@@ -15,13 +15,17 @@ specs: the truncation sweep once per dimension, from one Gram, for its
 directions and the half-turn of its volume angles together; each norm kind
 is then one `_norms_from_forms` call (for finsler, one 1F1 array call per
 dimension), and the volumes go through `measure._volumes_from_norms_sq`.
+
+Each inequality is checked as a named boolean array, True where it holds,
+one entry per spec, curve, volume spec or swept dimension; a report counts
+its False entries as violations and all entries as trials (`_with_checks`).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -32,7 +36,7 @@ from .geodesic import (
     DiscreteCurve, _length_and_energy, _segment_norms_sq, _warn_if_outside, geodesic_between
 )
 from .gp import _posterior_mean_var_batch
-from .measure import _evaluated_directions, _volumes_from_norms_sq
+from .measure import _evaluated_directions, _ratio_bounds_from_omega, _volumes_from_norms_sq
 from .metric import _norms_from_forms, _sigma_and_signal, _sigma_and_signal_batch, gap_bound
 from .randmat import ScalarWishart, batch_rng, wishart_scalar_moments
 
@@ -187,25 +191,24 @@ def truncation_sweep(
     return rows
 
 
-def convergence_violations(
-    rows: list[ConvergenceRow], m_constant: float
-) -> dict[str, int]:
+def _convergence_checks(rows: list[ConvergenceRow], m_constant: float) -> dict[str, np.ndarray]:
+    # per row: the gap lies in [0, bound], and D * gap stays under 1 + M
+    gap, bound, scaled = (
+        np.array([getattr(r, name) for r in rows]) for name in ("gap_norm", "bound", "gap_times_d")
+    )
+    return {
+        "trunc_gap_range": (-SLACK <= gap) & (gap <= bound + SLACK),
+        "trunc_gap_scaled": ~(scaled > 1.0 + m_constant + SLACK),
+    }
+
+
+def convergence_violations(rows: list[ConvergenceRow], m_constant: float) -> dict[str, int]:
     """Count rows breaking the gap range or the scaled-gap ceiling."""
-    out = {"trunc_gap_range": 0, "trunc_gap_scaled": 0}
-    for row in rows:
-        if not -SLACK <= row.gap_norm <= row.bound + SLACK:
-            out["trunc_gap_range"] += 1
-        if row.gap_times_d > 1.0 + m_constant + SLACK:
-            out["trunc_gap_scaled"] += 1
-    return out
+    return {name: int(np.sum(~ok)) for name, ok in _convergence_checks(rows, m_constant).items()}
 
 
 def export_convergence_csv(path: str, rows: list[ConvergenceRow]) -> None:
-    write_csv(
-        path,
-        ((r.d, r.gap_norm, r.gap_volume, r.bound, r.gap_times_d) for r in rows),
-        header=["d", "gap_norm", "gap_volume", "bound", "gap_times_d"],
-    )
+    write_csv(path, map(astuple, rows), header=[f.name for f in fields(ConvergenceRow)])
 
 
 # ---------------------------------------------------------------------------
@@ -310,57 +313,50 @@ def _spec_values(specs: list) -> dict[str, np.ndarray]:
     return out
 
 
-def _norm_checks(specs: list, counts: dict, trials: dict) -> None:
+def _norm_checks(specs: list) -> dict[str, np.ndarray]:
     # the sandwich and relative_gap's two bounds, for every spec
     vals = _spec_values(specs)
     lower, finsler, upper, gap = (vals[k] for k in ("alpha_sigma", "finsler", "riemann", "gap"))
-    for name, ok in (
-        ("norm_sandwich", (lower <= finsler + SLACK) & (finsler <= upper + SLACK)),
-        ("norm_gap_range", (-SLACK <= gap) & (gap <= vals["wishart"] + SLACK)),
-        ("norm_gap_jensen", gap <= vals["jensen"] + SLACK),
-    ):
-        trials[name] += len(specs)
-        counts[name] += int(np.sum(~ok))
+    return {
+        "norm_sandwich": (lower <= finsler + SLACK) & (finsler <= upper + SLACK),
+        "norm_gap_range": (-SLACK <= gap) & (gap <= vals["wishart"] + SLACK),
+        "norm_gap_jensen": gap <= vals["jensen"] + SLACK,
+    }
 
 
-def _curve_checks(curves: list, counts: dict, trials: dict) -> None:
+def _curve_checks(curves: list) -> dict[str, np.ndarray]:
     # length and energy orderings and gap bounds of every curve: each
     # field's segment forms from its one jacobian_batch, then one
     # _norms_from_forms call per kind over the segments of all curves
-    forms = []
-    for fld, curve in curves:
-        means, covs = fld.jacobian_batch(curve.midpoints)
-        forms.append(_sigma_and_signal_batch(means, covs, curve.velocities[:, None, :]))
+    forms = [
+        _sigma_and_signal_batch(*fld.jacobian_batch(c.midpoints), c.velocities[:, None, :])
+        for fld, c in curves
+    ]
     sigma, signal = (np.concatenate(f)[:, 0] for f in zip(*forms))
     sizes = [len(f[0]) for f in forms]
     dims = np.repeat([fld.data_dim for fld, _ in curves], sizes)
     seg_sq = {kind: _norms_from_forms(sigma, signal, dims, kind) for kind in SWEEP_KINDS}
-    seg_bound = gap_bound(dims, seg_sq["omega"])
-    ends = np.cumsum(sizes)
-    for lo, hi in zip([0, *ends[:-1]], ends):
-        rows = slice(lo, hi)
-        (l_a, e_a), (l_f, e_f), (l_r, e_r) = (
-            _length_and_energy(seg_sq[kind][rows]) for kind in ("alpha_sigma", "finsler", "riemann")
-        )
-        trials["curve_length_ordering"] += 1
-        if not (l_a <= l_f + SLACK and l_f <= l_r + SLACK):
-            counts["curve_length_ordering"] += 1
-        trials["curve_energy_ordering"] += 1
-        if not (e_a <= e_f + SLACK and e_f <= e_r + SLACK):
-            counts["curve_energy_ordering"] += 1
-        trials["curve_length_energy"] += 1
-        if not (
-            l_a**2 <= e_a + SLACK and l_f**2 <= e_f + SLACK and l_r**2 <= e_r + SLACK
-        ):
-            counts["curve_length_energy"] += 1
-        # largest per-segment norm gap bound along the curve
-        m = float(np.max(seg_bound[rows]))
-        trials["curve_gap_bounds"] += 1
-        if l_r > 0.0 and not (
-            (l_r - l_f) / l_r <= m + SLACK
-            and (e_r - e_f) / e_r <= 2.0 * m + m * m + SLACK
-        ):
-            counts["curve_gap_bounds"] += 1
+    starts = np.cumsum(sizes)[:-1]  # first segment of each curve after the first
+    (l_a, e_a), (l_f, e_f), (l_r, e_r) = (
+        np.array([_length_and_energy(sq) for sq in np.split(seg_sq[kind], starts)]).T
+        for kind in ("alpha_sigma", "finsler", "riemann")
+    )
+    # largest per-segment norm gap bound along each curve
+    m = np.array([np.max(b) for b in np.split(gap_bound(dims, seg_sq["omega"]), starts)])
+    # a curve of zero riemann length passes the gap check; 1.0 stands in
+    # for its divisors
+    moved = l_r > 0.0
+    l_r1, e_r1 = np.where(moved, l_r, 1.0), np.where(moved, e_r, 1.0)
+    return {
+        "curve_length_ordering": (l_a <= l_f + SLACK) & (l_f <= l_r + SLACK),
+        "curve_energy_ordering": (e_a <= e_f + SLACK) & (e_f <= e_r + SLACK),
+        "curve_length_energy": (
+            (l_a**2 <= e_a + SLACK) & (l_f**2 <= e_f + SLACK) & (l_r**2 <= e_r + SLACK)
+        ),
+        "curve_gap_bounds": ~moved | (
+            ((l_r - l_f) / l_r1 <= m + SLACK) & ((e_r - e_f) / e_r1 <= 2.0 * m + m * m + SLACK)
+        ),
+    }
 
 
 def _smallest_noncentrality(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
@@ -375,7 +371,7 @@ def _smallest_noncentrality(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
     return np.maximum(np.linalg.eigvalsh(white)[:, 0], 0.0)
 
 
-def _volume_checks(volumes: list, counts: dict, trials: dict) -> None:
+def _volume_checks(volumes: list) -> dict[str, np.ndarray]:
     # volume ordering and the eigenvalue bound on the volume ratio: one forms
     # pass over all volume specs at the volume half-turn, their q = 2 means
     # zero-padded to the largest D (zero rows of E[J] leave the Gram
@@ -392,19 +388,27 @@ def _volume_checks(volumes: list, counts: dict, trials: dict) -> None:
     )
     ratio = (v_r - v_f) / v_r
     w_min = _smallest_noncentrality(means, covs)
-    eig_bound = 1.0 - (1.0 - gap_bound(dims, w_min)) ** 2
-    n = len(volumes)
-    for name, ok in (
-        ("volume_ordering", (v_a <= v_f * (1.0 + SLACK)) & (v_f <= v_r * (1.0 + SLACK))),
-        ("volume_gap_bound", (-SLACK <= ratio) & (ratio <= eig_bound + SLACK)),
-    ):
-        trials[name] += n
-        counts[name] += int(np.sum(~ok))
+    eig_bound = _ratio_bounds_from_omega(w_min[:, None], dims[:, None])
+    return {
+        "volume_ordering": (v_a <= v_f * (1.0 + SLACK)) & (v_f <= v_r * (1.0 + SLACK)),
+        "volume_gap_bound": (-SLACK <= ratio) & (ratio <= eig_bound + SLACK),
+    }
+
+
+def _with_checks(report: ViolationReport, checks: dict[str, np.ndarray]) -> ViolationReport:
+    """The report with each named check added: its boolean array is True
+    where the inequality holds, its violations are the False entries and
+    its trials all entries."""
+    return replace(
+        report,
+        counts={**report.counts, **{name: int(np.sum(~ok)) for name, ok in checks.items()}},
+        trials={**report.trials, **{name: ok.size for name, ok in checks.items()}},
+    )
 
 
 def bound_sweep(n_specs: int = 10_000, seed: int = 0) -> ViolationReport:
     """Check every norm, curve-functional and volume inequality on random
-    ensembles; returns the per-inequality violation counts.
+    ensembles; returns the per-inequality violation and trial counts.
 
     Norm checks run on every spec; curve and volume checks run on every
     tenth spec. The sweep draws first and evaluates after. The draw phase
@@ -421,30 +425,13 @@ def bound_sweep(n_specs: int = 10_000, seed: int = 0) -> ViolationReport:
     """
     if n_specs < 100:
         raise ValueError("need at least 100 specs for a meaningful sweep")
-    counts: dict[str, int] = {
-        "norm_sandwich": 0,
-        "norm_gap_range": 0,
-        "norm_gap_jensen": 0,
-        "curve_length_ordering": 0,
-        "curve_energy_ordering": 0,
-        "curve_length_energy": 0,
-        "curve_gap_bounds": 0,
-        "volume_ordering": 0,
-        "volume_gap_bound": 0,
-    }
-    trials = dict.fromkeys(counts, 0)
     specs, curves, volumes = _draw_sweep(n_specs, seed)
-    _norm_checks(specs, counts, trials)
-    _curve_checks(curves, counts, trials)
-    _volume_checks(volumes, counts, trials)
-    return ViolationReport(seed=seed, n_specs=n_specs, counts=counts, trials=trials)
+    checks = {**_norm_checks(specs), **_curve_checks(curves), **_volume_checks(volumes)}
+    return _with_checks(ViolationReport(seed=seed, n_specs=n_specs), checks)
 
 
 def export_violations_csv(path: str, report: ViolationReport) -> None:
-    rows = [
-        (name, report.trials.get(name, 0), report.counts[name])
-        for name in sorted(report.counts)
-    ]
+    rows = ((name, report.trials[name], report.counts[name]) for name in sorted(report.counts))
     write_csv(path, rows, header=["check", "trials", "violations"])
 
 
@@ -514,17 +501,9 @@ def comparison_entries(
                 fld, res.curve.midpoints, res.curve.velocities, ("riemann", "finsler")
             )
             l_r, l_f = (_length_and_energy(e)[0] for e in seg_sq)
-            length_ambient, mean_variance = _ambient_and_variance(fld, res.curve)
             row = ComparisonRow(
-                pair=i,
-                metric_kind=kind,
-                length_riemann=l_r,
-                length_finsler=l_f,
-                length_ambient=length_ambient,
-                mean_variance=mean_variance,
-                energy=res.energy,
-                iterations=res.iterations,
-                converged=res.converged,
+                i, kind, l_r, l_f, *_ambient_and_variance(fld, res.curve),
+                res.energy, res.iterations, res.converged,
             )
             entries.append((row, res.curve))
     return entries
@@ -533,29 +512,7 @@ def comparison_entries(
 def export_comparison_csv(path: str, rows: list[ComparisonRow]) -> None:
     write_csv(
         path,
-        (
-            (
-                r.pair,
-                r.metric_kind,
-                r.length_riemann,
-                r.length_finsler,
-                r.length_ambient,
-                r.mean_variance,
-                r.energy,
-                r.iterations,
-                int(r.converged),
-            )
-            for r in rows
-        ),
-        header=[
-            "pair",
-            "metric",
-            "length_riemann",
-            "length_finsler",
-            "length_ambient",
-            "mean_variance",
-            "energy",
-            "iterations",
-            "converged",
-        ],
+        map(astuple, rows),
+        header=["pair", "metric", "length_riemann", "length_finsler", "length_ambient",
+                "mean_variance", "energy", "iterations", "converged"],
     )

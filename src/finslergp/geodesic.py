@@ -404,8 +404,10 @@ def geodesic_between(
     """End-to-end geodesic: initialize, then refine coarse-to-fine.
 
     grid > 0 seeds the curve with a latent-grid shortest path; otherwise a
-    straight line. Optimizing at 9/17/33 points before the final resolution
-    sidesteps the ill-conditioning of fine discretizations.
+    straight line. The curve is optimized at 9/17/33 points before the final
+    resolution, each level from the last one's minimum. That saves no
+    iterations (seeded at 33 points directly, the pinwheel pipeline's curves
+    take fewer); it picks which minimum, and those differ by 2 to 10 % in energy.
     """
     field = as_field(m)
     levels = [n for n in (9, 17, 33) if n < n_points] + [n_points]

@@ -274,6 +274,20 @@ def test_verify_clean_and_reproducible(tmp_path, capsys):
     assert [(p.name, p.read_bytes()) for p in sorted(outdir.iterdir())] == snapshot
 
 
+def test_verify_writes_a_row_per_counted_check(tmp_path, capsys):
+    # violations.csv lists every check verify counts on stdout, the two
+    # truncation checks included, whose trials are the dimensions swept
+    outdir = tmp_path / "v"
+    assert main(["verify", "--n", "100", "--dims", "2,4,8", "--v-samples", "2",
+                 "--out", str(outdir)]) == 0
+    assert "checks: 11, violations: 0" in capsys.readouterr().out
+    with open(outdir / "violations.csv", newline="") as fh:
+        rows = {r["check"]: r for r in csv.DictReader(fh)}
+    assert len(rows) == 11
+    for name in ("trunc_gap_range", "trunc_gap_scaled"):
+        assert rows[name]["trials"] == "3" and rows[name]["violations"] == "0"
+
+
 def test_verify_injected_violation(tmp_path, capsys):
     rc = main(["verify", "--n", "100", "--dims", "2,4", "--v-samples", "2",
                "--out", str(tmp_path / "v"), "--inject-violation"])

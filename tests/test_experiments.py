@@ -22,7 +22,7 @@ from finslergp.experiments import (
     _smallest_noncentrality,
     _spec_values,
 )
-from finslergp import metric
+from finslergp import experiments, metric
 from finslergp.fields import ConstantField, GpField, SphereField, SyntheticField
 from finslergp.geodesic import curve_length
 from finslergp.gp import JacobianPosterior
@@ -223,6 +223,20 @@ def test_bound_sweep_clean_and_counted():
     assert report.trials["curve_length_ordering"] == 40
     assert report.trials["volume_ordering"] == 40
     assert set(report.counts) == set(report.trials)
+
+
+def test_bound_sweep_counts_every_trial_it_breaks(monkeypatch):
+    # a slack of -1e3 breaks every inequality, so each check's count must
+    # equal its trials: one per spec, and one per curve and per volume spec
+    # (not one per curve segment or quadrature angle)
+    monkeypatch.setattr(experiments, "SLACK", -1e3)
+    report = bound_sweep(n_specs=300, seed=0)
+    assert len(report.counts) == 9
+    assert report.counts == report.trials
+    assert report.trials["norm_sandwich"] == 300
+    for name in ("curve_length_ordering", "curve_energy_ordering", "curve_length_energy",
+                 "curve_gap_bounds", "volume_ordering", "volume_gap_bound"):
+        assert report.trials[name] == 30, name
 
 
 def test_bound_sweep_validation_and_reproducibility():
