@@ -9,12 +9,13 @@ with deterministic content for a fixed seed.
 The two sweeps, which `verify` runs, use numpy only, so `verify` never
 loads scipy: the volume check's smallest generalized eigenvalue of
 (E[J]^T E[J], Sigma) comes from whitening by Sigma's Cholesky factor, for
-all volume specs in one batch (`_smallest_noncentrality`). Both sweeps form
-sigma and the signal once for the norms and volumes they need of one set of
-specs: the truncation sweep once per dimension, from one Gram, for its
-directions and the half-turn of its volume angles together; each norm kind
-is then one `_norms_from_forms` call (for finsler, one 1F1 array call per
-dimension), and the volumes go through `measure._volumes_from_norms_sq`.
+all volume specs in one batch (`_smallest_noncentrality`). Every norm kind
+comes from sigma and the signal formed once per set of directions: the
+truncation sweep (per dimension, its directions and volume half-turn
+together) and the volume checks (one D per spec) take theirs from one
+`metric._norms_sq_of_kinds` call; the spec and curve checks apply
+`_norms_from_forms` per kind to forms of their own. Volumes go through
+`measure._volumes_from_norms_sq`.
 
 Each inequality is checked as a named boolean array, True where it holds,
 one entry per spec, curve, volume spec or swept dimension; a report counts
@@ -37,7 +38,9 @@ from .geodesic import (
 )
 from .gp import _posterior_mean_var_batch
 from .measure import _evaluated_directions, _ratio_bounds_from_omega, _volumes_from_norms_sq
-from .metric import _norms_from_forms, _sigma_and_signal, _sigma_and_signal_batch, gap_bound
+from .metric import (
+    _norms_from_forms, _norms_sq_of_kinds, _sigma_and_signal, _sigma_and_signal_batch, gap_bound
+)
 from .randmat import ScalarWishart, batch_rng, wishart_scalar_moments
 
 __all__ = [
@@ -47,7 +50,6 @@ __all__ = [
     "ComparisonRow",
     "make_truncation_ensemble",
     "truncation_sweep",
-    "convergence_violations",
     "bound_sweep",
     "comparison_entries",
     "export_convergence_csv",
@@ -143,11 +145,11 @@ def truncation_sweep(
 
     The same unit directions are reused at every dimension so the trend in
     D is not confounded by direction sampling noise. Volume gaps need a
-    2-D latent space. Each dimension forms the specs' Grams E[J]^T E[J]
-    once, and sigma and the signal of the directions and of the first
-    `VOLUME_ANGLES` / 2 volume angles in one pass; riemann and finsler are
-    each one `_norms_from_forms` call over all of them, bit for bit the
-    values of `relative_gap` and `bh_volume` per spec.
+    2-D latent space. Each dimension takes riemann, finsler and omega of
+    the directions and of the first `VOLUME_ANGLES` / 2 volume angles
+    together from one `_norms_sq_of_kinds` call, bit for bit the values of
+    `relative_gap` and `bh_volume` per spec; omega is kept for the
+    directions only.
     """
     dims = [int(d) for d in dims]
     if not dims:
@@ -170,12 +172,11 @@ def truncation_sweep(
     angles = _evaluated_directions(VOLUME_ANGLES)
     V = np.concatenate([dirs, np.broadcast_to(angles, (len(dirs), *angles.shape))], axis=1)
     rows = []
+    kinds = ("riemann", "finsler", "omega")
     for d in dims:
-        sigma, signal = _sigma_and_signal_batch(ensemble.means[:, :d], ensemble.covs, V)
-        sq_r, sq_f = (_norms_from_forms(sigma, signal, d, k) for k in ("riemann", "finsler"))
+        sq_r, sq_f, w = _norms_sq_of_kinds(ensemble.means[:, :d], ensemble.covs, d, V, kinds)
         upper, finsler = np.sqrt(sq_r[:, :v_samples]), np.sqrt(sq_f[:, :v_samples])
         gaps = (upper - finsler) / np.where(upper == 0.0, 1.0, upper)
-        w = _norms_from_forms(sigma[:, :v_samples], signal[:, :v_samples], d, "omega")
         v_r = _volumes_from_norms_sq(sq_r[:, v_samples:], VOLUME_ANGLES, "riemann")
         v_f = _volumes_from_norms_sq(sq_f[:, v_samples:], VOLUME_ANGLES, "finsler")
         gap_norm = float(np.mean(gaps))
@@ -184,7 +185,7 @@ def truncation_sweep(
                 d=d,
                 gap_norm=gap_norm,
                 gap_volume=float(np.mean((v_r - v_f) / v_r)),
-                bound=float(np.mean(gap_bound(d, w))),
+                bound=float(np.mean(gap_bound(d, w[:, :v_samples]))),
                 gap_times_d=d * gap_norm,
             )
         )
@@ -200,11 +201,6 @@ def _convergence_checks(rows: list[ConvergenceRow], m_constant: float) -> dict[s
         "trunc_gap_range": (-SLACK <= gap) & (gap <= bound + SLACK),
         "trunc_gap_scaled": ~(scaled > 1.0 + m_constant + SLACK),
     }
-
-
-def convergence_violations(rows: list[ConvergenceRow], m_constant: float) -> dict[str, int]:
-    """Count rows breaking the gap range or the scaled-gap ceiling."""
-    return {name: int(np.sum(~ok)) for name, ok in _convergence_checks(rows, m_constant).items()}
 
 
 def export_convergence_csv(path: str, rows: list[ConvergenceRow]) -> None:
@@ -372,19 +368,19 @@ def _smallest_noncentrality(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
 
 
 def _volume_checks(volumes: list) -> dict[str, np.ndarray]:
-    # volume ordering and the eigenvalue bound on the volume ratio: one forms
-    # pass over all volume specs at the volume half-turn, their q = 2 means
-    # zero-padded to the largest D (zero rows of E[J] leave the Gram
-    # unchanged), then each kind's volumes from its squared norms
+    # volume ordering and the eigenvalue bound on the volume ratio: every
+    # kind's squared norms at the volume half-turn from one _norms_sq_of_kinds
+    # call over all volume specs, their q = 2 means zero-padded to the largest
+    # D (zero rows of E[J] leave the Gram unchanged)
     dims = np.array([len(m) for m, _, _ in volumes])
     means = np.zeros((len(volumes), dims.max(), 2))
     for i, (m, _, _) in enumerate(volumes):
         means[i, : dims[i]] = m
     covs = np.stack([c for _, c, _ in volumes])
-    forms = _sigma_and_signal_batch(means, covs, _evaluated_directions(VOLUME_ANGLES))
+    kinds = ("alpha_sigma", "finsler", "riemann")
+    values_sq = _norms_sq_of_kinds(means, covs, dims, _evaluated_directions(VOLUME_ANGLES), kinds)
     v_a, v_f, v_r = (
-        _volumes_from_norms_sq(_norms_from_forms(*forms, dims[:, None], kind), VOLUME_ANGLES, kind)
-        for kind in ("alpha_sigma", "finsler", "riemann")
+        _volumes_from_norms_sq(sq, VOLUME_ANGLES, kind) for sq, kind in zip(values_sq, kinds)
     )
     ratio = (v_r - v_f) / v_r
     w_min = _smallest_noncentrality(means, covs)
@@ -417,11 +413,10 @@ def bound_sweep(n_specs: int = 10_000, seed: int = 0) -> ViolationReport:
     spec's and each curve segment's sigma = v^T Sigma v and signal =
     ||E[J] v||^2 once and evaluates each norm kind in one
     `_norms_from_forms` call over all specs (one D per spec) and one over
-    the segments of all curves; the volume specs form theirs once at the
-    volume angles, and each kind's volumes come from one
-    `_norms_from_forms` call. The Jensen bound goes through
-    `randmat.wishart_scalar_moments` per spec, a separate code path on
-    purpose.
+    the segments of all curves; the volume specs take theirs from one
+    `_norms_sq_of_kinds` call at the volume angles. The Jensen bound goes
+    through `randmat.wishart_scalar_moments` per spec, a separate code path
+    on purpose.
     """
     if n_specs < 100:
         raise ValueError("need at least 100 specs for a meaningful sweep")

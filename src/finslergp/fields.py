@@ -17,7 +17,10 @@ geodesic curve files and ambient lengths use it.
   grid-initialization endpoints and the out-of-box curve warning use it.
 
 Geodesics, indicatrices and volumes are computed against this interface, so
-fitted models and analytic test surfaces are interchangeable.
+fitted models and analytic test surfaces are interchangeable. A
+`ConstantField` has one posterior everywhere, so its z-derivatives are
+zero; `EuclideanField` is the constant field of the identity mean and zero
+covariance, with the identity decoder.
 """
 
 from __future__ import annotations
@@ -78,13 +81,6 @@ class _Field:
         return -self._box * np.ones(q), self._box * np.ones(q)
 
 
-def _constant_batch_dz(field, Z: np.ndarray):
-    """`jacobian_batch_dz` of a field whose posterior does not depend on z."""
-    means, covs = field.jacobian_batch(Z)
-    n, d, q = means.shape
-    return means, covs, np.zeros((n, d, q, q)), np.zeros((n, q, q, q))
-
-
 @dataclass(frozen=True, eq=False)
 class GpField(_Field):
     """Field induced by a fitted model's Jacobian posterior."""
@@ -121,25 +117,6 @@ class GpField(_Field):
         return var
 
 
-class EuclideanField(_Field):
-    """Identity Jacobian, zero uncertainty: both norms are Euclidean."""
-
-    def __init__(self, dim: int = 2, box: float = 2.0):
-        self.latent_dim = dim
-        self.data_dim = dim
-        self._box = float(box)
-
-    def jacobian_batch(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n, q = _query_points(Z, self.latent_dim).shape
-        return np.broadcast_to(np.eye(q), (n, q, q)).copy(), np.zeros((n, q, q))
-
-    def jacobian_batch_dz(self, Z: np.ndarray):
-        return _constant_batch_dz(self, Z)
-
-    def decode_batch(self, Z: np.ndarray) -> np.ndarray:
-        return _query_points(Z, self.latent_dim).copy()
-
-
 class ConstantField(_Field):
     """The same Jacobian posterior at every latent point."""
 
@@ -161,7 +138,19 @@ class ConstantField(_Field):
         )
 
     def jacobian_batch_dz(self, Z: np.ndarray):
-        return _constant_batch_dz(self, Z)
+        means, covs = self.jacobian_batch(Z)
+        n, d, q = means.shape
+        return means, covs, np.zeros((n, d, q, q)), np.zeros((n, q, q, q))
+
+
+class EuclideanField(ConstantField):
+    """Identity Jacobian, zero uncertainty: both norms are Euclidean."""
+
+    def __init__(self, dim: int = 2, box: float = 2.0):
+        super().__init__(JacobianPosterior(np.eye(dim), np.zeros((dim, dim)), dim), box)
+
+    def decode_batch(self, Z: np.ndarray) -> np.ndarray:
+        return _query_points(Z, self.latent_dim).copy()
 
 
 def sphere_chart(z: np.ndarray) -> np.ndarray:

@@ -129,8 +129,8 @@ def _evaluated_directions(K: int) -> np.ndarray:
     return dirs if K % 2 else dirs[: K // 2]
 
 
-def _check_angles(means, K: int) -> None:
-    if means.shape[-1] != 2:
+def _check_angles(q: int, K: int) -> None:
+    if q != 2:
         raise ValueError("indicatrices are only defined for 2-d latent spaces")
     if K < 16:
         raise ValueError("need at least 16 angles")
@@ -139,7 +139,7 @@ def _check_angles(means, K: int) -> None:
 def _evaluated_norms_sq(means, covs, dim_data, K: int, metric_kind: str) -> np.ndarray:
     """`norms_sq` of n points at `_evaluated_directions(K)`, once q = 2, K and
     the metric kind are checked."""
-    _check_angles(means, K)
+    _check_angles(means.shape[-1], K)
     if metric_kind not in METRIC_KINDS:
         raise ValueError(f"unknown metric kind {metric_kind!r}")
     return norms_sq(means, covs, dim_data, _evaluated_directions(K), metric_kind)
@@ -176,6 +176,7 @@ def _radii(means, covs, dim_data: int, K: int, metric_kind: str) -> np.ndarray:
 
 def _ratio_bounds(means, covs, dim_data: int, K: int) -> np.ndarray:
     """Volume-ratio bound of each point; see `volume_ratio_bound`."""
+    _check_angles(means.shape[-1], K)
     w = norms_sq(means, covs, dim_data, _evaluated_directions(K), "omega")
     return _ratio_bounds_from_omega(w, dim_data)
 
@@ -239,9 +240,9 @@ def volume_field(m, grid: int = 32, K: int = QUADRATURE_ANGLES) -> VolumeField:
         raise ValueError("volume fields are only defined for 2-d latent spaces")
     if grid < 2:
         raise ValueError("grid must be at least 2")
+    _check_angles(field.latent_dim, K)
     pts = latent_lattice(field, grid)
     means, covs = field.jacobian_batch(pts)
-    _check_angles(means, K)
     d = field.data_dim
     kinds = ("riemann", "finsler", "alpha_sigma")
     *values_sq, w = _norms_sq_of_kinds(means, covs, d, _evaluated_directions(K), (*kinds, "omega"))
@@ -265,31 +266,14 @@ def _log10_floor(x: np.ndarray, floor: float = 1e-16) -> np.ndarray:
 
 
 def export_volume_field_csv(path: str, vf: VolumeField) -> None:
-    header = [
-        "z1",
-        "z2",
-        "v_riemann",
-        "v_finsler",
-        "v_alpha_sigma",
-        "ratio",
-        "log10_v_riemann",
-        "log10_v_finsler",
-        "log10_v_alpha_sigma",
-        "log10_ratio",
-    ]
-    rows = zip(
-        vf.grid_points[:, 0],
-        vf.grid_points[:, 1],
-        vf.v_riemann,
-        vf.v_finsler,
-        vf.v_alpha_sigma,
-        vf.ratio,
-        _log10_floor(vf.v_riemann),
-        _log10_floor(vf.v_finsler),
-        _log10_floor(vf.v_alpha_sigma),
-        _log10_floor(vf.ratio),
+    # the grid point, the value columns, then their log10_ twins in order
+    names = ("v_riemann", "v_finsler", "v_alpha_sigma", "ratio")
+    values = [getattr(vf, name) for name in names]
+    write_csv(
+        path,
+        zip(*vf.grid_points.T, *values, *map(_log10_floor, values)),
+        header=["z1", "z2", *names, *(f"log10_{name}" for name in names)],
     )
-    write_csv(path, rows, header=header)
 
 
 def export_indicatrix_csv(path: str, indicatrices: list[Indicatrix]) -> None:

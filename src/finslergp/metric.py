@@ -14,10 +14,12 @@ directions at once, on arrays of Jacobian posteriors with one data
 dimension D for all points or one per point. Callers that need several
 kinds of the same directions form sigma and the signal once
 (`_sigma_and_signal_batch`) and apply each kind's formula to them
-(`_norms_from_forms`): geodesic energies, both verification sweeps, and
-volume fields, blockwise as `norms_sq` (`_norms_sq_of_kinds`). Each
-kind's derivatives in the two forms live in `_norm_partials`, whence the
-geodesic gradient. `gap_bound` bounds the relative gap (Wishart).
+(`_norms_from_forms`). `_norms_sq_of_kinds` does both blockwise, as
+`norms_sq` does for one kind; `measure.volume_field`, the truncation sweep
+and the volume checks of the violation sweep call it. Geodesic segment
+norms and the sweep's curve and spec checks form their own. Each kind's
+derivatives in the two forms live in `_norm_partials`, whence the geodesic
+gradient. `gap_bound` bounds the relative gap (Wishart).
 """
 
 from __future__ import annotations

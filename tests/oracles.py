@@ -11,12 +11,14 @@ import scipy.linalg
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from finslergp.data import write_csv
 from finslergp.experiments import (
     COMPARISON_KINDS,
     SLACK,
     VOLUME_ANGLES,
     ConvergenceRow,
     ViolationReport,
+    _convergence_checks,
     _random_curve,
     comparison_entries,
     export_comparison_csv,
@@ -43,7 +45,7 @@ from finslergp.gp import (
     _sqdist,
     cho_solve,
 )
-from finslergp.measure import bh_volume, bh_volumes
+from finslergp.measure import _log10_floor, bh_volume, bh_volumes
 from finslergp.metric import (
     _norms_from_forms,
     _sigma_and_signal_batch,
@@ -400,3 +402,38 @@ def geodesic_comparison(m, endpoints, out_path=None, metric_kinds=COMPARISON_KIN
     if out_path is not None:
         export_comparison_csv(out_path, rows)
     return rows
+
+
+def convergence_violations(rows, m_constant: float) -> dict[str, int]:
+    """Count rows breaking the gap range or the scaled-gap ceiling."""
+    return {name: int(np.sum(~ok)) for name, ok in _convergence_checks(rows, m_constant).items()}
+
+
+def export_volume_field_csv_listed(path: str, vf) -> None:
+    """`measure.export_volume_field_csv` with its header and its columns
+    each listed by hand."""
+    header = [
+        "z1",
+        "z2",
+        "v_riemann",
+        "v_finsler",
+        "v_alpha_sigma",
+        "ratio",
+        "log10_v_riemann",
+        "log10_v_finsler",
+        "log10_v_alpha_sigma",
+        "log10_ratio",
+    ]
+    rows = zip(
+        vf.grid_points[:, 0],
+        vf.grid_points[:, 1],
+        vf.v_riemann,
+        vf.v_finsler,
+        vf.v_alpha_sigma,
+        vf.ratio,
+        _log10_floor(vf.v_riemann),
+        _log10_floor(vf.v_finsler),
+        _log10_floor(vf.v_alpha_sigma),
+        _log10_floor(vf.ratio),
+    )
+    write_csv(path, rows, header=header)

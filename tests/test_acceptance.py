@@ -14,7 +14,6 @@ import pytest
 
 from finslergp.experiments import (
     bound_sweep,
-    convergence_violations,
     make_truncation_ensemble,
     truncation_sweep,
 )
@@ -30,7 +29,7 @@ from finslergp.metric import (
 )
 from finslergp.randmat import WishartSpec, expected_norm_mc
 
-from oracles import central_norm_gap
+from oracles import central_norm_gap, convergence_violations
 
 SEED = 20260819
 

@@ -12,7 +12,6 @@ from finslergp.experiments import (
     ConvergenceRow,
     bound_sweep,
     comparison_entries,
-    convergence_violations,
     export_comparison_csv,
     export_convergence_csv,
     export_violations_csv,
@@ -39,6 +38,7 @@ from finslergp.specfun import kummer_1f1_array
 from oracles import (
     bound_sweep_scalar,
     central_norm_gap,
+    convergence_violations,
     geodesic_comparison,
     truncation_sweep_per_kind,
 )

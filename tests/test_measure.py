@@ -23,6 +23,7 @@ from finslergp.measure import (
 )
 from finslergp.metric import METRIC_KINDS, MetricPoint, gap_bound, norms_sq
 
+from oracles import export_volume_field_csv_listed
 from util import random_point
 
 
@@ -157,6 +158,28 @@ def test_volume_ratio_bound_random_points():
         assert ratio <= volume_ratio_bound(p, 64) + 1e-12
 
 
+def test_volume_ratio_bound_validates_as_bh_volume_does():
+    # too few angles, and a 3-d latent space, raise the same messages from
+    # both, before any norm is formed
+    planar = JacobianPosterior(np.ones((4, 2)), 0.1 * np.eye(2), 4)
+    wide = JacobianPosterior(np.ones((4, 3)), 0.1 * np.eye(3), 4)
+    for p, K, message in ((planar, 4, "need at least 16 angles"), (wide, 64, "2-d latent spaces")):
+        for measure_of in (bh_volume, volume_ratio_bound):
+            with pytest.raises(ValueError, match=message):
+                measure_of(p, K)
+
+
+def test_volume_field_checks_angles_before_any_jacobian_batch(monkeypatch):
+    field, calls = SphereField(), []
+    batch = field.jacobian_batch
+    monkeypatch.setattr(field, "jacobian_batch", lambda Z: calls.append(len(Z)) or batch(Z))
+    with pytest.raises(ValueError, match="need at least 16 angles"):
+        volume_field(field, grid=4, K=8)
+    assert calls == []
+    volume_field(field, grid=4, K=16)
+    assert calls == [16]
+
+
 def test_volume_field_shapes_and_ranges(gp_model_2d):
     vf = volume_field(gp_model_2d, grid=8, K=64)
     assert vf.grid_points.shape == (64, 2)
@@ -230,6 +253,16 @@ def test_export_volume_field_csv(tmp_path, gp_model_2d):
         "log10_ratio",
     ]
     assert n_rows == 16
+
+
+@pytest.mark.parametrize("name", ["gp", "sphere"])
+def test_export_volume_field_csv_is_the_listed_columns_byte_for_byte(tmp_path, gp_model_2d, name):
+    vf = volume_field(gp_model_2d if name == "gp" else SphereField(), grid=4, K=32)
+    if name == "sphere":  # a deterministic field: log10 of 0 takes the floor
+        assert np.all(vf.v_alpha_sigma == 0.0)
+    export_volume_field_csv(str(tmp_path / "named.csv"), vf)
+    export_volume_field_csv_listed(str(tmp_path / "listed.csv"), vf)
+    assert (tmp_path / "named.csv").read_bytes() == (tmp_path / "listed.csv").read_bytes()
 
 
 def test_export_indicatrix_csv(tmp_path):
