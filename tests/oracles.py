@@ -86,6 +86,33 @@ def loggamma_mp(x, dps=60):
         return mp.loggamma(mp.mpf(x))
 
 
+def hermite_rule_positive_half(n=80, dps=50):
+    """The n // 2 positive nodes of the n-point Gauss-Hermite rule and their
+    weights, as (n // 2, 2) doubles: numpy's hermgauss(n) nodes polished by
+    Newton steps on H_n in dps digits, with weights
+    2^(n-1) n! sqrt(pi) / (n^2 H_{n-1}(x)^2), each rounded once."""
+    nodes = np.polynomial.hermite.hermgauss(n)[0][n // 2:]
+
+    def hermite_pair(x):
+        # (H_{n-1}(x), H_n(x)) by the three-term recurrence
+        prev, cur = mp.mpf(1), 2 * x
+        for k in range(1, n):
+            prev, cur = cur, 2 * x * cur - 2 * k * prev
+        return prev, cur
+
+    rows = []
+    with mp.workdps(dps):
+        for x in nodes:
+            x = mp.mpf(float(x))
+            for _ in range(8):
+                below, value = hermite_pair(x)
+                x -= value / (2 * n * below)
+            below = hermite_pair(x)[0]
+            weight = mp.mpf(2) ** (n - 1) * mp.factorial(n) * mp.sqrt(mp.pi) / (n * n * below**2)
+            rows.append((float(x), float(weight)))
+    return np.array(rows)
+
+
 def bound_sweep_scalar(n_specs, seed, draws=None):
     """`experiments.bound_sweep` one spec at a time through the scalar norms:
     bound_report and relative_gap per spec, one _segment_norms_sq per

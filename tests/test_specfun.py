@@ -17,7 +17,7 @@ from finslergp.specfun import (
     kummer_1f1_derivative,
     log_gamma_ratio,
 )
-from oracles import hyp1f1_mp, hyp1f1_series, loggamma_mp
+from oracles import hermite_rule_positive_half, hyp1f1_mp, hyp1f1_series, loggamma_mp
 
 
 def test_log_gamma_ratio_simple_values():
@@ -55,6 +55,18 @@ def test_log_gamma_ratio_matches_scipy_gammaln():
         want = float(scipy.special.gammaln(num) - scipy.special.gammaln(den))
         ulps = 8.0 * sys.float_info.epsilon * max(abs(math.lgamma(num)), abs(math.lgamma(den)))
         assert math.isclose(log_gamma_ratio(num, den), want, rel_tol=2e-13, abs_tol=ulps), d
+
+
+def test_log_gamma_ratio_at_large_d_against_mpmath():
+    # Gamma(D/2 + 1/2) / Gamma(D/2) at every D from 32 to 4096, through the
+    # Stirling difference: the two lgamma values near 3e3 it replaces
+    # cancel to 1.6e-13 relative at D = 512 and 3.5e-13 at D = 2048
+    with mp.workdps(40):
+        for d in range(32, 4097):
+            b = mp.mpf(d) / 2
+            want = mp.exp(mp.loggamma(b + 0.5) - mp.loggamma(b))
+            got = math.exp(log_gamma_ratio(0.5 * d + 0.5, 0.5 * d))
+            assert abs(got - want) <= 1e-15 * want, d
 
 
 @pytest.mark.parametrize("bad", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
@@ -117,7 +129,8 @@ def test_kummer_matches_oracle_property(a, b, x):
 
 def test_kummer_grows_with_noncentrality():
     # x -> 1F1(-1/2, b, -x) must increase for x >= 0: more signal, larger norm.
-    for b in (0.5, 1.0, 2.5, 17.0):
+    # b = 16 and 64 cross from the Gauss-Hermite rule to the series at -3b
+    for b in (0.5, 1.0, 2.5, 16.0, 17.0, 64.0):
         xs = np.linspace(0.0, 120.0, 200)
         vals = [kummer_1f1(-0.5, b, -x) for x in xs]
         assert all(v2 > v1 for v1, v2 in zip(vals, vals[1:]))
@@ -150,6 +163,62 @@ def test_deep_negative_argument_against_mpmath():
                 got = kummer_1f1(a, b, x)
                 want = float(hyp1f1_mp(a, b, x))
                 assert abs(got - want) <= 1e-11 * abs(want), (a, b, x)
+
+
+def test_hermite_table_is_the_rounded_80_point_rule():
+    # the table is hermgauss(80)'s positive half, polished in extended
+    # precision and rounded once; hermgauss itself is within a few ulps of
+    # the nodes and 3e-14 of the (down to 3e-62 small) weights
+    assert np.array_equal(specfun._HERMITE_80, hermite_rule_positive_half(80))
+    nodes, weights = np.polynomial.hermite.hermgauss(80)
+    np.testing.assert_allclose(specfun._HERMITE_80[:, 0], nodes[40:], rtol=1e-15)
+    np.testing.assert_allclose(specfun._HERMITE_80[:, 1], weights[40:], rtol=1e-13)
+
+
+@pytest.mark.parametrize("b, y", [(256.0, 768.0), (512.0, 768.0), (512.0, 1536.0)])
+def test_kummer_gauss_hermite_pins_against_mpmath(b, y):
+    # the series and the asymptotic branch gave 1.6e-13, 2.8e-13 and
+    # 2.9e-13 relative here
+    want = hyp1f1_mp(-0.5, b, -y, dps=40)
+    assert abs(kummer_1f1(-0.5, b, -y) - want) <= 2e-15 * want
+
+
+@pytest.mark.parametrize("b", [16.0, 16.5, 32.0, 128.0, 512.0, 2048.0, 4096.0])
+def test_kummer_gauss_hermite_regime_against_mpmath(b):
+    # y = -x over (0, 3b], geometric from 1e-12 and evenly spaced
+    y = np.concatenate([np.geomspace(1e-12, 3.0 * b, 24), np.linspace(3.0 * b / 24, 3.0 * b, 24)])
+    got = kummer_1f1_array(-0.5, b, -y)
+    for v, g in zip(y, got):
+        want = hyp1f1_mp(-0.5, b, -float(v), dps=40)
+        assert abs(g - want) <= 2e-15 * want, (b, v)
+
+
+def test_kummer_continuous_across_the_gauss_hermite_gate():
+    # at b = 16 the rule against the transformed series over (0, 3b], and
+    # at x = -3b against the next double below, which the series (or past
+    # -700 the asymptotic branch) takes
+    y = np.linspace(1e-3, 48.0, 200)
+    series = np.array([math.exp(-v) * specfun._series_1f1(16.5, 16.0, v) for v in y])
+    rule = kummer_1f1_array(-0.5, 16.0, -y)
+    assert np.all(np.abs(rule - series) <= 1e-14 * series)
+    for b in (16.0, 17.0, 64.0, 199.5, 256.0, 512.0, 2048.0):
+        inside = kummer_1f1(-0.5, b, -3.0 * b)
+        outside = kummer_1f1(-0.5, b, float(np.nextafter(-3.0 * b, -np.inf)))
+        assert abs(inside - outside) <= 1e-14 * inside, b
+
+
+def test_kummer_gauss_hermite_needs_no_lapack(monkeypatch):
+    # the rule is a table: building it for a new b must not start numpy's
+    # LAPACK (and its BLAS thread pool)
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    specfun._quadrature_rule.cache_clear()
+    x = -np.linspace(0.1, 192.0, 50)
+    got = kummer_1f1_array(-0.5, 64.0, x)
+    assert np.all(np.isfinite(got)) and np.all(np.diff(got) > 0.0)
 
 
 def test_series_and_asymptotic_agree_near_cutoff():
@@ -268,16 +337,18 @@ def test_kummer_finite_and_accurate_down_to_the_underflow(a, b):
 
 
 def test_kummer_array_per_element_b_is_bitwise_the_scalar_function():
-    # b in {0.5, 17, 512} mixed in one call of 400 elements: the lockstep
-    # runs first, the deep arguments finish in the block tail, and those
-    # past the cutoff take the deep branch through kummer_1f1; at a = -3
-    # that cutoff lies between -700 and -600 and differs with b
+    # b in {0.5, 15.5, 16, 17, 512} mixed in one call of 400 elements: at
+    # a = -1/2 the b >= 16 elements down to x = -3b take the Gauss-Hermite
+    # rule, one group per b; the lockstep runs first on the rest, the deep
+    # arguments finish in the block tail, and those past the cutoff take the
+    # deep branch through kummer_1f1; at a = -3 that cutoff lies between
+    # -700 and -600 and differs with b
     rng = np.random.default_rng(29)
     x = np.concatenate([-rng.uniform(0.0, 5.0, 300), -rng.uniform(5.0, 600.0, 50),
                         -rng.uniform(600.0, 700.0, 30), -rng.uniform(700.0, 760.0, 18),
                         [0.0, -700.0]])
-    b = rng.choice([0.5, 17.0, 512.0], x.size)
-    assert set(b[x < -700.0]) == {0.5, 17.0, 512.0}
+    b = rng.choice([0.5, 15.5, 16.0, 17.0, 512.0], x.size)
+    assert set(b[x < -700.0]) == {0.5, 15.5, 16.0, 17.0, 512.0}
     for a, shift in ((-0.5, 0.0), (0.5, 1.0), (-3.0, 0.0)):
         got = kummer_1f1_array(a, (b + shift).reshape(20, -1), x.reshape(20, -1))
         want = np.array([kummer_1f1(a, bb + shift, float(v)) for bb, v in zip(b, x)])
