@@ -36,7 +36,6 @@ from .gp import (
     _jacobian_pass,
     _posterior_mean_var_batch,
     _query_points,
-    posterior_mean_var,
 )
 
 __all__ = [
@@ -62,7 +61,12 @@ def padded_box(field) -> tuple[np.ndarray, np.ndarray]:
 
 def latent_lattice(field, grid: int) -> np.ndarray:
     """grid x grid points evenly spanning the padded box of a 2-d field,
-    x-major: row ix * grid + iy is (xs[ix], ys[iy])."""
+    x-major: row ix * grid + iy is (xs[ix], ys[iy]). Raises a ValueError
+    for a field of another latent dimension, or for grid < 2."""
+    if field.latent_dim != 2:
+        raise ValueError("latent lattices are only defined for 2-d latent spaces")
+    if grid < 2:
+        raise ValueError("grid must be at least 2")
     lo, hi = padded_box(field)
     xs, ys = (np.linspace(lo[j], hi[j], grid) for j in (0, 1))
     return np.column_stack([np.repeat(xs, grid), np.tile(ys, grid)])
@@ -104,17 +108,9 @@ class GpField(_Field):
     def latent_box(self) -> tuple[np.ndarray, np.ndarray]:
         return self.model.latent_bounds
 
-    def decode(self, z: np.ndarray) -> np.ndarray:
-        mean, _ = posterior_mean_var(self.model, z)
-        return mean
-
     def decode_batch(self, Z: np.ndarray) -> np.ndarray:
         means, _ = _posterior_mean_var_batch(self.model, Z)
         return means
-
-    def posterior_variance(self, z: np.ndarray) -> float:
-        _, var = posterior_mean_var(self.model, z)
-        return var
 
 
 class ConstantField(_Field):
@@ -125,10 +121,6 @@ class ConstantField(_Field):
         self.latent_dim = jac.dim_latent
         self.data_dim = jac.dim_data
         self._box = float(box)
-
-    def jacobian_posterior(self, z: np.ndarray) -> JacobianPosterior:
-        _query_points(z, self.latent_dim)  # rejects a point of the wrong width
-        return self.jac
 
     def jacobian_batch(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = _query_points(Z, self.latent_dim).shape[0]

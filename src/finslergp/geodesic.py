@@ -27,7 +27,13 @@ import numpy as np
 from . import _lbfgs
 from .data import write_csv
 from .fields import as_field, latent_lattice, padded_box
-from .metric import METRIC_KINDS, _norm_partials, _norms_from_forms, _sigma_and_signal_batch
+from .metric import (
+    METRIC_KINDS,
+    _check_kind,
+    _norm_partials,
+    _norms_from_forms,
+    _sigma_and_signal_batch,
+)
 
 __all__ = [
     "METRIC_KINDS",
@@ -129,11 +135,6 @@ def resample_curve(c: DiscreteCurve, n_points: int) -> DiscreteCurve:
 # segment norms
 
 
-def _check_kind(kind: str) -> None:
-    if kind not in METRIC_KINDS:
-        raise ValueError(f"unknown metric kind {kind!r}, expected one of {METRIC_KINDS}")
-
-
 def _segment_norms_sq(field, mids: np.ndarray, vels: np.ndarray, kinds) -> tuple:
     """Squared norm of each velocity at its midpoint, one array per kind in
     kinds (`NORM_KINDS`), from one `jacobian_batch` and one pass of the
@@ -166,7 +167,7 @@ def _warn_if_outside(field, curve: DiscreteCurve, stacklevel: int = 3) -> None:
 
 def _measure(m, c: DiscreteCurve, metric_kind: str) -> tuple[float, float]:
     """(length, energy) of c; warns at its caller's caller off the box."""
-    _check_kind(metric_kind)
+    _check_kind(metric_kind, METRIC_KINDS)
     field = as_field(m)
     if metric_kind != EUCLID:
         _warn_if_outside(field, c, stacklevel=4)
@@ -224,7 +225,7 @@ def energy_gradient(m, c: DiscreteCurve, metric_kind: str) -> np.ndarray:
     squared norm, including the hypergeometric factor, come from one pass
     of the field's `jacobian_batch_dz` at the segment midpoints.
     """
-    _check_kind(metric_kind)
+    _check_kind(metric_kind, METRIC_KINDS)
     return _energy_and_gradient(as_field(m), c, metric_kind)[2]
 
 
@@ -311,27 +312,23 @@ def grid_initialize(
 ) -> DiscreteCurve:
     """Shortest path on an 8-connected latent grid, resampled to n_points.
 
-    The grid is the field's `latent_lattice` over its padded box, where
-    both endpoints must lie; edge weights are segment lengths under the
-    chosen metric, evaluated at edge midpoints. The path runs between the
-    lattice nodes nearest the endpoints, by `_shortest_path`: Dijkstra's
-    search on a binary heap from the standard library, whose tie rule
-    settles the lower-numbered of two nodes at one distance first.
+    The grid is the field's `latent_lattice` over its padded box (a 2-d
+    field and grid >= 2), where both endpoints must lie; edge weights are
+    segment lengths under the chosen metric, evaluated at edge midpoints.
+    The path runs between the lattice nodes nearest the endpoints, by
+    `_shortest_path`: Dijkstra's search on a binary heap from the standard
+    library, whose tie rule settles the lower-numbered of two nodes at one
+    distance first.
     """
-    _check_kind(metric_kind)
+    _check_kind(metric_kind, METRIC_KINDS)
     field = as_field(m)
-    if field.latent_dim != 2:
-        raise ValueError("grid initialization requires a 2-d latent space")
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
+    nodes, us, vs, weights = _lattice_graph(field, grid, metric_kind)
     start = np.asarray(start, dtype=float)
     end = np.asarray(end, dtype=float)
     lo, hi = padded_box(field)
     for z, name in ((start, "start"), (end, "end")):
         if np.any(z < lo) or np.any(z > hi):
             raise ValueError(f"{name} point {z} outside the grid box [{lo}, {hi}]")
-
-    nodes, us, vs, weights = _lattice_graph(field, grid, metric_kind)
     i_start = int(np.argmin(np.sum((nodes - start) ** 2, axis=1)))
     i_end = int(np.argmin(np.sum((nodes - end) ** 2, axis=1)))
     path = _shortest_path(len(nodes), us, vs, weights, i_start, i_end)
@@ -364,7 +361,7 @@ def minimize_energy(
     none decreases it at rounding scale; max_iter iterations return the last
     curve unconverged. The steepest-descent fallback step has length
     0.01 (1 + max |z|). on_step(energy) follows every accepted step."""
-    _check_kind(metric_kind)
+    _check_kind(metric_kind, METRIC_KINDS)
     if not 0.0 <= tol < math.inf or max_iter < 1:
         raise ValueError(
             f"need finite tol >= 0 and max_iter >= 1, got tol={tol}, max_iter={max_iter}"

@@ -32,7 +32,7 @@ import numpy as np
 from .data import write_csv
 from .fields import as_field, latent_lattice
 from .gp import JacobianPosterior
-from .metric import METRIC_KINDS, MetricPoint, _norms_sq_of_kinds, gap_bound, norms_sq
+from .metric import METRIC_KINDS, MetricPoint, _check_kind, _norms_sq_of_kinds, gap_bound, norms_sq
 
 __all__ = [
     "Indicatrix",
@@ -75,7 +75,6 @@ def _polygon_area(radii: np.ndarray) -> np.ndarray:
 class Indicatrix:
     """Polar sampling of a unit ball boundary at one latent point."""
 
-    center: np.ndarray
     angles: np.ndarray
     radii: np.ndarray
     metric_kind: str
@@ -140,8 +139,7 @@ def _evaluated_norms_sq(means, covs, dim_data, K: int, metric_kind: str) -> np.n
     """`norms_sq` of n points at `_evaluated_directions(K)`, once q = 2, K and
     the metric kind are checked."""
     _check_angles(means.shape[-1], K)
-    if metric_kind not in METRIC_KINDS:
-        raise ValueError(f"unknown metric kind {metric_kind!r}")
+    _check_kind(metric_kind, METRIC_KINDS)
     return norms_sq(means, covs, dim_data, _evaluated_directions(K), metric_kind)
 
 
@@ -190,7 +188,6 @@ def _ratio_bounds_from_omega(w: np.ndarray, dim_data: int) -> np.ndarray:
 def indicatrix(p, K: int = PLOT_ANGLES, metric_kind: str = "finsler") -> Indicatrix:
     """Unit-ball boundary radii r(theta) = 1/norm(e(theta)) at K angles."""
     return Indicatrix(
-        center=np.zeros(2),
         angles=2.0 * math.pi * np.arange(K) / K,
         radii=_radii(*_posterior_arrays(p), K, metric_kind)[0],
         metric_kind=metric_kind,
@@ -236,12 +233,8 @@ def volume_field(m, grid: int = 32, K: int = QUADRATURE_ANGLES) -> VolumeField:
     each volume kind and the ratio bound's omega are taken from them.
     """
     field = as_field(m)
-    if field.latent_dim != 2:
-        raise ValueError("volume fields are only defined for 2-d latent spaces")
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
-    _check_angles(field.latent_dim, K)
     pts = latent_lattice(field, grid)
+    _check_angles(field.latent_dim, K)
     means, covs = field.jacobian_batch(pts)
     d = field.data_dim
     kinds = ("riemann", "finsler", "alpha_sigma")

@@ -220,12 +220,18 @@ def norms_sq(means, covs, dim_data, V, kind: str) -> np.ndarray:
     16384 values, so the working memory beyond the result does not grow
     with n.
     """
-    if kind not in NORM_KINDS:
-        raise ValueError(f"unknown norm kind {kind!r}, expected one of {NORM_KINDS}")
+    _check_kind(kind, NORM_KINDS)
     if kind == "euclid":
         V = np.asarray(V, dtype=float)
         return np.broadcast_to(np.sum(V * V, axis=-1), (len(means), V.shape[-2])).copy()
     return _norms_sq_of_kinds(means, covs, dim_data, V, (kind,))[0]
+
+
+def _check_kind(kind: str, kinds: tuple) -> None:
+    """Raise a ValueError unless kind is one of kinds (`METRIC_KINDS` or
+    `NORM_KINDS`)."""
+    if kind not in kinds:
+        raise ValueError(f"unknown norm kind {kind!r}, expected one of {kinds}")
 
 
 def _norms_sq_of_kinds(means, covs, dim_data, V, kinds) -> list:
@@ -280,18 +286,19 @@ def _norms_from_forms(sigma, signal, dim_data, kind: str) -> np.ndarray:
 
 def _finsler_terms(sigma, signal, dim_data):
     """Squared Finsler norms from the forms sigma and signal, with their
-    terms: (norm_sq, live, d, h), live = sigma >= 1e-14 and, at the live
-    entries only, d = D and h = 1F1(-1/2, D/2, -signal/(2 sigma)).
-    dim_data is an int or an integer array that broadcasts to sigma's
-    shape."""
+    terms: (norm_sq, live, d, h, a), live = sigma >= 1e-14 and, at the live
+    entries only, d = D, h = 1F1(-1/2, D/2, -signal/(2 sigma)) and
+    a = `alpha_coefficient(D)`. dim_data is an int or an integer array that
+    broadcasts to sigma's shape."""
     live = sigma >= DETERMINISTIC_SIGMA
     s = sigma[live]
     if np.ndim(dim_data) > 0:
         dim_data = np.broadcast_to(dim_data, sigma.shape)[live]
     h = kummer_1f1_array(-0.5, 0.5 * dim_data, -0.5 * signal[live] / s)
+    a = _alpha(dim_data)
     out = signal.copy()
-    out[live] = _alpha(dim_data) * s * (h * h)
-    return out, live, dim_data, h
+    out[live] = a * s * (h * h)
+    return out, live, dim_data, h, a
 
 
 def _norm_partials(sigma, signal, dim_data, kind: str) -> tuple:
@@ -303,10 +310,9 @@ def _norm_partials(sigma, signal, dim_data, kind: str) -> tuple:
     alpha (h^2 + h hx w) and -alpha h hx where sigma >= 1e-14, and (0, 1)
     in the deterministic limit."""
     if kind == "finsler":
-        norm_sq, live, d, h = _finsler_terms(sigma, signal, dim_data)
+        norm_sq, live, d, h, a = _finsler_terms(sigma, signal, dim_data)
         w = signal[live] / sigma[live]
         hx = kummer_1f1_array(0.5, 0.5 * d + 1.0, -0.5 * w) / -d
-        a = _alpha(d)
         d_sigma, d_signal = np.zeros(sigma.shape), np.ones(sigma.shape)
         d_sigma[live] = a * h * (h + hx * w)
         d_signal[live] = -a * h * hx

@@ -26,7 +26,6 @@ from finslergp.experiments import (
 from finslergp.fields import GpField, SyntheticField, as_field
 from finslergp.geodesic import (
     DiscreteCurve,
-    _check_kind,
     _length_and_energy,
     _segment_norms_sq,
     curve_energy,
@@ -47,6 +46,8 @@ from finslergp.gp import (
 )
 from finslergp.measure import _log10_floor, bh_volume, bh_volumes
 from finslergp.metric import (
+    METRIC_KINDS,
+    _check_kind,
     _norms_from_forms,
     _sigma_and_signal_batch,
     bound_report,
@@ -377,7 +378,7 @@ def energy_finsler(m, c: DiscreteCurve) -> float:
 
 def energy_gradient_fd(m, c: DiscreteCurve, metric_kind: str, step: float = 1e-5) -> np.ndarray:
     """All-finite-difference energy gradient; the slow reference path."""
-    _check_kind(metric_kind)
+    _check_kind(metric_kind, METRIC_KINDS)
     field = as_field(m)
 
     def energy(k, j, h):

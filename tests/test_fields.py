@@ -17,7 +17,7 @@ from finslergp.fields import (
     padded_box,
     sphere_chart,
 )
-from finslergp.geodesic import DiscreteCurve, export_curve_csv, minimize_energy
+from finslergp.geodesic import DiscreteCurve, export_curve_csv, grid_initialize, minimize_energy
 from finslergp.gp import (
     MATERN52,
     RBF,
@@ -135,9 +135,6 @@ def test_as_field_wraps_models(gp_model_2d):
     assert np.allclose(got.mean, jac.mean) and np.allclose(got.cov, jac.cov)
     lo, hi = f.latent_box()
     assert np.all(lo < hi)
-    # decoding goes through the posterior mean
-    assert f.decode(z).shape == (4,)
-    assert f.posterior_variance(z) >= 0.0
 
 
 def test_as_field_passthrough_and_rejection():
@@ -258,6 +255,24 @@ def test_padded_box_and_latent_lattice_match_the_inline_margin(gp_model_2d):
             want = np.array([[x, y] for x in xs for y in ys])
             got = latent_lattice(field, grid)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "dim, grid, message",
+    [(3, 4, "latent lattices are only defined for 2-d"), (1, 4, "latent lattices are only"),
+     (2, 1, "grid must be at least 2"), (2, 0, "grid must be at least 2")],
+)
+def test_latent_lattice_is_the_one_lattice_check(dim, grid, message):
+    # grid initialization and volume fields raise the lattice's own error,
+    # grid initialization before it compares the (planar) endpoints with
+    # the field's box
+    field = EuclideanField(dim)
+    with pytest.raises(ValueError, match=message):
+        latent_lattice(field, grid)
+    with pytest.raises(ValueError, match=message):
+        grid_initialize(field, np.full(2, -0.5), np.full(2, 0.5), grid=grid)
+    with pytest.raises(ValueError, match=message):
+        volume_field(field, grid=grid)
 
 
 def test_decode_batch_is_the_per_point_decoding():

@@ -466,3 +466,41 @@ def test_norms_from_forms_rejects_unknown_kinds():
     for fn in (_norms_from_forms, _norm_partials):
         with pytest.raises(ValueError, match="riemman"):
             fn(np.array([0.5]), np.array([2.0]), 3, "riemman")
+
+
+# The deterministic limit is taken where sigma = v^T Sigma v < 1e-14, an
+# absolute threshold, so a stochastic metric's Finsler norm falls to its
+# zero-signal limit 0 once |v| is small enough, and 1-homogeneity fails.
+# Taking the limit scale-relatively is what these cases wait for.
+_ABSOLUTE_GUARD = pytest.mark.xfail(
+    strict=True, reason="the deterministic-limit guard on sigma is absolute, not scale-relative"
+)
+
+
+def _pure_noise_point():
+    # E[J] = 0, Sigma = I, D = 4: every direction's Finsler norm is
+    # sqrt(alpha(4)) |v|, as the alpha_sigma norm is
+    return MetricPoint(JacobianPosterior(np.zeros((4, 2)), np.eye(2), 4))
+
+
+@_ABSOLUTE_GUARD
+def test_finsler_norm_is_homogeneous_below_the_sigma_guard():
+    p, want = _pure_noise_point(), math.sqrt(alpha_coefficient(4))
+    e1 = np.array([1.0, 0.0])
+    assert finsler_norm(p, 1.1e-7 * e1) / 1.1e-7 == pytest.approx(want, rel=1e-14)
+    assert finsler_norm(p, 1e-7 * e1) / 1e-7 == pytest.approx(want, rel=1e-14)
+
+
+@_ABSOLUTE_GUARD
+def test_norms_sq_finsler_is_homogeneous_below_the_sigma_guard():
+    p, want = _pure_noise_point(), alpha_coefficient(4)
+    V = np.array([[1.1e-7, 0.0], [1e-7, 0.0]])
+    got = norms_sq(p.jac.mean[None], p.jac.cov[None], 4, V, "finsler")[0]
+    np.testing.assert_allclose(got / V[:, 0] ** 2, want, rtol=1e-14)
+
+
+@_ABSOLUTE_GUARD
+def test_bound_report_holds_below_the_sigma_guard():
+    p = _pure_noise_point()
+    assert bound_report(p, np.array([1.1e-7, 0.0])).ok
+    assert bound_report(p, np.array([1e-7, 0.0])).ok
