@@ -74,11 +74,12 @@ def latent_lattice(field, grid: int) -> np.ndarray:
 
 class _Field:
     """Shared by the fields below: `jacobian_posterior(z)`, one point's
-    posterior from `jacobian_batch`, and the box [-_box, _box]^q."""
+    posterior, bit for bit the row of `jacobian_batch`, and the box
+    [-_box, _box]^q."""
 
     def jacobian_posterior(self, z: np.ndarray) -> JacobianPosterior:
         means, covs = self.jacobian_batch(z)
-        return JacobianPosterior(mean=means[0], cov=covs[0], dim_data=self.data_dim)
+        return JacobianPosterior._of_batch_row(means[0], covs[0])
 
     def latent_box(self) -> tuple[np.ndarray, np.ndarray]:
         q = self.latent_dim

@@ -27,6 +27,7 @@ import numpy as np
 from . import _lbfgs
 from .data import write_csv
 from .fields import as_field, latent_lattice, padded_box
+from .gp import _query_points
 from .metric import (
     METRIC_KINDS,
     _check_kind,
@@ -313,7 +314,8 @@ def grid_initialize(
     """Shortest path on an 8-connected latent grid, resampled to n_points.
 
     The grid is the field's `latent_lattice` over its padded box (a 2-d
-    field and grid >= 2), where both endpoints must lie; edge weights are
+    field and grid >= 2), where both endpoints, finite points of the field's
+    latent dimension (`_query_points`), must lie; edge weights are
     segment lengths under the chosen metric, evaluated at edge midpoints.
     The path runs between the lattice nodes nearest the endpoints, by
     `_shortest_path`: Dijkstra's search on a binary heap from the standard
@@ -327,6 +329,7 @@ def grid_initialize(
     end = np.asarray(end, dtype=float)
     lo, hi = padded_box(field)
     for z, name in ((start, "start"), (end, "end")):
+        _query_points(z, field.latent_dim)
         if np.any(z < lo) or np.any(z > hi):
             raise ValueError(f"{name} point {z} outside the grid box [{lo}, {hi}]")
     i_start = int(np.argmin(np.sum((nodes - start) ** 2, axis=1)))

@@ -20,12 +20,13 @@ A fit evaluation forms the kernel and its radial coefficient from one exp
 buffer. The in-place steps are the formulas' operations in the formulas'
 order, so every result has the bits of the formula with temporaries.
 
-scipy.linalg is imported where it is used, not when gp is, so a command
-that never touches a GP (`generate`, `verify`) never loads scipy. The two
-solves are gp's own module-level `cho_solve` and `solve_triangular`, which
-gp's code calls by those names: rebinding them (as a tracer does) sees every
-solve. The four functions that call BLAS or LAPACK directly import them in
-their bodies.
+Those routines come from scipy's two extension modules `_flapack` and
+`_fblas`, which `_lapack.lapack_blas` loads at a command's first GP call
+without the scipy or scipy.linalg package init: a command that never touches
+a GP (`generate`, `verify`) loads no scipy module, and one that does loads
+these two alone. The two solves are `_lapack`'s `cho_solve` and
+`solve_triangular`, which gp's code calls by those names in its own
+namespace: rebinding them there (as a tracer does) sees every solve.
 
 The Jacobian posteriors at n points are one pass, `_jacobian_pass`. The
 kernel gradients against the training inputs are q planes of shape (n, N),
@@ -46,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _lbfgs
+from ._lapack import cho_solve, lapack_blas, solve_triangular
 from .data import ParseError
 
 __all__ = [
@@ -120,6 +122,16 @@ class JacobianPosterior:
     @property
     def dim_latent(self) -> int:
         return self.mean.shape[1]
+
+    @classmethod
+    def _of_batch_row(cls, mean: np.ndarray, cov: np.ndarray) -> JacobianPosterior:
+        """The posterior of one row of a field's `jacobian_batch`, whose
+        covariance is taken as it is: the batch is clamped already, and
+        `_clamp_psd_batch` is not idempotent where its eigendecomposition
+        acted, so a second clamp could move the row by ulps."""
+        post = object.__new__(cls)
+        post.__dict__.update(mean=mean, cov=cov, dim_data=mean.shape[0])
+        return post
 
 
 # A symmetric 2 x 2 matrix counts as positive definite when its smaller
@@ -300,21 +312,6 @@ class GpModel:
         return self.latent_inputs.min(axis=0), self.latent_inputs.max(axis=0)
 
 
-def cho_solve(c_and_lower, b, **kwargs):
-    """scipy.linalg.cho_solve, through which gp's code makes every Cholesky solve."""
-    import scipy.linalg
-
-    return scipy.linalg.cho_solve(c_and_lower, b, **kwargs)
-
-
-def solve_triangular(a, b, **kwargs):
-    """scipy.linalg.solve_triangular, through which gp's code makes every
-    triangular solve."""
-    import scipy.linalg
-
-    return scipy.linalg.solve_triangular(a, b, **kwargs)
-
-
 def _finite_cholesky(kmat: np.ndarray) -> np.ndarray | None:
     """Lower Cholesky factor of the symmetric, C-ordered kmat, computed in
     kmat's own buffer, or None if LAPACK fails."""
@@ -322,9 +319,7 @@ def _finite_cholesky(kmat: np.ndarray) -> np.ndarray | None:
     # it without a copy; its upper factor U = L^T, read in C order, is L.
     # LAPACK can report success yet emit non-finite factors (NaN/inf input);
     # treat those as failures so they reach the jitter ladder
-    from scipy.linalg import lapack
-
-    upper, info = lapack.dpotrf(kmat.T, lower=False, overwrite_a=True)
+    upper, info = lapack_blas()[0].dpotrf(kmat.T, lower=False, overwrite_a=True)
     if info != 0 or not np.all(np.isfinite(upper)):
         return None
     return upper.T
@@ -365,8 +360,7 @@ def _gradient_matrix(chol: np.ndarray, alpha: np.ndarray) -> np.ndarray:
 
     LAPACK potri writes K^-1 to one triangle and BLAS syrk updates that
     triangle to M; the triangle is then mirrored row by row."""
-    from scipy.linalg import blas, lapack
-
+    lapack, blas = lapack_blas()
     kinv, info = lapack.dpotri(chol.T, lower=False, overwrite_c=True)
     if info:
         raise np.linalg.LinAlgError(f"kernel matrix inversion failed (potri info {info})")
@@ -412,7 +406,7 @@ def make_model(X: np.ndarray, Y: np.ndarray, kernel: Kernel, noise: float) -> Gp
 def _query_points(Z: np.ndarray, latent_dim: int) -> np.ndarray:
     """Every field's points as an n x latent_dim float array, checked finite
     once: the GP posteriors solve against the model's factor, finite by
-    construction, and skip scipy's per-solve scans of it."""
+    construction, with no per-solve scan of it."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     if Z.ndim != 2 or Z.shape[1] != latent_dim:
         raise ValueError(f"points of shape {Z.shape} do not fit latent dimension {latent_dim}")
@@ -427,7 +421,7 @@ def _posterior_mean_var_batch(m: GpModel, Z: np.ndarray) -> tuple[np.ndarray, np
     # by scipy's dgemm, points along its first dimension: a point's mean is
     # the same bits at any row of the batch
     means = m.output_means + _alpha_products(ks[None], m.alpha)[..., 0]
-    w = solve_triangular(m.chol, ks.T, lower=True, check_finite=False)
+    w = solve_triangular(m.chol, ks.T, lower=True)
     var = np.maximum(m.kernel.variance - np.einsum("ij,ij->j", w, w), 0.0)
     return means, var
 
@@ -442,10 +436,9 @@ def _alpha_products(planes: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """sum_N planes[j, i, N] alpha[N, :] as (n, D, q), by one scipy dgemm."""
     # the points run along dgemm's first dimension: a point's sums are then
     # the same bits in a batch of any size up to a few hundred points
-    from scipy.linalg import blas
-
     q, n, big_n = planes.shape
-    prod = blas.dgemm(1.0, planes.reshape(q * n, big_n).T, alpha.T, trans_a=True, trans_b=True)
+    prod = lapack_blas()[1].dgemm(1.0, planes.reshape(q * n, big_n).T, alpha.T, trans_a=True,
+                                  trans_b=True)
     return prod.T.reshape(-1, q, n).transpose(2, 0, 1)
 
 
@@ -465,7 +458,7 @@ def _jacobian_pass(m: GpModel, Z: np.ndarray, dz: bool) -> tuple[np.ndarray, ...
     grads = c * d if dz else np.multiply(d, c, out=d)
     means = _alpha_products(grads, m.alpha)
     # W, in grads' buffer: row a n + i of w.T is column a of point i
-    solve = dict(lower=True, overwrite_b=True, check_finite=False)
+    solve = dict(lower=True, overwrite_b=True)
     w = solve_triangular(m.chol, grads.reshape(q * n, -1).T, **solve)
     wn = w.T.reshape(q, n, -1).transpose(1, 0, 2)  # (n, q, N)
     covs = _prior_derivative_cov(m.kernel, q) - wn @ wn.transpose(0, 2, 1)
@@ -536,11 +529,9 @@ def _fit_objective(params, X, r2, Yc, family) -> tuple[float, np.ndarray]:
     lml, grad, w, c = _log_marginal_terms(_sqdist(X, X), Yc, kernel, noise)
     # d lml / d x_n = sum_m M[n, m] grad_z1 k(x_n, x_m), using symmetry of M;
     # w = M * c in M's buffer, and w.T is w in Fortran order for dgemm
-    from scipy.linalg import blas
-
     w *= c
     np.fill_diagonal(w, 0.0)
-    gx = w.sum(axis=1)[:, None] * X - blas.dgemm(1.0, w.T, X, trans_a=True) - X
+    gx = w.sum(axis=1)[:, None] * X - lapack_blas()[1].dgemm(1.0, w.T, X, trans_a=True) - X
     return lml - 0.5 * float(np.sum(X * X)), np.concatenate([grad, gx.ravel()])
 
 

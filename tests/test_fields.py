@@ -214,6 +214,27 @@ def test_batch_rows_equal_single_point_posteriors(name):
         assert np.array_equal(covs[i], jac.cov)
 
 
+def test_one_point_posterior_is_the_batch_row_clamped_once():
+    # JacobianPosterior clamps a covariance from outside once; a field's
+    # one-point posterior takes its batch row as it is, since a second clamp
+    # can move a row whose clamp reached the eigendecomposition
+    rng = np.random.default_rng(35)
+    for trial in range(400):
+        q = int(rng.integers(1, 5))
+        basis = np.linalg.qr(rng.standard_normal((q, q)))[0]
+        vals = rng.uniform(0.1, 2.0, q)
+        if trial % 2:
+            vals[0] = -rng.uniform(0.01, 1.0)
+        cov = basis @ np.diag(vals) @ basis.T
+        field = ConstantField(JacobianPosterior(rng.standard_normal((3, q)), cov, 3))
+        assert np.linalg.eigvalsh(field.jac.cov)[0] >= -1e-12
+        z = rng.uniform(-1.0, 1.0, q)
+        post = field.jacobian_posterior(z)
+        means, covs = field.jacobian_batch(z)
+        assert post.mean.tobytes() == means[0].tobytes() and post.dim_data == 3
+        assert post.cov.tobytes() == covs[0].tobytes() == field.jac.cov.tobytes()
+
+
 def test_sphere_batch_equals_chart_formula():
     Z = np.random.default_rng(34).uniform([-np.pi, 0.3], [np.pi, np.pi - 0.3], (11, 2))
     means, covs = SphereField().jacobian_batch(Z)

@@ -455,6 +455,22 @@ def test_grid_initialize_validation():
         grid_initialize(flat2, np.zeros(2), np.array([9.0, 0.0]))
 
 
+@pytest.mark.parametrize("start, end, message", [
+    (np.zeros(3), np.full(3, 0.5), "points of shape \\(1, 3\\) do not fit latent dimension 2"),
+    (np.zeros(2), np.full(3, 0.5), "points of shape \\(1, 3\\) do not fit latent dimension 2"),
+    (np.zeros(1), np.zeros(2), "points of shape \\(1, 1\\) do not fit latent dimension 2"),
+    (np.array([np.nan, 0.0]), np.zeros(2), "latent points must be finite"),
+], ids=["3-d", "3-d end", "1-d start", "nan start"])
+def test_grid_endpoints_are_checked_as_field_points(start, end, message):
+    # next to the box check, endpoints get the error every field's points
+    # get, from grid initialization and from a grid-seeded geodesic
+    flat = EuclideanField(2)
+    with pytest.raises(ValueError, match=message):
+        grid_initialize(flat, start, end, grid=10)
+    with pytest.raises(ValueError, match=message):
+        geodesic_between(flat, start, end, grid=10)
+
+
 @pytest.mark.parametrize("kind", ["riemann", "finsler"])
 def test_endpoints_sharing_a_lattice_node_start_straight(gp_model_2d, kind):
     # both endpoints are nearest to the same node of a 9-grid over the

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from finslergp import gp
+from finslergp._lapack import lapack_blas
 from finslergp.data import gen_pinwheel_sphere
 from finslergp.gp import (
     MATERN52,
@@ -533,14 +534,13 @@ def test_gp_never_factorizes_with_numpy(monkeypatch, tmp_path):
 
 def test_every_solve_calls_through_gps_own_names(monkeypatch):
     # a tracer counts triangular work by rebinding gp.cho_solve and
-    # gp.solve_triangular: every scipy solve gp makes must go through them,
-    # so wrappers on gp's names and on scipy's own see the same columns
-    import scipy.linalg
-
-    from finslergp import gp
+    # gp.solve_triangular: every LAPACK solve gp makes must go through them,
+    # so wrappers on gp's names and on the loaded dpotrs and dtrtrs see the
+    # same columns
     from finslergp.fields import GpField
     from finslergp.gp import _posterior_mean_var_batch
 
+    flapack, _ = lapack_blas()
     cols = {}
 
     def counting(name, fn):
@@ -551,14 +551,104 @@ def test_every_solve_calls_through_gps_own_names(monkeypatch):
 
     for name in ("cho_solve", "solve_triangular"):
         monkeypatch.setattr(gp, name, counting(f"gp.{name}", getattr(gp, name)))
-        monkeypatch.setattr(scipy.linalg, name, counting(f"scipy.{name}", getattr(scipy.linalg, name)))
+    for name in ("dpotrs", "dtrtrs"):
+        monkeypatch.setattr(flapack, name, counting(name, getattr(flapack, name)))
     m = make_smooth_model(noise=1e-3, seed=8)  # 25 points, D = 3
-    assert cols == {"gp.cho_solve": 3, "scipy.cho_solve": 3}
+    assert cols == {"gp.cho_solve": 3, "dpotrs": 3}
     Z = np.random.default_rng(9).uniform(-0.8, 0.8, (7, 2))
     GpField(m).jacobian_batch_dz(Z)  # 2q columns per point
     _posterior_mean_var_batch(m, Z)  # one column per point
-    assert cols["gp.solve_triangular"] == cols["scipy.solve_triangular"] == 7 * 4 + 7
-    assert cols["gp.cho_solve"] == cols["scipy.cho_solve"] == 3
+    assert cols["gp.solve_triangular"] == cols["dtrtrs"] == 7 * 4 + 7
+    assert cols["gp.cho_solve"] == cols["dpotrs"] == 3
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("lower", [True, False])
+@pytest.mark.parametrize("overwrite_b", [False, True])
+def test_solves_equal_scipy_linalg_bit_for_bit(order, lower, overwrite_b):
+    # gp's two solves make scipy.linalg's LAPACK calls without its scans
+    import scipy.linalg
+
+    rng = np.random.default_rng(12)
+    X = rng.uniform(-2.0, 2.0, (40, 2))
+    kmat = _kernel_matrix(Kernel(RBF, 0.9, 1.1), X, X) + 1e-3 * np.eye(40)
+    factor = np.linalg.cholesky(kmat)
+    factor = np.array(factor if lower else factor.T, order=order)
+    b = np.array(rng.standard_normal((40, 6)), order="F")
+    for trans in (0, 1):
+        got = gp.solve_triangular(factor, b.copy(order="F"), trans=trans, lower=lower,
+                                  overwrite_b=overwrite_b)
+        want = scipy.linalg.solve_triangular(factor, b.copy(order="F"), trans=trans,
+                                             lower=lower, overwrite_b=overwrite_b)
+        assert got.tobytes() == want.tobytes()
+    for rhs in (b, b[:, 0]):
+        got = gp.cho_solve((factor, lower), rhs.copy(order="F"), overwrite_b=overwrite_b)
+        want = scipy.linalg.cho_solve((factor, lower), rhs.copy(order="F"),
+                                      overwrite_b=overwrite_b)
+        assert got.shape == rhs.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_solve_against_a_singular_factor_raises(order):
+    factor = np.array(np.tril(np.ones((4, 4))), order=order)
+    factor[2, 2] = 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        gp.solve_triangular(factor, np.ones((4, 2)), lower=True)
+
+
+def test_lapack_blas_are_scipy_linalgs_own_modules(tmp_path):
+    # in a fresh interpreter gp loads scipy's two extension modules alone,
+    # and a later `import scipy.linalg` takes those same modules; where
+    # scipy.linalg came first, gp takes its modules
+    import sys
+
+    assert lapack_blas() == (sys.modules["scipy.linalg._flapack"],
+                                 sys.modules["scipy.linalg._fblas"])
+    code = """if True:
+        import sys
+        from finslergp._lapack import lapack_blas
+        flapack, fblas = lapack_blas()
+        before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        import scipy.linalg
+        from scipy.linalg import _fblas, _flapack
+        print(before, scipy.linalg.lapack.dpotrf is flapack.dpotrf,
+              scipy.linalg.blas.dgemm is fblas.dgemm, (_flapack, _fblas) == (flapack, fblas))
+    """
+    out = _python(code, tmp_path)
+    assert out == "['scipy.linalg._fblas', 'scipy.linalg._flapack'] True True True"
+
+
+def test_lapack_blas_name_a_missing_file(tmp_path):
+    # a scipy without the extension files: no fallback, an ImportError
+    # naming the module and the directory searched
+    (tmp_path / "scipy" / "linalg").mkdir(parents=True)
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    code = """if True:
+        from finslergp._lapack import lapack_blas
+        try:
+            lapack_blas()
+        except ImportError as exc:
+            print(exc)
+    """
+    out = _python(code, tmp_path, tmp_path)
+    assert out.startswith("no extension module file for scipy.linalg._flapack in ")
+    assert out.endswith(str(tmp_path / "scipy" / "linalg"))
+
+
+def _python(code, cwd, *path):
+    """The last stdout line of code run in a fresh interpreter, with path
+    and the package's source tree first on its import path."""
+    import os
+    import subprocess
+    import sys
+
+    import finslergp
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(finslergp.__file__)))
+    env_path = os.pathsep.join([*map(str, path), src, os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=env_path), check=True)
+    return done.stdout.splitlines()[-1]
 
 
 def test_factor_and_gradient_matrix_stay_in_their_buffers():
