@@ -238,10 +238,6 @@ def cmd_verify(args) -> int:
     report = bound_sweep(n_specs=args.n, seed=args.seed)
     report = _with_checks(report, _convergence_checks(rows, ensemble.m_constant))
 
-    counts = dict(report.counts)
-    if args.inject_violation:
-        counts["injected_self_test"] = 1
-
     cfg = _config(args, "verify", m_constant=ensemble.m_constant)
     violations_path = os.path.join(args.out, "violations.csv")
     export_violations_csv(violations_path, report)
@@ -250,13 +246,12 @@ def cmd_verify(args) -> int:
     export_convergence_csv(convergence_path, rows)
     write_sidecar(convergence_path, cfg)
 
-    total = sum(counts.values())
-    for name in sorted(counts):
-        if counts[name]:
-            print(f"VIOLATION {name}: {counts[name]}")
-    print(f"checks: {len(counts)}, violations: {total}")
+    for name in sorted(report.counts):
+        if report.counts[name]:
+            print(f"VIOLATION {name}: {report.counts[name]}")
+    print(f"checks: {len(report.counts)}, violations: {report.total}")
     print(f"wrote {violations_path} and {convergence_path}")
-    return 1 if total else 0
+    return 0 if report.ok else 1
 
 
 def cmd_volume(args) -> int:
@@ -343,7 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--dims", default="2:1024:dyadic")
     p_ver.add_argument("--v-samples", type=int, default=64)
     p_ver.add_argument("--out", default=".", help="output directory")
-    p_ver.add_argument("--inject-violation", action="store_true", help=argparse.SUPPRESS)
     p_ver.set_defaults(func=cmd_verify)
 
     p_vol = sub.add_parser("volume", help="volume-density field on a latent grid")

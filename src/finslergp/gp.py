@@ -375,7 +375,10 @@ def make_model(X: np.ndarray, Y: np.ndarray, kernel: Kernel, noise: float) -> Gp
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
-        raise ValueError("X must be N x q and Y must be N x D with matching N")
+        raise ValueError(
+            "latent_inputs and outputs must be N x q and N x D matrices "
+            f"with the same N, got shapes {X.shape} and {Y.shape}"
+        )
     if X.shape[0] < 2:
         raise ValueError("need at least two training points")
     for name, values in (("latent_inputs", X), ("outputs", Y)):
@@ -601,6 +604,8 @@ def pca_latents(Y: np.ndarray, q: int) -> np.ndarray:
     Y = np.asarray(Y, dtype=float)
     if not 1 <= q <= Y.shape[1]:
         raise ValueError(f"latent dimension {q} not in [1, {Y.shape[1]}] (data dimension)")
+    if not np.all(np.isfinite(Y)):
+        raise ValueError("outputs must be finite")
     yc = Y - Y.mean(axis=0)
     u, s, _ = np.linalg.svd(yc, full_matrices=False)
     x = u[:, :q] * s[:q]
@@ -665,9 +670,9 @@ def load_model(path: str) -> GpModel:
     """Rebuild a model from JSON; the Cholesky factor is recomputed.
 
     Raises ParseError, its message starting with the path, when a key is
-    missing, a value is not a number, latent_inputs and outputs are not
-    N x q and N x D matrices with the same N, or `make_model` rejects the
-    values (non-finite data, negative noise).
+    missing, a value is not a number, or `make_model` rejects the values
+    (latent_inputs and outputs not N x q and N x D matrices with the same
+    N, non-finite data, negative noise).
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -689,11 +694,6 @@ def load_model(path: str) -> GpModel:
         noise = float(doc["noise"])
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed model file: {exc}")
-    if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
-        raise ParseError(
-            f"{path}: latent_inputs and outputs must be N x q and N x D matrices "
-            f"with the same N, got shapes {X.shape} and {Y.shape}"
-        )
     try:
         return make_model(X, Y, kernel, noise)
     except ValueError as exc:

@@ -25,8 +25,8 @@ cheap:
   alternating series loses all precision once -x grows past a few tens.
 - Past x = -700 e^x underflows: the large-argument expansion, or a
   log-space rescaled series where that expansion diverges too early.
-  Near a = -3 the transformed sum would overflow doubles first, so there
-  the branch starts up to x = -600.
+  Near a = -3 the transformed sum would overflow doubles first, so for
+  a < -1/2, and for a < 0 with b < 1/2, the branch starts at x = -600.
 - The plain series for x > 0.
 
 `kummer_1f1` takes scalars; `kummer_1f1_array` evaluates it for an array of
@@ -66,12 +66,9 @@ _REL_TOL = 1e-15
 _MAX_TERMS = 10_000
 # e^x underflows past ~-745; hand over to the asymptotic limit a bit early.
 _ASYMPTOTIC_CUTOFF = -700.0
-# Between this x and the cutoff the transformed sum is summed directly only
-# while its estimated size stays below e^_LOG_SUM_LIMIT (doubles end at
-# e^709.78): near a = -3 it passes the largest double before x = -700. For
-# a = -1/2, b >= 1/2 and x >= -700 the estimate stays below e^704.
-_SIZE_CHECK_BELOW = -600.0
-_LOG_SUM_LIMIT = 705.0
+# the handover instead for the (a, b) whose transformed sum could pass the
+# largest double before x = -700 (`_deep_below`)
+_EARLY_CUTOFF = -600.0
 # fewest running series for which one numpy step per term beats summing
 # them in blocks of terms
 _LOCKSTEP_MIN = 256
@@ -233,29 +230,17 @@ def _log_series_1f1(a: float, b: float, x: float) -> float:
     raise ConvergenceError(f"1F1 series did not converge for a={a}, b={b}, x={x}")
 
 
-@functools.lru_cache(maxsize=1024)
-def _deep_below(a: float, b: float) -> float:
+def _deep_below(a: float, b):
     # The x below which kummer_1f1(a, b, x) leaves the direct transformed
-    # series: the cutoff, or up to -600 the x where the transformed sum
-    # 1F1(b - a, b, y), y = -x, estimated from its large-y limit
-    # Gamma(b)/Gamma(b - a) e^y (b + y)^(-a), reaches e^_LOG_SUM_LIMIT. The
-    # estimate grows with y for a < 0; for a >= 0 the sum is at most e^y.
-    if a >= 0.0:
-        return _ASYMPTOTIC_CUTOFF
-    lgr = log_gamma_ratio(b, b - a)
-
-    def too_large(y):
-        return y - a * math.log(b + y) + lgr > _LOG_SUM_LIMIT
-
-    lo, hi = -_SIZE_CHECK_BELOW, -_ASYMPTOTIC_CUTOFF
-    if not too_large(hi):
-        return _ASYMPTOTIC_CUTOFF
-    if too_large(lo):
-        return _SIZE_CHECK_BELOW
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if too_large(mid) else (mid, hi)
-    return -hi
+    # series: a float for a float b, elementwise for an array b. The
+    # transformed sum 1F1(b - a, b, y), y = -x, grows like
+    # Gamma(b)/Gamma(b - a) e^y (b + y)^(-a); for a < -1/2, or a < 0 and
+    # b < 1/2, it can pass the largest double (e^709.78) before x = -700
+    # (near a = -3 it does), so there the branch starts at -600. Elsewhere
+    # it stays below e^704 down to -700: for a >= 0 the sum is at most e^y,
+    # and at a = -1/2, b = 1/2 the estimate reaches e^703.9.
+    early = a < -0.5 or (a < 0.0) & (b < 0.5)
+    return _ASYMPTOTIC_CUTOFF + (_EARLY_CUTOFF - _ASYMPTOTIC_CUTOFF) * early
 
 
 @functools.lru_cache(maxsize=1024)
@@ -325,10 +310,9 @@ def kummer_1f1(a: float, b: float, x: float) -> float:
     below 1e-15 of the partial sum. Past x = -700 a naive e^x underflows,
     so the large-argument expansion takes over, falling back to a log-space
     rescaled series in the corner where |x| is not large against b^2 and
-    the expansion diverges too early. The same branch starts above -700,
-    but not above -600, where the transformed sum, estimated from its
-    large-argument limit, would exceed e^705 (near a = -3 it would overflow
-    doubles before x = -700).
+    the expansion diverges too early. For a < -1/2, and for a < 0 with
+    b < 1/2, the same branch starts at -600 instead: there the transformed
+    sum can overflow doubles before x = -700 (near a = -3 it does).
     """
     if b <= 0.0:
         raise ValueError(f"kummer_1f1 needs b > 0, got b={b}")
@@ -336,7 +320,7 @@ def kummer_1f1(a: float, b: float, x: float) -> float:
         return 1.0
     if a == -0.5 and b >= _QUAD_MIN_B and _quadrature_xs(b, x):
         return float(_quadrature_1f1(b, np.array([-x]))[0])
-    if x < _SIZE_CHECK_BELOW and x < _deep_below(a, b):
+    if x < _EARLY_CUTOFF and x < _deep_below(a, b):
         value, accurate = _asymptotic_1f1(a, b, x)
         if accurate:
             return value
@@ -416,19 +400,18 @@ def kummer_1f1_array(a: float, b, x) -> np.ndarray:
     are evaluated together, in blocks, by the rule `kummer_1f1` takes for
     them, each element's 40 terms summed in one fixed order. Other
     elements with x <= 0 and b - a > 0 that `kummer_1f1` sums directly
-    (x >= -700, or closer to 0 for the (a, b) whose transformed sum would
-    exceed e^705 there; both compare with the same cached cutoff) are
-    summed together through the same transformed series as the scalar
-    function. Its terms are nonnegative, so each element stops at its first
-    term below 1e-15 of its partial sum, the term the scalar loop stops at:
-    one term per numpy step for all of them while at least `_LOCKSTEP_MIN`
-    are unconverged, then blocks of 32 and 64 terms per remaining element,
-    whose terms and partial sums come from sequential accumulates. Each
-    term and partial sum is rounded as in the scalar loop (with a
-    per-element b, the term ratio is the same division taken elementwise)
-    and both forms take e^x from numpy's exp, so each result equals the
-    scalar one bit for bit. Every other element (x past the asymptotic
-    cutoff, a transformed sum estimated too large, x > 0, or b <= a) goes
+    (x >= -700, or x >= -600 where a < -1/2, or a < 0 and b < 1/2; both
+    compare with the same cutoff) are summed together through the same
+    transformed series as the scalar function. Its terms are nonnegative,
+    so each element stops at its first term below 1e-15 of its partial
+    sum, the term the scalar loop stops at: one term per numpy step for
+    all of them while at least `_LOCKSTEP_MIN` are unconverged, then
+    blocks of 32 and 64 terms per remaining element, whose terms and
+    partial sums come from sequential accumulates. Each term and partial
+    sum is rounded as in the scalar loop (with a per-element b, the term
+    ratio is the same division taken elementwise) and both forms take e^x
+    from numpy's exp, so each result equals the scalar one bit for bit.
+    Every other element (x past that cutoff, x > 0, or b <= a) goes
     through `kummer_1f1` itself.
     """
     a = float(a)
@@ -437,20 +420,17 @@ def kummer_1f1_array(a: float, b, x) -> np.ndarray:
         b = float(b)
         if b <= 0.0:
             raise ValueError(f"kummer_1f1_array needs b > 0, got b={b}")
-        cutoff = _deep_below(a, b)
         quad_bs = [b] if a == -0.5 and b >= _QUAD_MIN_B else []
     else:
         b = np.broadcast_to(np.asarray(b, dtype=float), x.shape)
         if not np.all(b > 0.0):
             raise ValueError("kummer_1f1_array needs every b > 0")
-        values, which = np.unique(b, return_inverse=True)
-        cutoff = np.array([_deep_below(a, float(v)) for v in values])[which.reshape(x.shape)]
-        # the rule's b from these values: np.unique without return_inverse
-        # takes numpy's hash-based unique, whose first call costs 1.2 MB
-        # resident
+        # the rule's b: np.unique without return_inverse takes numpy's
+        # hash-based unique, whose first call costs 1.2 MB resident
+        values = np.unique(b, return_inverse=True)[0]
         quad_bs = values[values >= _QUAD_MIN_B] if a == -0.5 else []
     out = np.empty(x.shape)
-    series = (x >= cutoff) & (x <= 0.0) & (b - a > 0.0)
+    series = (x >= _deep_below(a, b)) & (x <= 0.0) & (b - a > 0.0)
     # the elements evaluated here, by the series or by the rule; with no
     # rule elements it is series itself (a second mask kept alive through
     # the series raised the pipeline's peak resident size by 2 MB in about

@@ -1,6 +1,7 @@
 """End-to-end command-line tests, run in-process through main(argv)."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -116,6 +117,19 @@ def test_fit_steps_zero_echoes_initials(workdir, circles_model, capsys):
     assert main(argv) == 0
     assert model_path.read_bytes() == first
     assert (workdir / "echo_model.json.config.json").exists()
+
+
+@pytest.mark.parametrize("labels, columns", [("yes", 3), ("no", 4), ("auto", 4)])
+def test_fit_labels_flag_without_a_sidecar(workdir, circles_model, tmp_path, labels, columns):
+    # a copy of the circles CSV without its sidecar: --labels yes drops the
+    # label column, and no or auto (no sidecar to read) fit it as an output
+    data = tmp_path / "circ_copy.csv"
+    data.write_bytes((workdir / "circ.csv").read_bytes())
+    model_path = tmp_path / "m.json"
+    assert main(["fit", "--data", str(data), "--out", str(model_path), "--steps", "0",
+                 "--labels", labels]) == 0
+    outputs = np.array(json.loads(model_path.read_text())["outputs"])
+    assert outputs.shape == (400, columns)
 
 
 def test_fit_huge_lr_fails_its_trials_and_keeps_the_initial_model(workdir, circles_model, capsys):
@@ -251,6 +265,19 @@ def test_geodesic_sphere_great_circle(tmp_path):
     assert abs(length - arc) / arc < 0.01
 
 
+def test_geodesic_unconverged_curve_is_reported_and_exits_0(tmp_path, capsys):
+    # one L-BFGS iteration cannot converge: the documented outcome is exit 0,
+    # a "not converged" line on stderr and converged = 0 in the table
+    out = tmp_path / "geo.csv"
+    assert main(["geodesic", "--model", "sphere", "--start=0.5,1.0", "--end=2.0,2.0",
+                 "--metric", "riemann", "--nc", "17", "--grid", "10", "--max-iter", "1",
+                 "--out", str(out)]) == 0
+    assert "pair 0 riemann: not converged" in capsys.readouterr().err
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1 and rows[0]["converged"] == "0"
+
+
 def test_geodesic_missing_endpoints(circles_model, tmp_path, capsys):
     rc = main(["geodesic", "--model", str(circles_model), "--out",
                str(tmp_path / "geo.csv")])
@@ -288,11 +315,22 @@ def test_verify_writes_a_row_per_counted_check(tmp_path, capsys):
         assert rows[name]["trials"] == "3" and rows[name]["violations"] == "0"
 
 
-def test_verify_injected_violation(tmp_path, capsys):
+def test_verify_injected_violation(monkeypatch, tmp_path, capsys):
+    # one violation added to the bound sweep's report: verify names it and
+    # exits 1
+    def sweep_with_a_violation(*args, **kwargs):
+        report = bound_sweep(*args, **kwargs)
+        injected.append(min(report.counts))
+        return dataclasses.replace(report, counts={**report.counts, injected[0]: 1})
+
+    bound_sweep, injected = cli.bound_sweep, []
+    monkeypatch.setattr(cli, "bound_sweep", sweep_with_a_violation)
     rc = main(["verify", "--n", "100", "--dims", "2,4", "--v-samples", "2",
-               "--out", str(tmp_path / "v"), "--inject-violation"])
+               "--out", str(tmp_path / "v")])
+    out = capsys.readouterr().out
     assert rc == 1
-    assert "injected_self_test" in capsys.readouterr().out
+    assert f"VIOLATION {injected[0]}: 1" in out and "violations: 1" in out
+    assert main(["verify", "--inject-violation", "--out", str(tmp_path / "w")]) == 2
 
 
 def test_verify_dims_parsing(tmp_path, capsys):

@@ -398,6 +398,19 @@ def test_pca_latents_shape_and_scale():
         assert X[np.argmax(np.abs(X[:, j])), j] > 0
 
 
+def test_non_finite_outputs_raise_one_error_from_both_fits():
+    # fit_gplvm's PCA start refuses them before its SVD, with the error
+    # that fit_hyperparameters gives from make_model
+    rng = np.random.default_rng(5)
+    Y = rng.standard_normal((20, 3))
+    Y[7, 1] = np.nan
+    with pytest.raises(ValueError, match="^outputs must be finite$"):
+        fit_gplvm(Y, 2, Kernel(RBF, 1.0, 1.0), 0.01, steps=0)
+    with pytest.raises(ValueError, match="^outputs must be finite$"):
+        fit_hyperparameters(rng.standard_normal((20, 2)), Y, Kernel(RBF, 1.0, 1.0), 0.01,
+                            steps=0)
+
+
 def test_fit_gplvm_smoke_and_determinism():
     rng = np.random.default_rng(4)
     t = rng.uniform(0, 2 * np.pi, 30)

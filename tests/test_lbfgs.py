@@ -73,3 +73,34 @@ def test_a_trial_that_raises_a_listed_error_is_a_failed_trial():
         _lbfgs.minimize(bounded, np.full(20, 3.0), long_step, 3, 0.0, failed=(ValueError,))
     with pytest.raises(ValueError, match="outside"):
         _lbfgs.minimize(bounded, np.zeros(20), long_step, 3, 0.0)
+
+
+def test_a_failed_two_loop_search_retries_with_the_fallback():
+    # after the first step, every trial along the two-loop direction raises
+    # a listed error: the search fails, the history is dropped and the same
+    # iteration retries along the fallback, whose trials succeed
+    fun, x_star = _quadratic()
+    evaluated, traps, first = [], [0], []
+
+    def trapped(x):
+        evaluated.append(x)
+        if traps[0]:
+            traps[0] -= 1
+            raise FloatingPointError("trapped")
+        return fun(x)
+
+    def on_step(value):
+        if not first:
+            first.append(len(evaluated))
+            traps[0] = 60
+
+    found = _lbfgs.minimize(trapped, np.zeros(20), _fallback, 500, _lbfgs.TOL,
+                            on_step=on_step, failed=(FloatingPointError,))
+    x1 = evaluated[first[0] - 1]
+    retry = evaluated[first[0] + 60]
+    assert traps[0] == 0
+    assert np.array_equal(retry, x1 + _fallback(x1, fun(x1)[1]))
+    assert not np.array_equal(evaluated[first[0]], retry)
+    assert found.converged
+    assert found.value < 1.0 + 1e-8
+    assert np.max(np.abs(found.x - x_star)) < 1e-3

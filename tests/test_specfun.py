@@ -327,7 +327,7 @@ def test_block_tail_raises_when_the_terms_run_out(monkeypatch, n):
 @pytest.mark.parametrize("b", [0.5, 17.0, 512.0])
 def test_kummer_finite_and_accurate_down_to_the_underflow(a, b):
     # near a = -3 the transformed sum passes the largest double before
-    # x = -700, so below -600 the branch follows an estimate of its size
+    # x = -700, so for a < -1/2 the deep branch starts at -600
     x = np.concatenate([np.linspace(-745.0, -600.0, 30), [-700.0, -699.0, -650.0]])
     got = kummer_1f1_array(a, b, x)
     for v, g in zip(x, got):
@@ -341,15 +341,16 @@ def test_kummer_array_per_element_b_is_bitwise_the_scalar_function():
     # a = -1/2 the b >= 16 elements down to x = -3b take the Gauss-Hermite
     # rule, one group per b; the lockstep runs first on the rest, the deep
     # arguments finish in the block tail, and those past the cutoff take the
-    # deep branch through kummer_1f1; at a = -3 that cutoff lies between
-    # -700 and -600 and differs with b
+    # deep branch through kummer_1f1; at a = -3 that cutoff is -600 for
+    # every b, at a = -1/2 and 1/2 it is -700, and at a = -1/4 with b
+    # shifted by -0.3 it is -600 for b = 0.2 only
     rng = np.random.default_rng(29)
     x = np.concatenate([-rng.uniform(0.0, 5.0, 300), -rng.uniform(5.0, 600.0, 50),
                         -rng.uniform(600.0, 700.0, 30), -rng.uniform(700.0, 760.0, 18),
                         [0.0, -700.0]])
     b = rng.choice([0.5, 15.5, 16.0, 17.0, 512.0], x.size)
     assert set(b[x < -700.0]) == {0.5, 15.5, 16.0, 17.0, 512.0}
-    for a, shift in ((-0.5, 0.0), (0.5, 1.0), (-3.0, 0.0)):
+    for a, shift in ((-0.5, 0.0), (0.5, 1.0), (-3.0, 0.0), (-0.25, -0.3)):
         got = kummer_1f1_array(a, (b + shift).reshape(20, -1), x.reshape(20, -1))
         want = np.array([kummer_1f1(a, bb + shift, float(v)) for bb, v in zip(b, x)])
         assert np.array_equal(got, want.reshape(20, -1))
