@@ -7,7 +7,8 @@ never calls; `lapack_blas` loads the two extension modules alone, from their
 files. `cho_solve` and `solve_triangular` make scipy.linalg's LAPACK calls
 for gp, without its input scans. gp imports these two into its own
 namespace and calls them by those names, so rebinding gp's names (as a
-tracer does) sees every solve.
+tracer does) sees every solve. `finite_cholesky` factors, and
+`gradient_matrix` inverts and updates, in the caller's N x N buffer.
 """
 
 from __future__ import annotations
@@ -81,3 +82,32 @@ def solve_triangular(a, b, trans=0, lower=False, overwrite_b=False):
     else:
         x, info = trtrs(a.T, b, overwrite_b=overwrite_b, lower=not lower, trans=not trans)
     return _solved(x, info, "dtrtrs")
+
+
+def finite_cholesky(kmat: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of the symmetric, C-ordered kmat, computed in
+    kmat's own buffer, or None if LAPACK fails."""
+    # kmat.T is the same symmetric matrix in Fortran order, so dpotrf takes
+    # it without a copy; its upper factor U = L^T, read in C order, is L.
+    # LAPACK can report success yet emit non-finite factors (NaN/inf input);
+    # treat those as failures so they reach the jitter ladder
+    upper, info = lapack_blas()[0].dpotrf(kmat.T, lower=False, overwrite_a=True)
+    if info != 0 or not np.all(np.isfinite(upper)):
+        return None
+    return upper.T
+
+
+def gradient_matrix(chol: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """M = alpha alpha^T - D K^-1 from the lower Cholesky factor of K and
+    alpha = K^-1 Yc (N x D), in chol's buffer, which it overwrites.
+
+    LAPACK potri writes K^-1 to one triangle and BLAS syrk updates that
+    triangle to M; the triangle is then mirrored row by row."""
+    lapack, blas = lapack_blas()
+    kinv, info = lapack.dpotri(chol.T, lower=False, overwrite_c=True)
+    if info:
+        raise np.linalg.LinAlgError(f"kernel matrix inversion failed (potri info {info})")
+    mmat = blas.dsyrk(1.0, alpha, beta=-float(alpha.shape[1]), c=kinv, overwrite_c=True).T
+    for i in range(len(mmat) - 1):
+        mmat[i, i + 1 :] = mmat[i + 1 :, i]
+    return mmat

@@ -12,13 +12,17 @@ inverse (`dpotri`), the products (`dsyrk`, `dgemm`) and the solves
 (`cho_solve`, `solve_triangular`). numpy's OpenBLAS keeps a thread pool of
 its own, whose spinning workers take the cores from scipy's (README,
 Timing). The N x N matrices are built in place: `make_model` forms the
-kernel in the squared distances' buffer and factors it there (the jitter
+kernel a block of `_BLOCK_ENTRIES` entries at a time, each from its own
+squared distances, into one N x N buffer and factors it there (the jitter
 ladder rebuilds the kernel only when a factorization fails), and in the fit
-the inverse and the likelihood-gradient matrix share the factor's buffer.
-A fit evaluation forms the kernel and its radial coefficient from one exp
-(one sqrt and one exp for matern52) and takes its traces in one scratch
-buffer. The in-place steps are the formulas' operations in the formulas'
-order, so every result has the bits of the formula with temporaries.
+the inverse and the likelihood-gradient matrix share the factor's buffer
+(`_lapack.finite_cholesky` and `_lapack.gradient_matrix`). A fit
+evaluation forms the kernel and its radial coefficient from one exp (one
+sqrt and one exp for matern52) and, once the factor has been copied out,
+takes both traces in the kernel's buffer: four N x N arrays with the
+squared distances. The in-place steps are the formulas' operations in the
+formulas' order, so every result has the bits of the formula with
+temporaries.
 
 Those routines come from scipy's two extension modules `_flapack` and
 `_fblas`, which `_lapack.lapack_blas` loads at a command's first GP call
@@ -28,14 +32,18 @@ these two alone. The two solves are `_lapack`'s `cho_solve` and
 `solve_triangular`, which gp's code calls by those names in its own
 namespace: rebinding them there (as a tracer does) sees every solve.
 
-The Jacobian posteriors at n points are one pass, `_jacobian_pass`. The
-kernel gradients against the training inputs are q planes of shape (n, N),
-formed from the difference planes, whose squared distances hold the radial
-coefficient (without the derivative in z, the gradients overwrite the
-differences), and solved against the factor in one triangular solve of q
-columns per point;
-the derivative in z adds a second solve of q columns (2q per point) and
-contracts the kernel Hessian with it, so no Hessian column is solved.
+The Jacobian posteriors at n points are one pass, `_jacobian_pass`, which
+takes the points in blocks of `_BLOCK_ENTRIES` kernel entries (65 points at
+N = 500), so its working memory does not grow with n. In a block the
+kernel gradients against the training inputs are q planes of shape
+(block, N), formed from the difference planes, whose squared distances hold
+the radial coefficient (without the derivative in z, the gradients
+overwrite the differences), and solved against the factor in one triangular
+solve of q columns per point; the derivative in z adds a second solve of q
+columns (2q per point) and contracts the kernel Hessian with it, so no
+Hessian column is solved. A point's means are the same bits in any block;
+its covariance can move in the last bits with the number of columns that
+share its solve.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ import numpy as np
 
 from . import _lbfgs
 from ._lapack import cho_solve, lapack_blas, solve_triangular
+from ._lapack import finite_cholesky as _finite_cholesky, gradient_matrix as _gradient_matrix
 from .data import ParseError
 
 __all__ = [
@@ -71,6 +80,11 @@ _FAMILIES = (RBF, MATERN52)
 
 _JITTER0 = 1e-8
 _JITTER_ESCALATIONS = 5
+
+# kernel entries (8 bytes each) per block of rows: `_sqdist`'s scratch, the
+# rows `_kernel_matrix` evaluates at a time and the query points of one
+# `_jacobian_pass` block (65 points against 500 training inputs)
+_BLOCK_ENTRIES = 32768
 
 # what load_model needs from a model file; output_means is recomputed
 _MODEL_KEYS = ("kernel", "noise", "latent_inputs", "outputs")
@@ -183,8 +197,14 @@ def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _kernel_matrix(k: Kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    r2 = _sqdist(a, b)
-    return _kernel_of_r2(k, r2, out=r2)[0]
+    """k between the rows of a and b, formed a block of `_BLOCK_ENTRIES`
+    entries at a time from that block's squared distances: the result is
+    the one n x m array."""
+    rows = max(1, _BLOCK_ENTRIES // len(b))
+    out = np.empty((len(a), len(b)))
+    for i in range(0, len(a), rows):
+        _kernel_of_r2(k, _sqdist(a[i : i + rows], b), out=out[i : i + rows])
+    return out
 
 
 # The kernel and its radial coefficients below are evaluated one operation
@@ -212,16 +232,18 @@ def _kernel_of_r2(k: Kernel, r2: np.ndarray, out: np.ndarray | None = None,
     kr *= u
     decay = np.negative(kr)
     np.exp(decay, out=decay)
-    poly = np.square(kr)
-    poly /= 3.0
-    kr += 1.0
-    c = None
-    if radial:
-        c = kr * -(k.variance * u**2 / 3.0)
-        c *= decay
-    kr += poly
+    c = np.add(kr, 1.0)
+    # (u r)^2/3 in kr's buffer, then (1 + u r) + (u r)^2/3 (the sum is exact
+    # in either operand order): three arrays with r2's, not four
+    np.square(kr, out=kr)
+    kr /= 3.0
+    kr += c
     kr *= k.variance
     kr *= decay
+    if not radial:
+        return kr, None
+    c *= -(k.variance * u**2 / 3.0)
+    c *= decay
     return kr, c
 
 
@@ -312,19 +334,6 @@ class GpModel:
         return self.latent_inputs.min(axis=0), self.latent_inputs.max(axis=0)
 
 
-def _finite_cholesky(kmat: np.ndarray) -> np.ndarray | None:
-    """Lower Cholesky factor of the symmetric, C-ordered kmat, computed in
-    kmat's own buffer, or None if LAPACK fails."""
-    # kmat.T is the same symmetric matrix in Fortran order, so dpotrf takes
-    # it without a copy; its upper factor U = L^T, read in C order, is L.
-    # LAPACK can report success yet emit non-finite factors (NaN/inf input);
-    # treat those as failures so they reach the jitter ladder
-    upper, info = lapack_blas()[0].dpotrf(kmat.T, lower=False, overwrite_a=True)
-    if info != 0 or not np.all(np.isfinite(upper)):
-        return None
-    return upper.T
-
-
 def _robust_cholesky(kmat: np.ndarray, noise: float, variance: float, rebuild) -> np.ndarray:
     """Lower Cholesky factor of K + noise I, where kmat holds the symmetric,
     C-ordered kernel matrix K; it is factored in kmat's buffer, which it
@@ -352,22 +361,6 @@ def _robust_cholesky(kmat: np.ndarray, noise: float, variance: float, rebuild) -
     else:
         detail = " (non-finite kernel matrix)"
     raise np.linalg.LinAlgError(f"kernel matrix factorization failed{detail}")
-
-
-def _gradient_matrix(chol: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """M = alpha alpha^T - D K^-1 from the lower Cholesky factor of K and
-    alpha = K^-1 Yc (N x D), in chol's buffer, which it overwrites.
-
-    LAPACK potri writes K^-1 to one triangle and BLAS syrk updates that
-    triangle to M; the triangle is then mirrored row by row."""
-    lapack, blas = lapack_blas()
-    kinv, info = lapack.dpotri(chol.T, lower=False, overwrite_c=True)
-    if info:
-        raise np.linalg.LinAlgError(f"kernel matrix inversion failed (potri info {info})")
-    mmat = blas.dsyrk(1.0, alpha, beta=-float(alpha.shape[1]), c=kinv, overwrite_c=True).T
-    for i in range(len(mmat) - 1):
-        mmat[i, i + 1 :] = mmat[i + 1 :, i]
-    return mmat
 
 
 def make_model(X: np.ndarray, Y: np.ndarray, kernel: Kernel, noise: float) -> GpModel:
@@ -453,9 +446,15 @@ def _jacobian_pass(m: GpModel, Z: np.ndarray, dz: bool) -> tuple[np.ndarray, ...
     With d_a the q planes of differences, G_a = c d_a, Hessian column
     H_c = e d_a d_c + delta_ac c, W = L^-1 G and V = L^-T W = K^-1 G: means =
     G^T alpha, covs = prior - W^T W, dcovs = -(C + C^T) with C = H_c^T V.
+    More points than a block of `_BLOCK_ENTRIES` kernel entries go through
+    the pass a block at a time, so its working memory does not grow with n.
     """
     Z = _query_points(Z, m.dim_latent)
     n, q = Z.shape
+    rows = max(1, _BLOCK_ENTRIES // len(m.latent_inputs))
+    if n > rows:
+        blocks = [_jacobian_pass(m, Z[i : i + rows], dz) for i in range(0, n, rows)]
+        return tuple(map(np.concatenate, zip(*blocks)))
     d, c, e = _differences(m.kernel, Z, m.latent_inputs, hessian=dz)
     # without dz the differences are not needed again: G in their buffer
     grads = c * d if dz else np.multiply(d, c, out=d)
@@ -502,18 +501,22 @@ def _log_marginal_terms(
     the latents factorizes the kernel matrix once.
 
     The kernel and c share one exp (rbf), or one sqrt and one exp
-    (matern52); r2 is left as it is."""
+    (matern52); r2 is left as it is. With r2 four N x N arrays are live at
+    most: the kernel, c and the factor, whose buffer then holds M; once the
+    factor has been copied out, both traces are taken in the kernel's
+    buffer."""
     gram, c = _kernel_of_r2(kernel, r2, radial=True)
     chol = _robust_cholesky(gram.copy(), noise, kernel.variance, lambda: gram)
     alpha = cho_solve((chol.T, False), Yc)
     lml = _log_marginal(chol, alpha, Yc)
     mmat = _gradient_matrix(chol, alpha)
-    # the two full traces, sum(M * (-c r2)) and sum(M * K), in one scratch buffer
-    scratch = np.negative(c)
-    scratch *= r2
-    scratch *= mmat
-    trace_ell = float(np.sum(scratch))
-    trace_var = float(np.sum(np.multiply(mmat, gram, out=scratch)))
+    # the two full traces, sum(M * K) and sum(M * (-c r2)), in the kernel's
+    # buffer, which the factor no longer needs
+    trace_var = float(np.sum(np.multiply(mmat, gram, out=gram)))
+    ell = np.negative(c, out=gram)
+    ell *= r2
+    ell *= mmat
+    trace_ell = float(np.sum(ell))
     grad = np.array([0.5 * trace_ell, 0.5 * trace_var, 0.5 * noise * float(np.trace(mmat))])
     return lml, grad, mmat, c
 

@@ -7,6 +7,7 @@ linear-algebra oracle that never touches the Cholesky caching path.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -892,3 +893,95 @@ def test_jitter_ladder_rebuilds_the_kernel_from_the_latents(monkeypatch):
     diag += gp._JITTER0 * m.kernel.variance
     assert attempts[1].tobytes() == want.tobytes()
     assert jittered.chol.tobytes() == factor(want).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# working memory: N x N arrays per fit evaluation and model, Jacobian blocks
+
+
+def _traced_peak(fn):
+    """(result, peak bytes that fn allocated on top of what was live)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _memory_model_inputs(n=300):
+    rng = np.random.default_rng(89)
+    X = rng.uniform(-2.0, 2.0, (n, 2))
+    return X, smooth_targets(X, 3) + 0.05 * rng.standard_normal((n, 3))
+
+
+@pytest.mark.parametrize("latents", ["fixed", "free"])
+@pytest.mark.parametrize("family", [RBF, MATERN52])
+def test_fit_objective_holds_four_kernel_arrays(family, latents):
+    # r2 (made inside the trace in both modes), the kernel, its radial
+    # coefficient and the factor, whose buffer becomes M; the slack is the
+    # factor's finiteness mask (N^2 bytes) and the small arrays
+    X, Y = _memory_model_inputs()
+    n = len(X)
+    Yc = Y - Y.mean(axis=0)
+    params = np.log([0.8, 1.3, 1e-3])
+    gp._fit_objective(params, X, _sqdist(X, X), Yc, family)  # warm-up: the LAPACK load
+    if latents == "fixed":
+        run = lambda: gp._fit_objective(params, X, _sqdist(X, X), Yc, family)
+    else:
+        free = np.concatenate([params, X.ravel()])
+        run = lambda: gp._fit_objective(free, X, None, Yc, family)
+    _, peak = _traced_peak(run)
+    assert peak <= 4 * n * n * 8 + n * n + 65536
+
+
+@pytest.mark.parametrize("family", [RBF, MATERN52])
+def test_make_model_holds_one_kernel_array(family):
+    # the kernel is built a block of rows at a time into one N x N buffer
+    # and factored there; the slack is three blocks of scratch (a block's
+    # squared distances, and matern52's exp and coefficient rows), the
+    # factor's finiteness mask (N^2 bytes) and the small arrays
+    X, Y = _memory_model_inputs(1000)
+    n = len(X)
+    kernel = Kernel(family, 0.7, 1.3)
+    make_model(X, Y, kernel, 1e-3)
+    _, peak = _traced_peak(lambda: make_model(X, Y, kernel, 1e-3))
+    assert peak <= n * n * 8 + 3 * gp._BLOCK_ENTRIES * 8 + n * n + 65536
+
+
+@pytest.mark.parametrize("dz", [False, True])
+def test_jacobian_pass_memory_does_not_grow_with_the_points(dz):
+    X, Y = _memory_model_inputs()
+    m = make_model(X, Y, Kernel(RBF, 0.7, 1.3), 1e-3)
+    rows = gp._BLOCK_ENTRIES // len(X)
+    rng = np.random.default_rng(97)
+    excess = []
+    for n in (rows, 20 * rows):
+        Z = rng.uniform(-2.0, 2.0, (n, 2))
+        out, peak = _traced_peak(lambda: _jacobian_pass(m, Z, dz))
+        excess.append(peak - sum(a.nbytes for a in out))
+    # beyond its outputs, 20 blocks of points take what one block takes
+    assert excess[1] <= 1.1 * excess[0]
+
+
+@pytest.mark.parametrize("dz", [False, True])
+@pytest.mark.parametrize("family", [RBF, MATERN52])
+def test_blocked_jacobian_pass_is_the_unblocked_and_per_point_pass(family, dz, monkeypatch):
+    # at N = 500 a split batch moves the covariances in the last bits, as
+    # the triangular solve's column count does; the means are a point's
+    # own dgemm rows, the same bits in any batch
+    X, Y = _memory_model_inputs(500)
+    m = make_model(X, Y, Kernel(family, 0.7, 1.3), 1e-3)
+    rows = gp._BLOCK_ENTRIES // len(X)
+    Z = np.random.default_rng(101).uniform(-2.2, 2.2, (2 * rows + 1, 2))
+    blocked = _jacobian_pass(m, Z, dz)
+    per_point = [np.concatenate(a) for a in zip(*(_jacobian_pass(m, z[None], dz) for z in Z))]
+    monkeypatch.setattr(gp, "_BLOCK_ENTRIES", len(Z) * len(X))
+    unblocked = _jacobian_pass(m, Z, dz)
+    for want in (unblocked, per_point):
+        for i, (got, ref) in enumerate(zip(blocked, want)):
+            if i in (0, 2):  # means and dmeans
+                assert got.tobytes() == ref.tobytes()
+            else:
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
