@@ -307,14 +307,16 @@ def _norm_partials(sigma, signal, dim_data, kind: str) -> tuple:
     or an array that broadcasts to sigma's shape. riemann (D, 1);
     alpha_sigma (alpha, 0); finsler, with w = signal/sigma, h =
     1F1(-1/2, D/2, x) at x = -w/2 and hx = dh/dx = -1F1(1/2, D/2 + 1, x)/D:
-    alpha (h^2 + h hx w) and -alpha h hx where sigma >= 1e-14, and (0, 1)
-    in the deterministic limit."""
+    alpha h 1F1(1/2, D/2, x) and -alpha h hx where sigma >= 1e-14, and
+    (0, 1) in the deterministic limit. d/dsigma is alpha h (h + hx w), with
+    h + hx w = 1F1(1/2, D/2, x) by x M'(a, b, x) = a (M(a+1, b, x) -
+    M(a, b, x)): a positive series, where the sum cancels as w grows."""
     if kind == "finsler":
         norm_sq, live, d, h, a = _finsler_terms(sigma, signal, dim_data)
         w = signal[live] / sigma[live]
         hx = kummer_1f1_array(0.5, 0.5 * d + 1.0, -0.5 * w) / -d
         d_sigma, d_signal = np.zeros(sigma.shape), np.ones(sigma.shape)
-        d_sigma[live] = a * h * (h + hx * w)
+        d_sigma[live] = a * h * kummer_1f1_array(0.5, 0.5 * d, -0.5 * w)
         d_signal[live] = -a * h * hx
         return norm_sq, d_sigma, d_signal
     if kind == "riemann":

@@ -35,7 +35,8 @@ floating-point operations per element. It evaluates the Gauss-Hermite
 regime in blocks of elements: each row of 40 expm1 values is summed in a
 fixed pairwise order, the same for every row. Of the series it sums only
 the transformed ones with b - a > 0, whose terms are all nonnegative: the
-whole documented regime a in [-3, 0], and the derivative's (1/2, b + 1).
+whole documented regime a in [-3, 0], the derivative's (1/2, b + 1) and
+the Finsler sigma partial's (1/2, b) for b > 1/2.
 Such a series stops at its first term below 1e-15 of its partial sum, one
 comparison per element. While at least `_LOCKSTEP_MIN` series are still
 running, one numpy step adds the next term to all of them (the lockstep).
@@ -321,6 +322,8 @@ def kummer_1f1(a: float, b: float, x: float) -> float:
     if a == -0.5 and b >= _QUAD_MIN_B and _quadrature_xs(b, x):
         return float(_quadrature_1f1(b, np.array([-x]))[0])
     if x < _EARLY_CUTOFF and x < _deep_below(a, b):
+        if a == b:  # 1F1(a, a, x) = e^x, where the expansion's Gamma(b - a) has a pole
+            return float(np.exp(x))
         value, accurate = _asymptotic_1f1(a, b, x)
         if accurate:
             return value

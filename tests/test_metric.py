@@ -462,6 +462,23 @@ def test_norm_partials_match_central_differences(kind, dim):
         assert np.all(d_sigma[dead] == 0.0) and np.all(d_signal[dead] == 1.0)
 
 
+@pytest.mark.parametrize("dim", [3, 64])
+def test_finsler_sigma_partial_matches_mpmath_at_large_omega(dim):
+    # signal/sigma from 1e6 to 5e13, above the 1e-14 guard: alpha h (h + hx w)
+    # cancels there (4.6e-2 off at sigma = 2e-14, D = 3); its positive
+    # series form 1F1(1/2, D/2, -w/2) does not
+    mpmath = pytest.importorskip("mpmath")
+    sigma = np.array([1e-6, 1e-8, 1e-10, 1e-12, 1e-13, 2e-14])
+    signal = np.ones_like(sigma)
+    _, d_sigma, _ = _norm_partials(sigma, signal, dim, "finsler")
+    with mpmath.workdps(60):
+        for s, got in zip(sigma, d_sigma):
+            x = -1 / (2 * mpmath.mpf(s))
+            want = (mpmath.mpf(alpha_coefficient(dim)) * mpmath.hyp1f1(-0.5, dim / 2, x)
+                    * mpmath.hyp1f1(0.5, dim / 2, x))
+            assert abs(got - want) <= 1e-14 * abs(want), s
+
+
 def test_norms_from_forms_rejects_unknown_kinds():
     for fn in (_norms_from_forms, _norm_partials):
         with pytest.raises(ValueError, match="riemman"):

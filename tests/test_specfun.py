@@ -383,3 +383,14 @@ def test_kummer_array_b_not_above_a_takes_the_scalar_function(monkeypatch):
     want = np.array([kummer_1f1(1.0, bb, float(v)) for bb, v in zip(b, x)])
     assert np.array_equal(kummer_1f1_array(1.0, b, x), want)
     assert all(np.all(a > 0.0) for a in summed) and sum(a.size for a in summed) > 0
+
+
+def test_kummer_with_equal_parameters_is_exp_past_the_cutoff():
+    # 1F1(a, a, x) = e^x: the Finsler sigma partial takes 1F1(1/2, D/2, x),
+    # so D = 1 meets it, where the large-argument expansion's Gamma(b - a)
+    # has a pole
+    xs = np.array([-650.0, -699.0, -701.0, -745.0, -1000.0])
+    for a in (0.5, 1.5):
+        got = kummer_1f1_array(a, a, xs)
+        assert got.tobytes() == np.exp(xs).tobytes()
+        assert [kummer_1f1(a, a, float(x)) for x in xs] == list(got)
