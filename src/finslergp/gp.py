@@ -81,9 +81,9 @@ _FAMILIES = (RBF, MATERN52)
 _JITTER0 = 1e-8
 _JITTER_ESCALATIONS = 5
 
-# kernel entries (8 bytes each) per block of rows: `_sqdist`'s scratch, the
-# rows `_kernel_matrix` evaluates at a time and the query points of one
-# `_jacobian_pass` block (65 points against 500 training inputs)
+# kernel entries (8 bytes each) per block: the rows `_kernel_matrix` forms at
+# a time and the query points of one `_jacobian_pass` block (65 points
+# against 500 training inputs)
 _BLOCK_ENTRIES = 32768
 
 # what load_model needs from a model file; output_means is recomputed
@@ -234,7 +234,7 @@ def _kernel_of_r2(k: Kernel, r2: np.ndarray, out: np.ndarray | None = None,
     np.exp(decay, out=decay)
     c = np.add(kr, 1.0)
     # (u r)^2/3 in kr's buffer, then (1 + u r) + (u r)^2/3 (the sum is exact
-    # in either operand order): three arrays with r2's, not four
+    # in either operand order): no array of its own for the polynomial
     np.square(kr, out=kr)
     kr /= 3.0
     kr += c
@@ -447,7 +447,8 @@ def _jacobian_pass(m: GpModel, Z: np.ndarray, dz: bool) -> tuple[np.ndarray, ...
     H_c = e d_a d_c + delta_ac c, W = L^-1 G and V = L^-T W = K^-1 G: means =
     G^T alpha, covs = prior - W^T W, dcovs = -(C + C^T) with C = H_c^T V.
     More points than a block of `_BLOCK_ENTRIES` kernel entries go through
-    the pass a block at a time, so its working memory does not grow with n.
+    the pass a block at a time, each block's covs clamped on their own, so
+    its working memory does not grow with n.
     """
     Z = _query_points(Z, m.dim_latent)
     n, q = Z.shape
