@@ -8,11 +8,15 @@ set-up commands once and then every op in-process through this checkout's
 benchmark's own runner (`perfbench/run.py`). After each command it prints
 one line: its index (`setup` for a set-up command), its kind (the command
 name for a set-up command), the process's peak resident size so far
-(`ru_maxrss`) in MB, how much the command raised that peak, and the
-resident size after it (`/proc/self/statm`, `-` where that file does not
-exist). A last line gives the peak. The benchmark's `peak_rss_mb` is the
-same `ru_maxrss`, read once after three set-ups and the whole op list, so
-this trace shows which command sets it.
+(`ru_maxrss`) in MB, how much the command raised that peak, the resident
+size after it (`/proc/self/statm`, `-` where that file does not exist), the
+minor page faults the command took (the rise of `ru_minflt`), and the bytes
+of glibc's main malloc arena in use and free after it, in MB (`mallinfo2`'s
+`uordblks` and `fordblks`, `-` where the C library lacks `mallinfo2`). A
+last line gives the peak. The benchmark's `peak_rss_mb` is the same
+`ru_maxrss`, read once after three set-ups and the whole op list, so this
+trace shows which command sets it; the arena columns show how much of the
+resident size is freed heap that the allocator keeps.
 
 Exits 1 if a command fails or an op fails its check, 2 if --work is not
 empty.
@@ -21,6 +25,8 @@ empty.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import ctypes.util
 import os
 import resource
 import sys
@@ -30,6 +36,34 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def _peak_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+class _Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks",
+        "fordblks", "keepcost")]
+
+
+def _mallinfo2():
+    """glibc's `mallinfo2`, or None where the C library lacks it."""
+    try:
+        fn = ctypes.CDLL(ctypes.util.find_library("c")).mallinfo2
+    except (OSError, AttributeError):
+        return None
+    fn.restype = _Mallinfo2
+    return fn
+
+
+def _arena_mb(mallinfo2) -> str:
+    """The main arena's in-use and free bytes in MB, or `- -`."""
+    if mallinfo2 is None:
+        return "- -"
+    info = mallinfo2()
+    return f"{info.uordblks / 2**20:.2f} {info.fordblks / 2**20:.2f}"
 
 
 def _current_mb() -> str:
@@ -63,13 +97,16 @@ def main(argv=None) -> int:
 
     workload = workloads.WORKLOADS[args.workload](work)
     runner = run.Runner(cli_main)
-    print("# index kind peak_rss_mb peak_rise_mb rss_mb")
-    peak = _peak_mb()
+    mallinfo2 = _mallinfo2()
+    print("# index kind peak_rss_mb peak_rise_mb rss_mb minor_faults arena_used_mb arena_free_mb")
+    peak, faults = _peak_mb(), _minor_faults()
 
     def report(index, kind):
-        nonlocal peak
+        nonlocal peak, faults
         before, peak = peak, _peak_mb()
-        print(f"{index} {kind} {peak:.2f} {peak - before:.2f} {_current_mb()}", flush=True)
+        faults_before, faults = faults, _minor_faults()
+        print(f"{index} {kind} {peak:.2f} {peak - before:.2f} {_current_mb()} "
+              f"{faults - faults_before} {_arena_mb(mallinfo2)}", flush=True)
 
     for argv in workload.setup_commands(args.seed):
         code, _, _ = runner.command(argv)

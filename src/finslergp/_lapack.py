@@ -8,7 +8,9 @@ files. `cho_solve` and `solve_triangular` make scipy.linalg's LAPACK calls
 for gp, without its input scans. gp imports these two into its own
 namespace and calls them by those names, so rebinding gp's names (as a
 tracer does) sees every solve. `finite_cholesky` factors, and
-`gradient_matrix` inverts and updates, in the caller's N x N buffer.
+`gradient_matrix` inverts and updates, in the caller's N x N buffer;
+`log_marginal` reads the log marginal likelihood off the factor, and
+`alpha_products` and `latent_gradient` are gp's dgemm products.
 """
 
 from __future__ import annotations
@@ -16,10 +18,15 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 
 import numpy as np
+
+# entries per row block of gp's N x N arrays (gp's `_BLOCK_ENTRIES`), and
+# of the factor whose finiteness `finite_cholesky` checks at a time
+BLOCK_ENTRIES = 32768
 
 
 @functools.cache
@@ -90,11 +97,26 @@ def finite_cholesky(kmat: np.ndarray) -> np.ndarray | None:
     # kmat.T is the same symmetric matrix in Fortran order, so dpotrf takes
     # it without a copy; its upper factor U = L^T, read in C order, is L.
     # LAPACK can report success yet emit non-finite factors (NaN/inf input);
-    # treat those as failures so they reach the jitter ladder
+    # treat those as failures so they reach the jitter ladder. Every entry is
+    # checked, a row block of `BLOCK_ENTRIES` at a time: no N x N mask
     upper, info = lapack_blas()[0].dpotrf(kmat.T, lower=False, overwrite_a=True)
-    if info != 0 or not np.all(np.isfinite(upper)):
+    lower = upper.T
+    rows = max(1, BLOCK_ENTRIES // len(lower))
+    if info != 0 or not all(np.isfinite(lower[i : i + rows]).all()
+                            for i in range(0, len(lower), rows)):
         return None
-    return upper.T
+    return lower
+
+
+def log_marginal(chol: np.ndarray, alpha: np.ndarray, yc: np.ndarray) -> float:
+    """Log marginal likelihood from the lower Cholesky factor of K, alpha =
+    K^-1 yc and the centred outputs yc."""
+    n, d = yc.shape
+    return (
+        -0.5 * float(np.sum(yc * alpha))
+        - d * float(np.sum(np.log(np.diag(chol))))
+        - 0.5 * n * d * math.log(2.0 * math.pi)
+    )
 
 
 def gradient_matrix(chol: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -111,3 +133,22 @@ def gradient_matrix(chol: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     for i in range(len(mmat) - 1):
         mmat[i, i + 1 :] = mmat[i + 1 :, i]
     return mmat
+
+
+def alpha_products(planes: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """sum_N planes[j, i, N] alpha[N, :] as (n, D, q), by one dgemm."""
+    # the points run along dgemm's first dimension: a point's sums are then
+    # the same bits in a batch of any size up to a few hundred points
+    q, n, big_n = planes.shape
+    prod = lapack_blas()[1].dgemm(1.0, planes.reshape(q * n, big_n).T, alpha.T, trans_a=True,
+                                  trans_b=True)
+    return prod.T.reshape(-1, q, n).transpose(2, 0, 1)
+
+
+def latent_gradient(mmat: np.ndarray, c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_m M[n, m] c[n, m] (x_n - x_m) for the rows x_n of x, with M and c
+    symmetric N x N, by one dgemm; W = M * c is formed in M's buffer, which
+    it overwrites, and W.T is W in Fortran order for dgemm."""
+    mmat *= c
+    np.fill_diagonal(mmat, 0.0)
+    return mmat.sum(axis=1)[:, None] * x - lapack_blas()[1].dgemm(1.0, mmat.T, x, trans_a=True)

@@ -11,18 +11,22 @@ through scipy's BLAS and LAPACK only: the factorization (`dpotrf`), the
 inverse (`dpotri`), the products (`dsyrk`, `dgemm`) and the solves
 (`cho_solve`, `solve_triangular`). numpy's OpenBLAS keeps a thread pool of
 its own, whose spinning workers take the cores from scipy's (README,
-Timing). The N x N matrices are built in place: `make_model` forms the
-kernel a block of `_BLOCK_ENTRIES` entries at a time, each from its own
-squared distances, into one N x N buffer and factors it there (the jitter
-ladder rebuilds the kernel only when a factorization fails), and in the fit
-the inverse and the likelihood-gradient matrix share the factor's buffer
-(`_lapack.finite_cholesky` and `_lapack.gradient_matrix`). A fit
-evaluation forms the kernel and its radial coefficient from one exp (one
-sqrt and one exp for matern52) and, once the factor has been copied out,
-takes both traces in the kernel's buffer: four N x N arrays with the
-squared distances. The in-place steps are the formulas' operations in the
-formulas' order, so every result has the bits of the formula with
-temporaries.
+Timing). The N x N matrices are built in place, a row block of
+`_BLOCK_ENTRIES` entries at a time where they are formed elementwise, so no
+temporary is larger than a block: `make_model` forms the kernel, each block
+from its own squared distances, into one N x N buffer and factors it there
+(the jitter ladder rebuilds the kernel only when a factorization fails),
+and in the fit the inverse and the likelihood-gradient matrix share the
+factor's buffer (`_lapack.finite_cholesky` and `_lapack.gradient_matrix`).
+A fit allocates one workspace of three N x N buffers, which every L-BFGS
+evaluation writes into: the latents' squared distances (refilled when the
+latents move), the kernel, and the factor, whose buffer then holds the
+gradient matrix. Once the trace in the variance has been taken in the
+kernel's buffer, an evaluation forms the radial coefficient there again
+from the squared distances: two exps per evaluation (two sqrts and two
+exps for matern52), and no N x N array allocated. The in-place steps are
+the formulas' operations in the formulas' order, so every result has the
+bits of the formula with temporaries.
 
 Those routines come from scipy's two extension modules `_flapack` and
 `_fblas`, which `_lapack.lapack_blas` loads at a command's first GP call
@@ -54,9 +58,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _lbfgs
-from ._lapack import cho_solve, lapack_blas, solve_triangular
+from . import _lapack, _lbfgs
+from ._lapack import alpha_products as _alpha_products, cho_solve, solve_triangular
 from ._lapack import finite_cholesky as _finite_cholesky, gradient_matrix as _gradient_matrix
+from ._lapack import latent_gradient as _latent_gradient, log_marginal as _log_marginal
 from .data import ParseError
 
 __all__ = [
@@ -81,10 +86,10 @@ _FAMILIES = (RBF, MATERN52)
 _JITTER0 = 1e-8
 _JITTER_ESCALATIONS = 5
 
-# kernel entries (8 bytes each) per block: the rows `_kernel_matrix` forms at
-# a time and the query points of one `_jacobian_pass` block (65 points
-# against 500 training inputs)
-_BLOCK_ENTRIES = 32768
+# kernel entries (8 bytes each) per block: the rows `_kernel_matrix` and a
+# fit evaluation form at a time and the query points of one `_jacobian_pass`
+# block (65 points against 500 training inputs)
+_BLOCK_ENTRIES = _lapack.BLOCK_ENTRIES
 
 # what load_model needs from a model file; output_means is recomputed
 _MODEL_KEYS = ("kernel", "noise", "latent_inputs", "outputs")
@@ -183,12 +188,18 @@ def _clamp_psd_batch(covs: np.ndarray) -> np.ndarray:
 # kernel algebra
 
 
-def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _sqdist(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """Squared distances between the rows of a and b, (n, m), summed one
     coordinate at a time without building the (n, m, q) differences; for
-    q <= 2 bit-identical to an einsum over those differences."""
+    q <= 2 bit-identical to an einsum over those differences. With out they
+    are formed in its buffer, a row block at a time."""
+    blocks = _row_blocks(len(a), len(b))
+    if out is not None and len(blocks) > 1:
+        for rows in blocks:
+            _sqdist(a[rows], b, out[rows])
+        return out
     diff = a[:, None, 0] - b[None, :, 0]
-    r2 = diff * diff
+    r2 = np.multiply(diff, diff, out=out)
     for j in range(1, a.shape[1]):
         np.subtract(a[:, None, j], b[None, :, j], out=diff)
         diff *= diff
@@ -196,14 +207,19 @@ def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return r2
 
 
+def _row_blocks(n: int, m: int) -> list:
+    """The rows of an n x m array as slices of `_BLOCK_ENTRIES` entries."""
+    rows = max(1, _BLOCK_ENTRIES // m)
+    return [slice(i, i + rows) for i in range(0, n, rows)]
+
+
 def _kernel_matrix(k: Kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """k between the rows of a and b, formed a block of `_BLOCK_ENTRIES`
     entries at a time from that block's squared distances: the result is
     the one n x m array."""
-    rows = max(1, _BLOCK_ENTRIES // len(b))
     out = np.empty((len(a), len(b)))
-    for i in range(0, len(a), rows):
-        _kernel_of_r2(k, _sqdist(a[i : i + rows], b), out=out[i : i + rows])
+    for rows in _row_blocks(len(a), len(b)):
+        _kernel_of_r2(k, _sqdist(a[rows], b), out=out[rows])
     return out
 
 
@@ -213,38 +229,30 @@ def _kernel_matrix(k: Kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # the formula evaluated with temporaries.
 
 
-def _kernel_of_r2(k: Kernel, r2: np.ndarray, out: np.ndarray | None = None,
-                  radial: bool = False) -> tuple:
-    """(k, c): k at squared distances r2, in out's buffer when given (out may
-    be r2), RBF sigma^2 exp(-r^2/(2 l^2)), Matern-5/2 with u = sqrt(5)/l
-    sigma^2 (1 + u r + (u r)^2/3) exp(-u r); c is None unless radial, and
-    then the radial coefficient of `_radial_coefficients`, from the same
-    exp."""
+def _kernel_of_r2(k: Kernel, r2: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """k at squared distances r2, in out's buffer when given (out may be r2),
+    RBF sigma^2 exp(-r^2/(2 l^2)), Matern-5/2 with u = sqrt(5)/l
+    sigma^2 (1 + u r + (u r)^2/3) exp(-u r)."""
     if k.family == RBF:
         kr = np.multiply(r2, -0.5, out=out)
         kr /= k.lengthscale**2
         np.exp(kr, out=kr)
-        c = kr * -(k.variance / k.lengthscale**2) if radial else None
         kr *= k.variance
-        return kr, c
+        return kr
     u = math.sqrt(5.0) / k.lengthscale
     kr = np.sqrt(r2, out=out)
     kr *= u
     decay = np.negative(kr)
     np.exp(decay, out=decay)
-    c = np.add(kr, 1.0)
+    linear = np.add(kr, 1.0)
     # (u r)^2/3 in kr's buffer, then (1 + u r) + (u r)^2/3 (the sum is exact
     # in either operand order): no array of its own for the polynomial
     np.square(kr, out=kr)
     kr /= 3.0
-    kr += c
+    kr += linear
     kr *= k.variance
     kr *= decay
-    if not radial:
-        return kr, None
-    c *= -(k.variance * u**2 / 3.0)
-    c *= decay
-    return kr, c
+    return kr
 
 
 def _radial_coefficients(k: Kernel, r2: np.ndarray, hessian: bool = True,
@@ -428,16 +436,6 @@ def posterior_mean_var(m: GpModel, z: np.ndarray) -> tuple[np.ndarray, float]:
     return means[0], float(var[0])
 
 
-def _alpha_products(planes: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """sum_N planes[j, i, N] alpha[N, :] as (n, D, q), by one scipy dgemm."""
-    # the points run along dgemm's first dimension: a point's sums are then
-    # the same bits in a batch of any size up to a few hundred points
-    q, n, big_n = planes.shape
-    prod = lapack_blas()[1].dgemm(1.0, planes.reshape(q * n, big_n).T, alpha.T, trans_a=True,
-                                  trans_b=True)
-    return prod.T.reshape(-1, q, n).transpose(2, 0, 1)
-
-
 def _jacobian_pass(m: GpModel, Z: np.ndarray, dz: bool) -> tuple[np.ndarray, ...]:
     """Derivative posteriors at n points: means (n, D, q), covs (n, q, q) and,
     with dz, their derivatives in z along a last axis: dmeans (n, D, q, q)
@@ -452,10 +450,9 @@ def _jacobian_pass(m: GpModel, Z: np.ndarray, dz: bool) -> tuple[np.ndarray, ...
     """
     Z = _query_points(Z, m.dim_latent)
     n, q = Z.shape
-    rows = max(1, _BLOCK_ENTRIES // len(m.latent_inputs))
-    if n > rows:
-        blocks = [_jacobian_pass(m, Z[i : i + rows], dz) for i in range(0, n, rows)]
-        return tuple(map(np.concatenate, zip(*blocks)))
+    blocks = _row_blocks(n, len(m.latent_inputs))
+    if len(blocks) > 1:
+        return tuple(map(np.concatenate, zip(*(_jacobian_pass(m, Z[rows], dz) for rows in blocks))))
     d, c, e = _differences(m.kernel, Z, m.latent_inputs, hessian=dz)
     # without dz the differences are not needed again: G in their buffer
     grads = c * d if dz else np.multiply(d, c, out=d)
@@ -482,18 +479,9 @@ def _jacobian_pass(m: GpModel, Z: np.ndarray, dz: bool) -> tuple[np.ndarray, ...
 # fitting
 
 
-def _log_marginal(chol: np.ndarray, alpha: np.ndarray, yc: np.ndarray) -> float:
-    """Log marginal likelihood from the Cholesky factor, alpha and the centred outputs."""
-    n, d = yc.shape
-    return (
-        -0.5 * float(np.sum(yc * alpha))
-        - d * float(np.sum(np.log(np.diag(chol))))
-        - 0.5 * n * d * math.log(2.0 * math.pi)
-    )
-
-
 def _log_marginal_terms(
-    r2: np.ndarray, Yc: np.ndarray, kernel: Kernel, noise: float
+    r2: np.ndarray, Yc: np.ndarray, kernel: Kernel, noise: float, gram=None, factor=None,
+    scratch=None
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Log marginal likelihood at the squared distances r2 of the latents,
     its gradient in (log lengthscale, log variance, log noise), M = alpha
@@ -501,44 +489,54 @@ def _log_marginal_terms(
     latents follows from M and c (`_fit_objective`), so a step that moves
     the latents factorizes the kernel matrix once.
 
-    The kernel and c share one exp (rbf), or one sqrt and one exp
-    (matern52); r2 is left as it is. With r2 four N x N arrays are live at
-    most: the kernel, c and the factor, whose buffer then holds M; once the
-    factor has been copied out, both traces are taken in the kernel's
-    buffer."""
-    gram, c = _kernel_of_r2(kernel, r2, radial=True)
-    chol = _robust_cholesky(gram.copy(), noise, kernel.variance, lambda: gram)
+    The kernel is formed from r2 a row block at a time in the buffer gram
+    and factored in a copy in factor (both fresh when gram is None), whose
+    buffer then holds M. Once sum(M * K) has been taken in gram, c is formed
+    there again, by row blocks (a second exp; for matern52 a second sqrt and
+    exp), and sum(M * (-c r2)) is taken in scratch (fresh when None), which
+    may be r2 or gram; c is returned in gram, spent when scratch is gram.
+    Without buffers four N x N arrays are live with r2 at most."""
+    if gram is None:
+        gram, factor = np.empty_like(r2), np.empty_like(r2)
+    blocks = _row_blocks(*r2.shape)
+    for rows in blocks:
+        _kernel_of_r2(kernel, r2[rows], out=gram[rows])
+    np.copyto(factor, gram)
+    chol = _robust_cholesky(factor, noise, kernel.variance, lambda: gram)
     alpha = cho_solve((chol.T, False), Yc)
     lml = _log_marginal(chol, alpha, Yc)
     mmat = _gradient_matrix(chol, alpha)
-    # the two full traces, sum(M * K) and sum(M * (-c r2)), in the kernel's
-    # buffer, which the factor no longer needs
     trace_var = float(np.sum(np.multiply(mmat, gram, out=gram)))
-    ell = np.negative(c, out=gram)
-    ell *= r2
+    for rows in blocks:
+        _radial_coefficients(kernel, r2[rows], hessian=False, out=gram[rows])
+    # -c r2 as -(r2 c), the same bits, so that scratch may be either operand
+    ell = np.multiply(r2, gram, out=scratch)
+    np.negative(ell, out=ell)
     ell *= mmat
     trace_ell = float(np.sum(ell))
     grad = np.array([0.5 * trace_ell, 0.5 * trace_var, 0.5 * noise * float(np.trace(mmat))])
-    return lml, grad, mmat, c
+    return lml, grad, mmat, gram
 
 
-def _fit_objective(params, X, r2, Yc, family) -> tuple[float, np.ndarray]:
+def _fit_objective(params, X, r2, Yc, family, *work) -> tuple[float, np.ndarray]:
     """`_ascend`'s objective and gradient at params = [log theta] with the
     latents X fixed and r2 their squared distances, or at [log theta, X] with
-    r2 None: the log marginal likelihood, less |X|^2/2 when X moves. Its own
-    function, so its N x N arrays are freed before the next trial factorizes."""
+    r2 None: the log marginal likelihood, less |X|^2/2 when X moves.
+
+    work is the fit's buffers gram, factor and scratch for
+    `_log_marginal_terms`; with free latents scratch takes their squared
+    distances, a row block at a time. Without them the evaluation allocates
+    its own arrays."""
     with np.errstate(over="ignore"):  # an overflow is Kernel's error
         ell, var, noise = np.exp(params[:3])
     kernel = Kernel(family, ell, var)
     if r2 is not None:
-        return _log_marginal_terms(r2, Yc, kernel, noise)[:2]
+        return _log_marginal_terms(r2, Yc, kernel, noise, *work)[:2]
     X = params[3:].reshape(X.shape)
-    lml, grad, w, c = _log_marginal_terms(_sqdist(X, X), Yc, kernel, noise)
-    # d lml / d x_n = sum_m M[n, m] grad_z1 k(x_n, x_m), using symmetry of M;
-    # w = M * c in M's buffer, and w.T is w in Fortran order for dgemm
-    w *= c
-    np.fill_diagonal(w, 0.0)
-    gx = w.sum(axis=1)[:, None] * X - lapack_blas()[1].dgemm(1.0, w.T, X, trans_a=True) - X
+    r2 = _sqdist(X, X, work[2] if work else None)
+    lml, grad, mmat, c = _log_marginal_terms(r2, Yc, kernel, noise, *work)
+    # d lml / d x_n = sum_m M[n, m] grad_z1 k(x_n, x_m), using symmetry of M
+    gx = _latent_gradient(mmat, c, X) - X
     return lml - 0.5 * float(np.sum(X * X)), np.concatenate([grad, gx.ravel()])
 
 
@@ -554,7 +552,9 @@ def _ascend(
     """`_lbfgs.minimize` on minus `_fit_objective` from k0, noise0 and X, for
     at most steps iterations. The fallback is the steepest-ascent step of
     max-norm lr, lr sign(g), which is Adam's first step. A trial point whose
-    Kernel or jitter ladder raises is a failed line-search trial."""
+    Kernel or jitter ladder raises is a failed line-search trial. Every
+    evaluation writes into one workspace of three N x N buffers, freed
+    before the fitted model is built."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if steps < 0 or not noise0 >= 0.0 or not 0.0 < lr < math.inf:
@@ -562,18 +562,22 @@ def _ascend(
     if steps == 0:
         return make_model(X, Y, k0, noise0)
     Yc = Y - Y.mean(axis=0)
-    # fixed latents: their squared distances serve every step
+    # fixed latents: their squared distances serve every step, and the last
+    # trace is taken in the kernel's buffer; free latents: a third buffer
     r2 = None if optimize_latents else _sqdist(X, X)
+    work = (np.empty((len(X), len(X))), np.empty((len(X), len(X))))
+    work += (np.empty_like(work[0]) if optimize_latents else work[0],)
     params = np.log(np.array([k0.lengthscale, k0.variance, max(noise0, 1e-12)]))
     if optimize_latents:
         params = np.concatenate([params, X.ravel()])
 
     def negated(x):
-        objective, grad = _fit_objective(x, X, r2, Yc, k0.family)
+        objective, grad = _fit_objective(x, X, r2, Yc, k0.family, *work)
         return -objective, -grad, None
 
     best = _lbfgs.minimize(negated, params, lambda x, g: -lr * np.sign(g), steps, _lbfgs.TOL,
                            failed=(ValueError, np.linalg.LinAlgError)).x
+    r2 = work = None  # freed before make_model builds the kernel once more
     ell, var, noise = np.exp(best[:3])
     if optimize_latents:
         X = best[3:].reshape(X.shape)

@@ -950,6 +950,62 @@ def test_make_model_holds_one_kernel_array(family):
     assert peak <= n * n * 8 + 3 * gp._BLOCK_ENTRIES * 8 + n * n + 65536
 
 
+def _fit(fit, family, X, Y, steps):
+    k0 = Kernel(family, 0.8, 1.3)
+    if fit == "hyperparameters":
+        return fit_hyperparameters(X, Y, k0, 1e-3, steps=steps)
+    return fit_gplvm(Y, 2, k0, 1e-3, steps=steps, optimize_latents=True)
+
+
+@pytest.mark.parametrize("fit", ["hyperparameters", "latents"])
+@pytest.mark.parametrize("family", [RBF, MATERN52])
+def test_fit_holds_three_kernel_arrays(family, fit):
+    # one workspace per fit: the squared distances, the kernel and the
+    # factor, which every evaluation writes into and which are freed before
+    # the fitted model is built; the slack is two blocks of scratch (a
+    # block's squared distances and differences, or matern52's exp and
+    # linear rows), a block's finiteness mask and the small arrays
+    X, Y = _memory_model_inputs()
+    n = len(X)
+    _fit(fit, family, X, Y, 1)  # warm-up: the LAPACK load
+    _, peak = _traced_peak(lambda: _fit(fit, family, X, Y, 3))
+    assert peak <= 3 * n * n * 8 + 2 * gp._BLOCK_ENTRIES * 8 + gp._BLOCK_ENTRIES + 65536
+
+
+@pytest.mark.parametrize("fit", ["hyperparameters", "latents"])
+@pytest.mark.parametrize("family", [RBF, MATERN52])
+def test_fit_through_the_workspace_is_the_fit_with_fresh_arrays(family, fit, monkeypatch):
+    # the workspace's evaluations recompute the radial coefficient and take
+    # the last trace in a reused buffer; the fitted model has the bits of
+    # the fit whose evaluations allocate their own arrays
+    X, Y = _memory_model_inputs(60)
+    got = _fit(fit, family, X, Y, 20)
+    objective = gp._fit_objective
+    monkeypatch.setattr(gp, "_fit_objective",
+                        lambda params, X, r2, Yc, family, *work: objective(params, X, r2, Yc, family))
+    want = _fit(fit, family, X, Y, 20)
+    assert got.kernel == want.kernel and got.noise == want.noise
+    for name in ("latent_inputs", "chol", "alpha"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def test_finite_cholesky_checks_every_row_with_a_block_mask():
+    # dpotrf reports success on these two inputs, so only the finiteness
+    # check returns None; it reads the factor a row block at a time
+    from finslergp.gp import _finite_cholesky
+
+    n = 1000
+    for i, value in ((n - 1, np.nan), (0, np.inf)):
+        kmat = np.eye(n) + 0.01
+        kmat[i, i] = value
+        assert _finite_cholesky(kmat) is None
+    kmat = np.eye(n) + 0.01
+    _finite_cholesky(kmat.copy())  # warm-up: the LAPACK load
+    chol, peak = _traced_peak(lambda: _finite_cholesky(kmat))
+    assert chol is not None and np.shares_memory(chol, kmat)
+    assert peak <= gp._BLOCK_ENTRIES + 65536
+
+
 @pytest.mark.parametrize("dz", [False, True])
 def test_jacobian_pass_memory_does_not_grow_with_the_points(dz):
     X, Y = _memory_model_inputs()
