@@ -54,7 +54,7 @@ def _mallinfo2():
         fn = ctypes.CDLL(ctypes.util.find_library("c")).mallinfo2
     except (OSError, AttributeError):
         return None
-    fn.restype = _Mallinfo2
+    fn.argtypes, fn.restype = [], _Mallinfo2
     return fn
 
 
