@@ -92,10 +92,13 @@ def solve_triangular(a, b, trans=0, lower=False, overwrite_b=False):
 
 
 def finite_cholesky(kmat: np.ndarray) -> np.ndarray | None:
-    """Lower Cholesky factor of the symmetric, C-ordered kmat, computed in
-    kmat's own buffer, or None if LAPACK fails."""
+    """Lower Cholesky factor of the symmetric, C-ordered kmat, of which it
+    reads the lower triangle alone, computed in kmat's own buffer, or None
+    if LAPACK fails."""
     # kmat.T is the same symmetric matrix in Fortran order, so dpotrf takes
     # it without a copy; its upper factor U = L^T, read in C order, is L.
+    # dpotrf reads that triangle alone and zeroes the other (clean=1), so
+    # whatever the other held before is not seen by the check below.
     # LAPACK can report success yet emit non-finite factors (NaN/inf input);
     # treat those as failures so they reach the jitter ladder. Every entry is
     # checked, a row block of `BLOCK_ENTRIES` at a time: no N x N mask
@@ -145,10 +148,9 @@ def alpha_products(planes: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return prod.T.reshape(-1, q, n).transpose(2, 0, 1)
 
 
-def latent_gradient(mmat: np.ndarray, c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_m M[n, m] c[n, m] (x_n - x_m) for the rows x_n of x, with M and c
-    symmetric N x N, by one dgemm; W = M * c is formed in M's buffer, which
-    it overwrites, and W.T is W in Fortran order for dgemm."""
-    mmat *= c
-    np.fill_diagonal(mmat, 0.0)
-    return mmat.sum(axis=1)[:, None] * x - lapack_blas()[1].dgemm(1.0, mmat.T, x, trans_a=True)
+def latent_gradient(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_m W[n, m] (x_n - x_m) for the rows x_n of x, with W = M * c
+    symmetric N x N, by one dgemm; W's diagonal is zeroed in its buffer,
+    and W.T is W in Fortran order for dgemm."""
+    np.fill_diagonal(w, 0.0)
+    return w.sum(axis=1)[:, None] * x - lapack_blas()[1].dgemm(1.0, w.T, x, trans_a=True)

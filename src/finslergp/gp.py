@@ -7,26 +7,22 @@ form from the kernel's derivatives; the hyperparameters are fitted to the
 marginal likelihood by `_lbfgs`.
 
 Linear algebra on N x N operands or results (N training points) goes
-through scipy's BLAS and LAPACK only: the factorization (`dpotrf`), the
-inverse (`dpotri`), the products (`dsyrk`, `dgemm`) and the solves
-(`cho_solve`, `solve_triangular`). numpy's OpenBLAS keeps a thread pool of
-its own, whose spinning workers take the cores from scipy's (README,
-Timing). The N x N matrices are built in place, a row block of
-`_BLOCK_ENTRIES` entries at a time where they are formed elementwise, so no
-temporary is larger than a block: `make_model` forms the kernel, each block
-from its own squared distances, into one N x N buffer and factors it there
-(the jitter ladder rebuilds the kernel only when a factorization fails),
-and in the fit the inverse and the likelihood-gradient matrix share the
-factor's buffer (`_lapack.finite_cholesky` and `_lapack.gradient_matrix`).
-A fit allocates one workspace of three N x N buffers, which every L-BFGS
-evaluation writes into: the latents' squared distances (refilled when the
-latents move), the kernel, and the factor, whose buffer then holds the
-gradient matrix. Once the trace in the variance has been taken in the
-kernel's buffer, an evaluation forms the radial coefficient there again
-from the squared distances: two exps per evaluation (two sqrts and two
-exps for matern52), and no N x N array allocated. The in-place steps are
-the formulas' operations in the formulas' order, so every result has the
-bits of the formula with temporaries.
+through scipy's BLAS and LAPACK only: `dpotrf`, `dpotri`, `dsyrk`, `dgemm`
+and the solves `cho_solve` and `solve_triangular`. numpy's OpenBLAS keeps a
+thread pool of its own, whose spinning workers take the cores from scipy's
+(README, Timing). N x N matrices are formed in place a row block of
+`_BLOCK_ENTRIES` entries at a time, so no temporary is larger than a block.
+`make_model` forms the kernel in one N x N buffer and factors it there; the
+jitter ladder refills that buffer. A fit allocates one `_workspace`, an
+N x N buffer and two row blocks, which every L-BFGS evaluation reuses: the
+kernel's lower triangle is formed and factored in the buffer, which then
+holds M = alpha alpha^T - D K^-1. As K alpha = Yc, the variance trace is
+sum(alpha Yc) - D N - s tr(M), s the noise and any jitter; a second
+row-block pass forms the squared distances and the radial coefficient c
+again for the lengthscale trace and, for free latents, M * c. At N = 500
+the benchmark's 30-step set-up fit takes 0.22 to 0.26 s and 2.1k minor
+faults; a fresh-interpreter 200-step `fit` of the 1000-point pinwheel takes
+0.93 s and peaks at 52.6 MB resident (README, Timing).
 
 Those routines come from scipy's two extension modules `_flapack` and
 `_fblas`, which `_lapack.lapack_blas` loads at a command's first GP call
@@ -192,16 +188,13 @@ def _sqdist(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """Squared distances between the rows of a and b, (n, m), summed one
     coordinate at a time without building the (n, m, q) differences; for
     q <= 2 bit-identical to an einsum over those differences. With out they
-    are formed in its buffer, a row block at a time."""
-    blocks = _row_blocks(len(a), len(b))
-    if out is not None and len(blocks) > 1:
-        for rows in blocks:
-            _sqdist(a[rows], b, out[rows])
-        return out
-    diff = a[:, None, 0] - b[None, :, 0]
+    are formed in its buffer."""
+    # contiguous coordinate rows broadcast faster than strided columns
+    at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+    diff = at[0][:, None] - bt[0]
     r2 = np.multiply(diff, diff, out=out)
-    for j in range(1, a.shape[1]):
-        np.subtract(a[:, None, j], b[None, :, j], out=diff)
+    for j in range(1, len(at)):
+        np.subtract(at[j][:, None], bt[j], out=diff)
         diff *= diff
         r2 += diff
     return r2
@@ -213,14 +206,19 @@ def _row_blocks(n: int, m: int) -> list:
     return [slice(i, i + rows) for i in range(0, n, rows)]
 
 
-def _kernel_matrix(k: Kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _kernel_matrix(k: Kernel, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """k between the rows of a and b, formed a block of `_BLOCK_ENTRIES`
-    entries at a time from that block's squared distances: the result is
-    the one n x m array."""
-    out = np.empty((len(a), len(b)))
+    entries at a time from that block's squared distances, into out (fresh
+    when None): the result is the one n x m array."""
+    out = np.empty((len(a), len(b))) if out is None else out
     for rows in _row_blocks(len(a), len(b)):
         _kernel_of_r2(k, _sqdist(a[rows], b), out=out[rows])
     return out
+
+
+def _workspace(n: int) -> tuple:
+    """A fit's N x N buffer and two row blocks of `_BLOCK_ENTRIES` entries."""
+    return np.empty((n, n)), *np.empty((2, min(n, _BLOCK_ENTRIES // n) or 1, n))
 
 
 # The kernel and its radial coefficients below are evaluated one operation
@@ -342,27 +340,27 @@ class GpModel:
         return self.latent_inputs.min(axis=0), self.latent_inputs.max(axis=0)
 
 
-def _robust_cholesky(kmat: np.ndarray, noise: float, variance: float, rebuild) -> np.ndarray:
-    """Lower Cholesky factor of K + noise I, where kmat holds the symmetric,
-    C-ordered kernel matrix K; it is factored in kmat's buffer, which it
-    overwrites. rebuild() returns K again, and is called only when a
-    factorization fails."""
+def _robust_cholesky(kmat: np.ndarray, noise: float, variance: float, rebuild) -> tuple:
+    """Lower Cholesky factor of K + noise I + jitter I, and the jitter, for
+    the kernel matrix K in the lower triangle of the C-ordered kmat, factored
+    in kmat's buffer. rebuild() writes K there again after a failed
+    factorization; the jitter is 0 unless one failed."""
     diag = kmat.reshape(-1)[:: len(kmat) + 1]
     diag += noise
     chol = _finite_cholesky(kmat)
     if chol is not None:
-        return chol
+        return chol, 0.0
     # jitter ladder: 1e-8 * variance, escalated tenfold at most five times;
     # each attempt rebuilds the buffer the failed one overwrote
     jitter = _JITTER0 * variance
     with np.errstate(invalid="ignore"):
         for _ in range(_JITTER_ESCALATIONS):
-            np.copyto(kmat, rebuild())
+            rebuild()
             diag += noise
             diag += jitter
             chol = _finite_cholesky(kmat)
             if chol is not None:
-                return chol
+                return chol, jitter
             jitter *= 10.0
     if math.isfinite(jitter):
         detail = f" even with jitter up to {jitter / 10:.1e}"
@@ -388,9 +386,10 @@ def make_model(X: np.ndarray, Y: np.ndarray, kernel: Kernel, noise: float) -> Gp
     if not 0.0 <= noise < math.inf:
         raise ValueError("noise must be finite and nonnegative")
     means = Y.mean(axis=0)
-    # the kernel matrix is built in the buffer that is factored
-    chol = _robust_cholesky(_kernel_matrix(kernel, X, X), noise, kernel.variance,
-                            lambda: _kernel_matrix(kernel, X, X))
+    # the kernel matrix is built, and rebuilt, in the buffer that is factored
+    kmat = _kernel_matrix(kernel, X, X)
+    chol, _ = _robust_cholesky(kmat, noise, kernel.variance,
+                               lambda: _kernel_matrix(kernel, X, X, kmat))
     alpha = cho_solve((chol.T, False), Y - means)
     return GpModel(
         kernel=kernel,
@@ -480,63 +479,61 @@ def _jacobian_pass(m: GpModel, Z: np.ndarray, dz: bool) -> tuple[np.ndarray, ...
 
 
 def _log_marginal_terms(
-    r2: np.ndarray, Yc: np.ndarray, kernel: Kernel, noise: float, gram=None, factor=None,
-    scratch=None
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Log marginal likelihood at the squared distances r2 of the latents,
-    its gradient in (log lengthscale, log variance, log noise), M = alpha
-    alpha^T - D K^-1 and the radial coefficient c at r2: the gradient in the
-    latents follows from M and c (`_fit_objective`), so a step that moves
-    the latents factorizes the kernel matrix once.
+    X: np.ndarray, Yc: np.ndarray, kernel: Kernel, noise: float, latents: bool = False, work=None
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Log marginal likelihood of the latents X, its gradient in
+    (log lengthscale, log variance, log noise), and M = alpha alpha^T -
+    D K^-1, or with latents M * c for the latent gradient (`_fit_objective`),
+    c the radial coefficient at X's squared distances. work is a
+    `_workspace` (fresh when None), used as the module docstring says."""
+    buf, r2buf, cbuf = _workspace(len(X)) if work is None else work
+    blocks = _row_blocks(len(X), len(X))
 
-    The kernel is formed from r2 a row block at a time in the buffer gram
-    and factored in a copy in factor (both fresh when gram is None), whose
-    buffer then holds M. Once sum(M * K) has been taken in gram, c is formed
-    there again, by row blocks (a second exp; for matern52 a second sqrt and
-    exp), and sum(M * (-c r2)) is taken in scratch (fresh when None), which
-    may be r2 or gram; c is returned in gram, spent when scratch is gram.
-    Without buffers four N x N arrays are live with r2 at most."""
-    if gram is None:
-        gram, factor = np.empty_like(r2), np.empty_like(r2)
-    blocks = _row_blocks(*r2.shape)
-    for rows in blocks:
-        _kernel_of_r2(kernel, r2[rows], out=gram[rows])
-    np.copyto(factor, gram)
-    chol = _robust_cholesky(factor, noise, kernel.variance, lambda: gram)
+    def fill():
+        # each row block against the points up to its last row
+        for rows in blocks:
+            xr = X[rows]
+            r2 = _sqdist(xr, X[: rows.stop], r2buf[: len(xr), : rows.stop])
+            _kernel_of_r2(kernel, r2, out=buf[rows, : rows.stop])
+
+    fill()
+    chol, jitter = _robust_cholesky(buf, noise, kernel.variance, fill)
     alpha = cho_solve((chol.T, False), Yc)
     lml = _log_marginal(chol, alpha, Yc)
     mmat = _gradient_matrix(chol, alpha)
-    trace_var = float(np.sum(np.multiply(mmat, gram, out=gram)))
+    trace_m = float(np.trace(mmat))
+    trace_var = float(np.sum(alpha * Yc)) - Yc.size - (noise + jitter) * trace_m
+    trace_ell = 0.0
     for rows in blocks:
-        _radial_coefficients(kernel, r2[rows], hessian=False, out=gram[rows])
-    # -c r2 as -(r2 c), the same bits, so that scratch may be either operand
-    ell = np.multiply(r2, gram, out=scratch)
-    np.negative(ell, out=ell)
-    ell *= mmat
-    trace_ell = float(np.sum(ell))
-    grad = np.array([0.5 * trace_ell, 0.5 * trace_var, 0.5 * noise * float(np.trace(mmat))])
-    return lml, grad, mmat, gram
+        xr = X[rows]
+        r2 = _sqdist(xr, X, r2buf[: len(xr)])
+        c = _radial_coefficients(kernel, r2, hessian=False, out=cbuf[: len(xr)])[0]
+        # M * (-c r2) as -((r2 c) M), the same bits
+        r2 *= c
+        r2 *= mmat[rows]
+        trace_ell -= float(np.sum(r2))
+        if latents:
+            mmat[rows] *= c
+    grad = np.array([0.5 * trace_ell, 0.5 * trace_var, 0.5 * noise * trace_m])
+    return lml, grad, mmat
 
 
-def _fit_objective(params, X, r2, Yc, family, *work) -> tuple[float, np.ndarray]:
+def _fit_objective(params, X, Yc, family, work=None) -> tuple[float, np.ndarray]:
     """`_ascend`'s objective and gradient at params = [log theta] with the
-    latents X fixed and r2 their squared distances, or at [log theta, X] with
-    r2 None: the log marginal likelihood, less |X|^2/2 when X moves.
-
-    work is the fit's buffers gram, factor and scratch for
-    `_log_marginal_terms`; with free latents scratch takes their squared
-    distances, a row block at a time. Without them the evaluation allocates
-    its own arrays."""
+    latents X fixed, or at [log theta, X] with the latents free: the log
+    marginal likelihood, less |X|^2/2 when X moves. work is the fit's
+    `_workspace`, fresh when None."""
     with np.errstate(over="ignore"):  # an overflow is Kernel's error
         ell, var, noise = np.exp(params[:3])
     kernel = Kernel(family, ell, var)
-    if r2 is not None:
-        return _log_marginal_terms(r2, Yc, kernel, noise, *work)[:2]
-    X = params[3:].reshape(X.shape)
-    r2 = _sqdist(X, X, work[2] if work else None)
-    lml, grad, mmat, c = _log_marginal_terms(r2, Yc, kernel, noise, *work)
+    latents = len(params) > 3
+    if latents:
+        X = params[3:].reshape(X.shape)
+    lml, grad, mc = _log_marginal_terms(X, Yc, kernel, noise, latents, work)
+    if not latents:
+        return lml, grad
     # d lml / d x_n = sum_m M[n, m] grad_z1 k(x_n, x_m), using symmetry of M
-    gx = _latent_gradient(mmat, c, X) - X
+    gx = _latent_gradient(mc, X) - X
     return lml - 0.5 * float(np.sum(X * X)), np.concatenate([grad, gx.ravel()])
 
 
@@ -553,8 +550,8 @@ def _ascend(
     at most steps iterations. The fallback is the steepest-ascent step of
     max-norm lr, lr sign(g), which is Adam's first step. A trial point whose
     Kernel or jitter ladder raises is a failed line-search trial. Every
-    evaluation writes into one workspace of three N x N buffers, freed
-    before the fitted model is built."""
+    evaluation writes into one `_workspace` of one N x N buffer and two row
+    blocks, freed before the fitted model is built."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if steps < 0 or not noise0 >= 0.0 or not 0.0 < lr < math.inf:
@@ -562,22 +559,18 @@ def _ascend(
     if steps == 0:
         return make_model(X, Y, k0, noise0)
     Yc = Y - Y.mean(axis=0)
-    # fixed latents: their squared distances serve every step, and the last
-    # trace is taken in the kernel's buffer; free latents: a third buffer
-    r2 = None if optimize_latents else _sqdist(X, X)
-    work = (np.empty((len(X), len(X))), np.empty((len(X), len(X))))
-    work += (np.empty_like(work[0]) if optimize_latents else work[0],)
+    work = _workspace(len(X))
     params = np.log(np.array([k0.lengthscale, k0.variance, max(noise0, 1e-12)]))
     if optimize_latents:
         params = np.concatenate([params, X.ravel()])
 
     def negated(x):
-        objective, grad = _fit_objective(x, X, r2, Yc, k0.family, *work)
+        objective, grad = _fit_objective(x, X, Yc, k0.family, work)
         return -objective, -grad, None
 
     best = _lbfgs.minimize(negated, params, lambda x, g: -lr * np.sign(g), steps, _lbfgs.TOL,
                            failed=(ValueError, np.linalg.LinAlgError)).x
-    r2 = work = None  # freed before make_model builds the kernel once more
+    work = None  # freed before make_model builds the kernel once more
     ell, var, noise = np.exp(best[:3])
     if optimize_latents:
         X = best[3:].reshape(X.shape)

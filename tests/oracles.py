@@ -289,35 +289,39 @@ def radial_coefficients_formula(k, r2) -> tuple:
     return -(k.variance * u**2 / 3.0) * (1.0 + u * r) * decay, (k.variance * u**4 / 3.0) * decay
 
 
-def log_marginal_terms_separate_exps(r2, Yc, kernel, noise):
+def log_marginal_terms_separate_exps(X, Yc, kernel, noise, latents=False, work=None):
     """`gp._log_marginal_terms` with the kernel and its radial coefficient
-    each from its own formula (an exp each), and each trace a full N x N
-    product."""
+    each from its own formula (an exp each) on the full squared distances,
+    and the trace in the lengthscale a full N x N product."""
+    r2 = _sqdist(X, X)
     gram = kernel_of_r2_formula(kernel, r2)
-    chol = _robust_cholesky(gram.copy(), noise, kernel.variance, lambda: gram)
+    factor = gram.copy()
+    chol, jitter = _robust_cholesky(factor, noise, kernel.variance,
+                                    lambda: np.copyto(factor, gram))
     alpha = cho_solve((chol.T, False), Yc)
     lml = _log_marginal(chol, alpha, Yc)
     mmat = _gradient_matrix(chol, alpha)
     c = radial_coefficients_formula(kernel, r2)[0]
+    trace_m = float(np.trace(mmat))
     grad = np.array(
         [
             0.5 * float(np.sum(mmat * (-c * r2))),
-            0.5 * float(np.sum(mmat * gram)),
-            0.5 * noise * float(np.trace(mmat)),
+            0.5 * (float(np.sum(alpha * Yc)) - Yc.size - (noise + jitter) * trace_m),
+            0.5 * noise * trace_m,
         ]
     )
-    return lml, grad, mmat, c
+    return lml, grad, mmat * c if latents else mmat
 
 
 def _log_marginal_and_grad(X, Yc, kernel, noise):
     """Log marginal likelihood and its gradient in (log lengthscale,
     log variance, log noise)."""
-    return _log_marginal_terms(_sqdist(X, X), Yc, kernel, noise)[:2]
+    return _log_marginal_terms(X, Yc, kernel, noise)[:2]
 
 
 def _log_marginal_grad_mmat(X, Yc, kernel, noise):
     """`_log_marginal_and_grad` plus M = alpha alpha^T - D K^-1."""
-    return _log_marginal_terms(_sqdist(X, X), Yc, kernel, noise)[:3]
+    return _log_marginal_terms(X, Yc, kernel, noise)[:3]
 
 
 def _jacobian_posterior_batch(m, Z):

@@ -503,6 +503,33 @@ def test_log_marginal_mmat_is_alpha_alpha_minus_d_kinv():
     assert np.allclose(mmat, dense, rtol=1e-8, atol=1e-8 * np.max(np.abs(dense)))
 
 
+@pytest.mark.parametrize("jitter", [False, True])
+@pytest.mark.parametrize("family", [RBF, MATERN52])
+def test_variance_trace_from_alpha_is_the_full_product(family, jitter, monkeypatch):
+    # K alpha = Yc with K = K_f + s I (s the noise and any jitter), so the
+    # variance gradient's trace tr(M K_f) is sum(alpha Yc) - D N - s tr(M)
+    rng = np.random.default_rng(15)
+    X = rng.uniform(-2.0, 2.0, (30, 2))
+    noise = 1e-3
+    if jitter:  # duplicate rows and zero noise: the factor needs the ladder
+        X, noise = np.vstack([X, X[:5]]), 0.0
+    Y = smooth_targets(X, 3) + 0.05 * rng.standard_normal((len(X), 3))
+    Yc = Y - Y.mean(axis=0)
+    k = Kernel(family, 0.8, 1.3)
+    robust, jitters = gp._robust_cholesky, []
+
+    def recorded(*args):
+        chol, added = robust(*args)
+        jitters.append(added)
+        return chol, added
+
+    monkeypatch.setattr(gp, "_robust_cholesky", recorded)
+    _, grad, mmat = _log_marginal_grad_mmat(X, Yc, k, noise)
+    assert (jitters[0] > 0.0) == jitter
+    full = mmat * _kernel_matrix(k, X, X)
+    assert abs(2.0 * grad[1] - np.sum(full)) <= 1e-12 * np.sum(np.abs(full))
+
+
 @pytest.mark.parametrize("family", [RBF, MATERN52])
 def test_log_marginal_likelihood_is_the_fit_objective(family):
     rng = np.random.default_rng(12)
@@ -679,6 +706,9 @@ def test_factor_and_gradient_matrix_stay_in_their_buffers():
     assert np.shares_memory(mmat, buf) and np.array_equal(mmat, mmat.T)
     assert _finite_cholesky(-np.eye(3)) is None
     assert _finite_cholesky(np.full((3, 3), np.nan)) is None
+    # only the lower triangle is read: the fit forms no other
+    lower_only = np.tril(kmat) + np.triu(np.full_like(kmat, np.nan), 1)
+    assert _finite_cholesky(lower_only).tobytes() == _finite_cholesky(kmat.copy()).tobytes()
     # one coordinate at a time gives the einsum's sums exactly for q <= 2
     rng = np.random.default_rng(6)
     for q in (1, 2):
@@ -863,12 +893,11 @@ def test_fit_objective_shares_its_exp_bit_for_bit(family, latents, monkeypatch):
     Y = smooth_targets(X, 3) + 0.05 * rng.standard_normal((40, 3))
     Yc = Y - Y.mean(axis=0)
     params = np.log([0.8, 1.3, 1e-3])
-    r2 = _sqdist(X, X)
     if latents == "free":
-        params, r2 = np.concatenate([params, X.ravel()]), None
-    got = gp._fit_objective(params, X, r2, Yc, family)
+        params = np.concatenate([params, X.ravel()])
+    got = gp._fit_objective(params, X, Yc, family)
     monkeypatch.setattr(gp, "_log_marginal_terms", log_marginal_terms_separate_exps)
-    want = gp._fit_objective(params, X, r2, Yc, family)
+    want = gp._fit_objective(params, X, Yc, family)
     assert got[0] == want[0]
     assert got[1].tobytes() == want[1].tobytes()
 
@@ -916,24 +945,31 @@ def _memory_model_inputs(n=300):
     return X, smooth_targets(X, 3) + 0.05 * rng.standard_normal((n, 3))
 
 
+# the slack of a fit evaluation on top of its workspace: a block's squared
+# distances' differences (with numpy's iterator buffers) or matern52's two
+# block-sized temporaries, a block's finiteness mask and the small arrays
+_EVALUATION_SLACK = 2 * gp._BLOCK_ENTRIES * 8 + gp._BLOCK_ENTRIES + 65536
+
+
 @pytest.mark.parametrize("latents", ["fixed", "free"])
 @pytest.mark.parametrize("family", [RBF, MATERN52])
-def test_fit_objective_holds_four_kernel_arrays(family, latents):
-    # r2 (made inside the trace in both modes), the kernel, its radial
-    # coefficient and the factor, whose buffer becomes M; the slack is the
-    # factor's finiteness mask (N^2 bytes) and the small arrays
+def test_fit_objective_holds_one_kernel_array(family, latents):
+    # the workspace is one N x N buffer (the kernel, then its factor, then
+    # M) and two row blocks; an evaluation that is handed a workspace
+    # allocates no N x N array
     X, Y = _memory_model_inputs()
     n = len(X)
     Yc = Y - Y.mean(axis=0)
     params = np.log([0.8, 1.3, 1e-3])
-    gp._fit_objective(params, X, _sqdist(X, X), Yc, family)  # warm-up: the LAPACK load
-    if latents == "fixed":
-        run = lambda: gp._fit_objective(params, X, _sqdist(X, X), Yc, family)
-    else:
-        free = np.concatenate([params, X.ravel()])
-        run = lambda: gp._fit_objective(free, X, None, Yc, family)
-    _, peak = _traced_peak(run)
-    assert peak <= 4 * n * n * 8 + n * n + 65536
+    if latents == "free":
+        params = np.concatenate([params, X.ravel()])
+    gp._fit_objective(params, X, Yc, family)  # warm-up: the LAPACK load
+    work = gp._workspace(n)
+    blocks = work[1].nbytes + work[2].nbytes
+    _, peak = _traced_peak(lambda: gp._fit_objective(params, X, Yc, family))
+    assert peak <= n * n * 8 + blocks + _EVALUATION_SLACK
+    _, peak = _traced_peak(lambda: gp._fit_objective(params, X, Yc, family, work))
+    assert peak <= _EVALUATION_SLACK
 
 
 @pytest.mark.parametrize("family", [RBF, MATERN52])
@@ -959,17 +995,47 @@ def _fit(fit, family, X, Y, steps):
 
 @pytest.mark.parametrize("fit", ["hyperparameters", "latents"])
 @pytest.mark.parametrize("family", [RBF, MATERN52])
-def test_fit_holds_three_kernel_arrays(family, fit):
-    # one workspace per fit: the squared distances, the kernel and the
-    # factor, which every evaluation writes into and which are freed before
-    # the fitted model is built; the slack is two blocks of scratch (a
-    # block's squared distances and differences, or matern52's exp and
-    # linear rows), a block's finiteness mask and the small arrays
+def test_fit_holds_one_kernel_array(family, fit):
+    # one workspace per fit, which every evaluation writes into and which is
+    # freed before the fitted model is built; make_model's kernel is then
+    # the one N x N array
     X, Y = _memory_model_inputs()
     n = len(X)
     _fit(fit, family, X, Y, 1)  # warm-up: the LAPACK load
+    blocks = 2 * gp._workspace(n)[1].nbytes
     _, peak = _traced_peak(lambda: _fit(fit, family, X, Y, 3))
-    assert peak <= 3 * n * n * 8 + 2 * gp._BLOCK_ENTRIES * 8 + gp._BLOCK_ENTRIES + 65536
+    assert peak <= n * n * 8 + blocks + _EVALUATION_SLACK
+
+
+@pytest.mark.parametrize("family", [RBF, MATERN52])
+def test_jitter_ladder_refills_its_one_kernel_array(family):
+    # duplicated rows with zero noise: the first factorization of make_model
+    # and of a fit evaluation fails, and the ladder refills the factor's
+    # buffer by row blocks instead of copying in a second kernel
+    X, Y = _memory_model_inputs()
+    X, Y = np.vstack([X[:-20], X[:20]]), np.vstack([Y[:-20], Y[:20]])
+    n = len(X)
+    kernel = Kernel(family, 0.8, 1.3)
+    params = np.array([math.log(0.8), math.log(1.3), -math.inf])  # noise 0
+    Yc = Y - Y.mean(axis=0)
+    work = gp._workspace(n)
+    factor = gp._finite_cholesky
+    failures = []
+
+    def counted(kmat):
+        chol = factor(kmat)
+        failures.append(chol is None)
+        return chol
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gp, "_finite_cholesky", counted)
+        make_model(X, Y, kernel, 0.0)
+        gp._fit_objective(params, X, Yc, family, work)
+    assert failures == [True, False, True, False]  # make_model's, then the evaluation's
+    _, peak = _traced_peak(lambda: make_model(X, Y, kernel, 0.0))
+    assert peak <= n * n * 8 + 3 * gp._BLOCK_ENTRIES * 8 + gp._BLOCK_ENTRIES + 65536
+    _, peak = _traced_peak(lambda: gp._fit_objective(params, X, Yc, family, work))
+    assert peak <= _EVALUATION_SLACK
 
 
 @pytest.mark.parametrize("fit", ["hyperparameters", "latents"])
@@ -982,7 +1048,7 @@ def test_fit_through_the_workspace_is_the_fit_with_fresh_arrays(family, fit, mon
     got = _fit(fit, family, X, Y, 20)
     objective = gp._fit_objective
     monkeypatch.setattr(gp, "_fit_objective",
-                        lambda params, X, r2, Yc, family, *work: objective(params, X, r2, Yc, family))
+                        lambda params, X, Yc, family, work: objective(params, X, Yc, family))
     want = _fit(fit, family, X, Y, 20)
     assert got.kernel == want.kernel and got.noise == want.noise
     for name in ("latent_inputs", "chol", "alpha"):
