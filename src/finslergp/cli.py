@@ -46,15 +46,6 @@ from .experiments import (
 )
 from .fields import GpField, SphereField
 from .geodesic import export_curve_csv
-from .gp import (
-    MATERN52,
-    RBF,
-    Kernel,
-    fit_gplvm,
-    load_model,
-    log_marginal_likelihood,
-    save_model,
-)
 from .measure import export_indicatrix_csv, export_volume_field_csv, indicatrix, volume_field
 from .specfun import ConvergenceError
 
@@ -74,6 +65,7 @@ def _load_field(spec: str):
     analytic deterministic sphere chart."""
     if spec == "sphere":
         return SphereField()
+    from .gp import load_model
     return GpField(load_model(spec))
 
 
@@ -172,18 +164,11 @@ def _has_labels(args) -> bool:
 
 
 def cmd_fit(args) -> int:
+    from .gp import Kernel, fit_gplvm, log_marginal_likelihood, save_model
     ds = load_csv(args.data, has_labels=_has_labels(args))
-    family = RBF if args.kernel == "rbf" else MATERN52
-    k0 = Kernel(family, args.lengthscale, args.variance)
-    model = fit_gplvm(
-        ds.points,
-        args.latent_dim,
-        k0,
-        args.noise,
-        steps=args.steps,
-        lr=args.lr,
-        optimize_latents=args.optimize_latents,
-    )
+    k0 = Kernel(args.kernel, args.lengthscale, args.variance)
+    model = fit_gplvm(ds.points, args.latent_dim, k0, args.noise, steps=args.steps, lr=args.lr,
+                      optimize_latents=args.optimize_latents)
     save_model(model, args.out)
     write_sidecar(args.out, _config(args, "fit", data_provenance=ds.provenance))
     print(f"log marginal likelihood: {log_marginal_likelihood(model):.6f}")

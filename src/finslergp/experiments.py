@@ -36,7 +36,6 @@ from .fields import GpField, SyntheticField, as_field
 from .geodesic import (
     DiscreteCurve, _length_and_energy, _segment_norms_sq, _warn_if_outside, geodesic_between
 )
-from .gp import _posterior_mean_var_batch
 from .measure import _evaluated_directions, _ratio_bounds_from_omega, _volumes_from_norms_sq
 from .metric import (
     _norms_from_forms, _norms_sq_of_kinds, _sigma_and_signal, _sigma_and_signal_batch, gap_bound
@@ -454,7 +453,7 @@ def _ambient_and_variance(fld, curve: DiscreteCurve) -> tuple[float, float]:
     """Length of the decoded curve (nan without `decode_batch`) and mean
     posterior variance at its points (0 off GP fields), from one pass."""
     if isinstance(fld, GpField):
-        pts, var = _posterior_mean_var_batch(fld.model, curve.points)
+        pts, var = fld.mean_var_batch(curve.points)
     elif hasattr(fld, "decode_batch"):
         pts, var = fld.decode_batch(curve.points), 0.0
     else:

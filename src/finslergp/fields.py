@@ -1,5 +1,10 @@
 """Metric fields: anything that yields a Jacobian posterior per latent point.
 
+A `JacobianPosterior` is the law of the Jacobian at one point: a D x q mean
+and a q x q covariance shared by the D rows, clamped PSD (`_clamp_psd_batch`).
+The norms depend on it alone, however it was produced; `_query_points` checks
+every field's points. `GpField` imports gp only when its methods are called.
+
 A field defines `latent_dim`, `data_dim`, `jacobian_batch(Z)`,
 `jacobian_batch_dz(Z)` and `latent_box()`. A field that maps latents to an
 ambient space also defines `decode_batch(Z)`, the ambient points (n, D);
@@ -27,18 +32,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .gp import (
-    GpModel,
-    JacobianPosterior,
-    _jacobian_pass,
-    _posterior_mean_var_batch,
-    _query_points,
-)
+if TYPE_CHECKING:
+    from .gp import GpModel
 
 __all__ = [
+    "JacobianPosterior",
     "GpField",
     "EuclideanField",
     "ConstantField",
@@ -49,6 +51,91 @@ __all__ = [
     "padded_box",
     "sphere_chart",
 ]
+
+
+@dataclass(frozen=True, eq=False)
+class JacobianPosterior:
+    """Posterior law of the Jacobian at one latent point.
+
+    mean: D x q matrix of derivative predictive means
+    cov: q x q derivative covariance, shared by all D output rows
+         (symmetrized, negative eigenvalues clamped to zero)
+    dim_data: D
+    """
+
+    mean: np.ndarray
+    cov: np.ndarray
+    dim_data: int
+
+    def __post_init__(self):
+        mean = np.asarray(self.mean, dtype=float)
+        cov = np.asarray(self.cov, dtype=float)
+        if mean.ndim != 2:
+            raise ValueError("mean must be a D x q matrix")
+        q = mean.shape[1]
+        if cov.shape != (q, q):
+            raise ValueError("cov must be q x q")
+        if self.dim_data != mean.shape[0]:
+            raise ValueError("dim_data must equal the row count of mean")
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "cov", _clamp_psd_batch(cov[None])[0])
+
+    @property
+    def dim_latent(self) -> int:
+        return self.mean.shape[1]
+
+    @classmethod
+    def _of_batch_row(cls, mean: np.ndarray, cov: np.ndarray) -> JacobianPosterior:
+        """The posterior of one row of a field's `jacobian_batch`, whose
+        covariance is taken as it is: the batch is clamped already, and
+        `_clamp_psd_batch` is not idempotent where its eigendecomposition
+        acted, so a second clamp could move the row by ulps."""
+        post = object.__new__(cls)
+        post.__dict__.update(mean=mean, cov=cov, dim_data=mean.shape[0])
+        return post
+
+
+# A symmetric 2 x 2 matrix counts as positive definite when its smaller
+# eigenvalue, in closed form, exceeds this share of its larger one. The
+# closed form and eigh (backward stable) both err by a few ulps of the
+# larger eigenvalue, so above 1e-12 of it (about 4500 ulps) eigh could not
+# find a negative eigenvalue.
+_PD_MARGIN = 1e-12
+
+
+def _certified_pd(sym: np.ndarray) -> bool:
+    """True when every matrix of a batch of symmetric 2 x 2 matrices is
+    positive definite by the margin `_PD_MARGIN` (False on NaN or inf)."""
+    mid = 0.5 * (sym[..., 0, 0] + sym[..., 1, 1])
+    radius = np.hypot(0.5 * (sym[..., 0, 0] - sym[..., 1, 1]), sym[..., 0, 1])
+    return bool(np.all(mid - radius > _PD_MARGIN * (mid + radius)))
+
+
+def _clamp_psd_batch(covs: np.ndarray) -> np.ndarray:
+    """Symmetrize a batch of q x q covariances and clamp their negative
+    eigenvalues to zero. When no eigenvalue of the batch is negative the
+    symmetrized batch is returned as is; for q = 2 a batch certified
+    positive definite in closed form skips the eigendecomposition."""
+    sym = 0.5 * (covs + np.swapaxes(covs, -1, -2))
+    if sym.shape[-1] == 2 and _certified_pd(sym):
+        return sym
+    vals, vecs = np.linalg.eigh(sym)
+    if np.all(vals[..., 0] >= 0.0):
+        return sym
+    vals = np.clip(vals, 0.0, None)
+    return np.einsum("...ij,...j,...kj->...ik", vecs, vals, vecs)
+
+
+def _query_points(Z: np.ndarray, latent_dim: int) -> np.ndarray:
+    """Every field's points as an n x latent_dim float array, checked finite
+    once: the GP posteriors solve against the model's factor, finite by
+    construction, with no per-solve scan of it."""
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    if Z.ndim != 2 or Z.shape[1] != latent_dim:
+        raise ValueError(f"points of shape {Z.shape} do not fit latent dimension {latent_dim}")
+    if not np.all(np.isfinite(Z)):
+        raise ValueError("latent points must be finite")
+    return Z
 
 
 def padded_box(field) -> tuple[np.ndarray, np.ndarray]:
@@ -101,17 +188,24 @@ class GpField(_Field):
         return self.model.dim_data
 
     def jacobian_batch(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        from .gp import _jacobian_pass
         return _jacobian_pass(self.model, Z, dz=False)
 
     def jacobian_batch_dz(self, Z: np.ndarray):
+        from .gp import _jacobian_pass
         return _jacobian_pass(self.model, Z, dz=True)
 
     def latent_box(self) -> tuple[np.ndarray, np.ndarray]:
         return self.model.latent_bounds
 
     def decode_batch(self, Z: np.ndarray) -> np.ndarray:
-        means, _ = _posterior_mean_var_batch(self.model, Z)
-        return means
+        return self.mean_var_batch(Z)[0]
+
+    def mean_var_batch(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Predictive means (n, D) and shared per-output variances (n,) at
+        the n points Z, from one pass."""
+        from .gp import _posterior_mean_var_batch
+        return _posterior_mean_var_batch(self.model, Z)
 
 
 class ConstantField(_Field):
@@ -246,9 +340,10 @@ class SyntheticField(_Field):
 
 
 def as_field(obj):
-    """Wrap a fitted model as a field; pass fields through unchanged."""
-    if isinstance(obj, GpModel):
-        return GpField(obj)
+    """Pass fields through unchanged; wrap a fitted model as a field."""
     if hasattr(obj, "jacobian_batch"):
         return obj
+    from .gp import GpModel
+    if isinstance(obj, GpModel):
+        return GpField(obj)
     raise TypeError(f"cannot interpret {type(obj).__name__} as a metric field")

@@ -26,8 +26,7 @@ import numpy as np
 
 from . import _lbfgs
 from .data import write_csv
-from .fields import as_field, latent_lattice, padded_box
-from .gp import _query_points
+from .fields import _query_points, as_field, latent_lattice, padded_box
 from .metric import (
     METRIC_KINDS,
     _check_kind,

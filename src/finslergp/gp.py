@@ -4,7 +4,10 @@ A GP maps latent coordinates to data space; its derivative is again a GP,
 so the Jacobian at a latent point has a Gaussian posterior with one shared
 q x q covariance across all D output dimensions. It is computed in closed
 form from the kernel's derivatives; the hyperparameters are fitted to the
-marginal likelihood by `_lbfgs`.
+marginal likelihood by `_lbfgs`. The posterior type, `JacobianPosterior`,
+its PSD clamp and the point check `_query_points` live in `fields`, which
+the norm layer imports without gp: only the code that fits, loads or
+queries a GP imports this module, when it runs.
 
 Linear algebra on N x N operands or results (N training points) goes
 through scipy's BLAS and LAPACK only: `dpotrf`, `dpotri`, `dsyrk`, `dgemm`
@@ -19,10 +22,8 @@ kernel's lower triangle is formed and factored in the buffer, which then
 holds M = alpha alpha^T - D K^-1. As K alpha = Yc, the variance trace is
 sum(alpha Yc) - D N - s tr(M), s the noise and any jitter; a second
 row-block pass forms the squared distances and the radial coefficient c
-again for the lengthscale trace and, for free latents, M * c. At N = 500
-the benchmark's 30-step set-up fit takes 0.22 to 0.26 s and 2.1k minor
-faults; a fresh-interpreter 200-step `fit` of the 1000-point pinwheel takes
-0.93 s and peaks at 52.6 MB resident (README, Timing).
+again for the lengthscale trace and, for free latents, M * c (README,
+Timing, gives the fit's time and resident size).
 
 Those routines come from scipy's two extension modules `_flapack` and
 `_fblas`, which `_lapack.lapack_blas` loads at a command's first GP call
@@ -54,18 +55,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _lapack, _lbfgs
-from ._lapack import alpha_products as _alpha_products, cho_solve, solve_triangular
-from ._lapack import finite_cholesky as _finite_cholesky, gradient_matrix as _gradient_matrix
-from ._lapack import latent_gradient as _latent_gradient, log_marginal as _log_marginal
+from . import _lbfgs
+from ._lapack import cho_solve, lapack_blas, solve_triangular
 from .data import ParseError
+from .fields import _clamp_psd_batch, _query_points
 
 __all__ = [
     "RBF",
     "MATERN52",
     "Kernel",
     "GpModel",
-    "JacobianPosterior",
     "make_model",
     "posterior_mean_var",
     "fit_hyperparameters",
@@ -85,7 +84,7 @@ _JITTER_ESCALATIONS = 5
 # kernel entries (8 bytes each) per block: the rows `_kernel_matrix` and a
 # fit evaluation form at a time and the query points of one `_jacobian_pass`
 # block (65 points against 500 training inputs)
-_BLOCK_ENTRIES = _lapack.BLOCK_ENTRIES
+_BLOCK_ENTRIES = 32768
 
 # what load_model needs from a model file; output_means is recomputed
 _MODEL_KEYS = ("kernel", "noise", "latent_inputs", "outputs")
@@ -94,7 +93,8 @@ _KERNEL_KEYS = ("family", "lengthscale", "variance")
 
 @dataclass(frozen=True)
 class Kernel:
-    """Stationary covariance with one lengthscale and one variance."""
+    """Stationary covariance with one lengthscale and one variance, whose
+    constants l^2, sigma^2/l^2 (and Matern's sigma^2 u^4/3) are finite, > 0."""
 
     family: str
     lengthscale: float
@@ -105,79 +105,15 @@ class Kernel:
             raise ValueError(f"unknown kernel family {self.family!r}, expected one of {_FAMILIES}")
         if not (0.0 < self.lengthscale < math.inf and 0.0 < self.variance < math.inf):
             raise ValueError("lengthscale and variance must be finite and positive")
-
-
-@dataclass(frozen=True, eq=False)
-class JacobianPosterior:
-    """Posterior law of the Jacobian at one latent point.
-
-    mean: D x q matrix of derivative predictive means
-    cov: q x q derivative covariance, shared by all D output rows
-         (symmetrized, negative eigenvalues clamped to zero)
-    dim_data: D
-    """
-
-    mean: np.ndarray
-    cov: np.ndarray
-    dim_data: int
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        if mean.ndim != 2:
-            raise ValueError("mean must be a D x q matrix")
-        q = mean.shape[1]
-        if cov.shape != (q, q):
-            raise ValueError("cov must be q x q")
-        if self.dim_data != mean.shape[0]:
-            raise ValueError("dim_data must equal the row count of mean")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", _clamp_psd_batch(cov[None])[0])
-
-    @property
-    def dim_latent(self) -> int:
-        return self.mean.shape[1]
-
-    @classmethod
-    def _of_batch_row(cls, mean: np.ndarray, cov: np.ndarray) -> JacobianPosterior:
-        """The posterior of one row of a field's `jacobian_batch`, whose
-        covariance is taken as it is: the batch is clamped already, and
-        `_clamp_psd_batch` is not idempotent where its eigendecomposition
-        acted, so a second clamp could move the row by ulps."""
-        post = object.__new__(cls)
-        post.__dict__.update(mean=mean, cov=cov, dim_data=mean.shape[0])
-        return post
-
-
-# A symmetric 2 x 2 matrix counts as positive definite when its smaller
-# eigenvalue, in closed form, exceeds this share of its larger one. The
-# closed form and eigh (backward stable) both err by a few ulps of the
-# larger eigenvalue, so above 1e-12 of it (about 4500 ulps) eigh could not
-# find a negative eigenvalue.
-_PD_MARGIN = 1e-12
-
-
-def _certified_pd(sym: np.ndarray) -> bool:
-    """True when every matrix of a batch of symmetric 2 x 2 matrices is
-    positive definite by the margin `_PD_MARGIN` (False on NaN or inf)."""
-    mid = 0.5 * (sym[..., 0, 0] + sym[..., 1, 1])
-    radius = np.hypot(0.5 * (sym[..., 0, 0] - sym[..., 1, 1]), sym[..., 0, 1])
-    return bool(np.all(mid - radius > _PD_MARGIN * (mid + radius)))
-
-
-def _clamp_psd_batch(covs: np.ndarray) -> np.ndarray:
-    """Symmetrize a batch of q x q covariances and clamp their negative
-    eigenvalues to zero. When no eigenvalue of the batch is negative the
-    symmetrized batch is returned as is; for q = 2 a batch certified
-    positive definite in closed form skips the eigendecomposition."""
-    sym = 0.5 * (covs + np.swapaxes(covs, -1, -2))
-    if sym.shape[-1] == 2 and _certified_pd(sym):
-        return sym
-    vals, vecs = np.linalg.eigh(sym)
-    if np.all(vals[..., 0] >= 0.0):
-        return sym
-    vals = np.clip(vals, 0.0, None)
-    return np.einsum("...ij,...j,...kj->...ik", vecs, vals, vecs)
+        try:
+            constants = [self.lengthscale**2, self.variance / self.lengthscale**2]
+            if self.family == MATERN52:
+                constants.append(self.variance * (math.sqrt(5.0) / self.lengthscale)**4 / 3.0)
+        except (OverflowError, ZeroDivisionError):
+            constants = [math.inf]
+        if not all(0.0 < c < math.inf for c in constants):
+            raise ValueError(f"lengthscale {self.lengthscale:g} with variance {self.variance:g} "
+                             "overflows or underflows the kernel's constants")
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +276,26 @@ class GpModel:
         return self.latent_inputs.min(axis=0), self.latent_inputs.max(axis=0)
 
 
+def _finite_cholesky(kmat: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of the symmetric, C-ordered kmat, of which it
+    reads the lower triangle alone, computed in kmat's own buffer, or None
+    if LAPACK fails."""
+    # kmat.T is the same symmetric matrix in Fortran order, so dpotrf takes
+    # it without a copy; its upper factor U = L^T, read in C order, is L.
+    # dpotrf reads that triangle alone and zeroes the other (clean=1), so
+    # whatever the other held before is not seen by the check below.
+    # LAPACK can report success yet emit non-finite factors (NaN/inf input);
+    # treat those as failures so they reach the jitter ladder. Every entry is
+    # checked, a row block of `_BLOCK_ENTRIES` at a time: no N x N mask
+    upper, info = lapack_blas()[0].dpotrf(kmat.T, lower=False, overwrite_a=True)
+    lower = upper.T
+    rows = max(1, _BLOCK_ENTRIES // len(lower))
+    if info != 0 or not all(np.isfinite(lower[i : i + rows]).all()
+                            for i in range(0, len(lower), rows)):
+        return None
+    return lower
+
+
 def _robust_cholesky(kmat: np.ndarray, noise: float, variance: float, rebuild) -> tuple:
     """Lower Cholesky factor of K + noise I + jitter I, and the jitter, for
     the kernel matrix K in the lower triangle of the C-ordered kmat, factored
@@ -406,16 +362,14 @@ def make_model(X: np.ndarray, Y: np.ndarray, kernel: Kernel, noise: float) -> Gp
 # prediction
 
 
-def _query_points(Z: np.ndarray, latent_dim: int) -> np.ndarray:
-    """Every field's points as an n x latent_dim float array, checked finite
-    once: the GP posteriors solve against the model's factor, finite by
-    construction, with no per-solve scan of it."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    if Z.ndim != 2 or Z.shape[1] != latent_dim:
-        raise ValueError(f"points of shape {Z.shape} do not fit latent dimension {latent_dim}")
-    if not np.all(np.isfinite(Z)):
-        raise ValueError("latent points must be finite")
-    return Z
+def _alpha_products(planes: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """sum_N planes[j, i, N] alpha[N, :] as (n, D, q), by one dgemm."""
+    # the points run along dgemm's first dimension: a point's sums are then
+    # the same bits in a batch of any size up to a few hundred points
+    q, n, big_n = planes.shape
+    prod = lapack_blas()[1].dgemm(1.0, planes.reshape(q * n, big_n).T, alpha.T, trans_a=True,
+                                  trans_b=True)
+    return prod.T.reshape(-1, q, n).transpose(2, 0, 1)
 
 
 def _posterior_mean_var_batch(m: GpModel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -476,6 +430,41 @@ def _jacobian_pass(m: GpModel, Z: np.ndarray, dz: bool) -> tuple[np.ndarray, ...
 
 # ---------------------------------------------------------------------------
 # fitting
+
+
+def _log_marginal(chol: np.ndarray, alpha: np.ndarray, yc: np.ndarray) -> float:
+    """Log marginal likelihood from the lower Cholesky factor of K, alpha =
+    K^-1 yc and the centred outputs yc."""
+    n, d = yc.shape
+    return (
+        -0.5 * float(np.sum(yc * alpha))
+        - d * float(np.sum(np.log(np.diag(chol))))
+        - 0.5 * n * d * math.log(2.0 * math.pi)
+    )
+
+
+def _gradient_matrix(chol: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """M = alpha alpha^T - D K^-1 from the lower Cholesky factor of K and
+    alpha = K^-1 Yc (N x D), in chol's buffer, which it overwrites.
+
+    LAPACK potri writes K^-1 to one triangle and BLAS syrk updates that
+    triangle to M; the triangle is then mirrored row by row."""
+    lapack, blas = lapack_blas()
+    kinv, info = lapack.dpotri(chol.T, lower=False, overwrite_c=True)
+    if info:
+        raise np.linalg.LinAlgError(f"kernel matrix inversion failed (potri info {info})")
+    mmat = blas.dsyrk(1.0, alpha, beta=-float(alpha.shape[1]), c=kinv, overwrite_c=True).T
+    for i in range(len(mmat) - 1):
+        mmat[i, i + 1 :] = mmat[i + 1 :, i]
+    return mmat
+
+
+def _latent_gradient(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_m W[n, m] (x_n - x_m) for the rows x_n of x, with W = M * c
+    symmetric N x N, by one dgemm; W's diagonal is zeroed in its buffer,
+    and W.T is W in Fortran order for dgemm."""
+    np.fill_diagonal(w, 0.0)
+    return w.sum(axis=1)[:, None] * x - lapack_blas()[1].dgemm(1.0, w.T, x, trans_a=True)
 
 
 def _log_marginal_terms(
@@ -670,13 +659,17 @@ def save_model(m: GpModel, path: str) -> None:
 def load_model(path: str) -> GpModel:
     """Rebuild a model from JSON; the Cholesky factor is recomputed.
 
-    Raises ParseError, its message starting with the path, when a key is
-    missing, a value is not a number, or `make_model` rejects the values
-    (latent_inputs and outputs not N x q and N x D matrices with the same
-    N, non-finite data, negative noise).
+    Raises ParseError, its message starting with the path, when the file is
+    not JSON, a key is missing, a value is not a number, `Kernel` rejects
+    the kernel, or `make_model` rejects the values (latent_inputs and
+    outputs not N x q and N x D matrices with the same N, non-finite data,
+    negative noise).
     """
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ParseError(f"{path}: not a JSON model file: {exc}")
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: a model file holds one JSON object")
     missing = [key for key in _MODEL_KEYS if key not in doc]

@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import write_csv
-from .fields import as_field, latent_lattice
-from .gp import JacobianPosterior
+from .fields import JacobianPosterior, as_field, latent_lattice
 from .metric import METRIC_KINDS, MetricPoint, _check_kind, _norms_sq_of_kinds, gap_bound, norms_sq
 
 __all__ = [

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gp import JacobianPosterior
+from .fields import JacobianPosterior
 from .randmat import ScalarWishart, WishartSpec, sample_jacobian, wishart_scalar_moments
 from .specfun import kummer_1f1, kummer_1f1_array, log_gamma_ratio
 

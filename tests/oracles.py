@@ -23,7 +23,7 @@ from finslergp.experiments import (
     comparison_entries,
     export_comparison_csv,
 )
-from finslergp.fields import GpField, SyntheticField, as_field
+from finslergp.fields import GpField, JacobianPosterior, SyntheticField, _query_points, as_field
 from finslergp.geodesic import (
     DiscreteCurve,
     _length_and_energy,
@@ -32,14 +32,12 @@ from finslergp.geodesic import (
 )
 from finslergp.gp import (
     RBF,
-    JacobianPosterior,
     _differences,
     _gradient_matrix,
     _jacobian_pass,
     _kernel_matrix,
     _log_marginal,
     _log_marginal_terms,
-    _query_points,
     _robust_cholesky,
     _sqdist,
     cho_solve,

@@ -17,9 +17,8 @@ from finslergp.experiments import (
     make_truncation_ensemble,
     truncation_sweep,
 )
-from finslergp.fields import SphereField, SyntheticField
+from finslergp.fields import JacobianPosterior, SphereField, SyntheticField
 from finslergp.geodesic import DiscreteCurve, curve_energy, geodesic_between
-from finslergp.gp import JacobianPosterior
 from finslergp.measure import bh_volume, indicatrix, volume_ratio_bound
 from finslergp.metric import (
     MetricPoint,

@@ -521,6 +521,48 @@ def test_model_file_rejected_by_make_model_names_the_file(
     assert _one_error_line(err) and err.startswith(f"error: {bad}: ") and key in err
 
 
+@pytest.mark.parametrize(
+    "family, lengthscale", [("rbf", 1e-170), ("matern52", 1e-100)],
+    ids=["rbf_lengthscale_squared_underflows", "matern52_u4_overflows"],
+)
+def test_kernel_constants_out_of_range_exit_2(
+    workdir, circles_model, tmp_path, capsys, family, lengthscale
+):
+    # fit rejects the initial kernel in one line, without warnings, and
+    # writes nothing; a model file holding that kernel is named
+    out = tmp_path / "tiny.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["fit", "--data", str(workdir / "circ.csv"), "--out", str(out),
+                   "--kernel", family, "--lengthscale", repr(lengthscale), "--steps", "0",
+                   "--noise", "0.1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert _one_error_line(err) and "lengthscale" in err
+    assert not caught and not out.exists()
+    doc = json.loads(circles_model.read_text())
+    doc["kernel"].update(family=family, lengthscale=lengthscale)
+    bad = tmp_path / "tiny_lengthscale.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["geodesic", "--model", str(bad), "--start=-0.5,0", "--end", "0.5,0",
+               "--nc", "9", "--out", str(tmp_path / "geo.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert _one_error_line(err) and err.startswith(f"error: {bad}: ") and "lengthscale" in err
+
+
+@pytest.mark.parametrize("content", [None, b"\xde\xad\xbe\xef"], ids=["csv", "not_utf8"])
+def test_model_file_not_json_names_the_file(workdir, circles_model, tmp_path, capsys, content):
+    data = workdir / "circ.csv"
+    if content is not None:
+        data = tmp_path / "binary.json"
+        data.write_bytes(content)
+    assert main(["geodesic", "--model", str(data), "--start=-0.5,0", "--end", "0.5,0",
+                 "--out", str(tmp_path / "geo.csv")]) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and err.startswith(f"error: {data}: not a JSON model file")
+
+
 def test_series_convergence_failure_exits_1(circles_model, tmp_path, monkeypatch, capsys):
     def diverge(*args):
         raise specfun.ConvergenceError("1F1 series did not converge")
@@ -576,29 +618,30 @@ def test_indicatrix_non_finite_point_exits_2(circles_model, tmp_path, capsys):
 
 
 def test_scipy_stays_off_the_import_path(tmp_path):
-    # a fresh interpreter: importing the CLI, generate and verify load no
-    # scipy module; a fit then loads scipy's LAPACK and BLAS extension
-    # modules alone at its first factorization, without the scipy or
-    # scipy.linalg package, and a grid-seeded geodesic on a model file loads
-    # nothing more
+    # a fresh interpreter: importing the CLI, generate and verify load
+    # neither gp nor any scipy module; a fit then loads gp, and scipy's
+    # LAPACK and BLAS extension modules alone at its first factorization,
+    # without the scipy or scipy.linalg package, and a grid-seeded geodesic
+    # on a model file loads nothing more
     code = textwrap.dedent("""
         import json, sys
 
-        def scipy_modules():
-            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        def gp_and_scipy():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
+                          or m == "finslergp.gp")
 
         from finslergp.cli import main
-        loaded = {"import": scipy_modules()}
+        loaded = {"import": gp_and_scipy()}
         assert main(["generate", "circles", "--n", "60", "--seed", "1", "--out", "d.csv"]) == 0
-        loaded["generate"] = scipy_modules()
+        loaded["generate"] = gp_and_scipy()
         assert main(["verify", "--n", "100", "--dims", "2:64:dyadic", "--v-samples", "8",
                      "--out", "verify"]) == 0
-        loaded["verify"] = scipy_modules()
+        loaded["verify"] = gp_and_scipy()
         assert main(["fit", "--data", "d.csv", "--out", "m.json", "--steps", "2"]) == 0
-        loaded["fit"] = scipy_modules()
+        loaded["fit"] = gp_and_scipy()
         assert main(["geodesic", "--model", "m.json", "--start=-0.5,-0.5", "--end=0.5,0.5",
                      "--grid", "10", "--nc", "9", "--out", "geo.csv"]) == 0
-        loaded["geodesic"] = scipy_modules()
+        loaded["geodesic"] = gp_and_scipy()
         print(json.dumps(loaded))
     """)
     src = os.path.dirname(os.path.dirname(os.path.abspath(finslergp.__file__)))
@@ -608,7 +651,7 @@ def test_scipy_stays_off_the_import_path(tmp_path):
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout.splitlines()[-1])
     assert loaded["import"] == loaded["generate"] == loaded["verify"] == []
-    assert loaded["fit"] == ["scipy.linalg._fblas", "scipy.linalg._flapack"]
+    assert loaded["fit"] == ["finslergp.gp", "scipy.linalg._fblas", "scipy.linalg._flapack"]
     assert (tmp_path / "m.json").exists()
     assert loaded["geodesic"] == loaded["fit"]
     assert (tmp_path / "geo.csv").exists()

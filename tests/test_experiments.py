@@ -22,9 +22,9 @@ from finslergp.experiments import (
     _spec_values,
 )
 from finslergp import experiments, metric
-from finslergp.fields import ConstantField, GpField, SphereField, SyntheticField
+from finslergp.fields import ConstantField, GpField, JacobianPosterior, SphereField, SyntheticField
 from finslergp.geodesic import curve_length
-from finslergp.gp import JacobianPosterior, posterior_mean_var
+from finslergp.gp import posterior_mean_var
 from finslergp.metric import (
     MetricPoint,
     alpha_sigma_norm,

@@ -10,6 +10,7 @@ from finslergp.fields import (
     ConstantField,
     EuclideanField,
     GpField,
+    JacobianPosterior,
     SphereField,
     SyntheticField,
     as_field,
@@ -21,7 +22,6 @@ from finslergp.geodesic import DiscreteCurve, export_curve_csv, grid_initialize,
 from finslergp.gp import (
     MATERN52,
     RBF,
-    JacobianPosterior,
     Kernel,
     make_model,
 )

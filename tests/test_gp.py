@@ -15,13 +15,12 @@ import pytest
 from finslergp import gp
 from finslergp._lapack import lapack_blas
 from finslergp.data import gen_pinwheel_sphere
+from finslergp.fields import _PD_MARGIN, _clamp_psd_batch
 from finslergp.gp import (
     MATERN52,
     RBF,
     GpModel,
     Kernel,
-    _PD_MARGIN,
-    _clamp_psd_batch,
     _differences,
     _jacobian_pass,
     _kernel_matrix,
@@ -79,6 +78,15 @@ def test_kernel_validation():
         Kernel(RBF, -1.0, 1.0)
     with pytest.raises(ValueError):
         Kernel(RBF, 1.0, 0.0)
+    # the constants of the formulas over- or underflow: l^2, sigma^2 / l^2
+    # and Matern's sigma^2 u^4 / 3 must be finite and positive
+    for family, lengthscale, variance in [(RBF, 1e-170, 1.0), (RBF, 1e200, 1.0),
+                                          (RBF, 1e-10, 1e300), (MATERN52, 1e-100, 1.0),
+                                          (MATERN52, 1e100, 1.0)]:
+        with pytest.raises(ValueError, match="overflows or underflows"):
+            Kernel(family, lengthscale, variance)
+    Kernel(RBF, 1e-100, 1e-300)
+    Kernel(MATERN52, 1e-50, 1.0)
 
 
 def test_rbf_values():

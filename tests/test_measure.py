@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from finslergp import measure, metric
-from finslergp.fields import ConstantField, SphereField, as_field
-from finslergp.gp import JacobianPosterior, posterior_mean_var
+from finslergp.fields import ConstantField, JacobianPosterior, SphereField, as_field
+from finslergp.gp import posterior_mean_var
 from finslergp.measure import (
     Indicatrix,
     _radii,

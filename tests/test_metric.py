@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finslergp.gp import JacobianPosterior
+from finslergp.fields import JacobianPosterior
 from finslergp.metric import (
     BoundReport,
     MetricPoint,

@@ -8,7 +8,7 @@ apply.
 
 import numpy as np
 
-from finslergp.gp import JacobianPosterior
+from finslergp.fields import JacobianPosterior
 from finslergp.metric import MetricPoint
 
 COV_FLOOR = 0.1
