@@ -24,14 +24,13 @@ empty.
 
 from __future__ import annotations
 
-import argparse
 import ctypes
 import ctypes.util
 import os
 import resource
 import sys
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from op_digests import workload_runner
 
 
 def _peak_mb() -> float:
@@ -76,27 +75,7 @@ def _current_mb() -> str:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workload", required=True, choices=("pipeline", "verify"))
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=40.0)
-    ap.add_argument("--work", required=True,
-                    help="empty or absent directory that receives every output")
-    args = ap.parse_args(argv)
-    work = os.path.abspath(args.work)
-    if os.path.exists(work) and os.listdir(work):
-        print(f"error: --work {work} is not empty", file=sys.stderr)
-        return 2
-    os.makedirs(work, exist_ok=True)
-
-    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
-    from finslergp.cli import main as cli_main
-
-    import run
-    import workloads
-
-    workload = workloads.WORKLOADS[args.workload](work)
-    runner = run.Runner(cli_main)
+    args, workload, runner = workload_runner(argv, __doc__)
     mallinfo2 = _mallinfo2()
     print("# index kind peak_rss_mb peak_rise_mb rss_mb minor_faults arena_used_mb arena_free_mb")
     peak, faults = _peak_mb(), _minor_faults()

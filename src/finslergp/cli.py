@@ -141,7 +141,10 @@ def cmd_generate(args) -> int:
     if args.shape == "pinwheel":
         ds = gen_pinwheel_sphere(n=args.n, arms=args.arms, noise=args.noise, seed=args.seed)
     else:
-        radii = tuple(float(r) for r in args.radii.split(","))
+        try:
+            radii = tuple(float(r) for r in args.radii.split(","))
+        except ValueError:
+            raise ValueError(f"--radii {args.radii!r}: expected comma-separated numbers") from None
         ds = gen_circles_sphere(n=args.n, radii=radii, noise=args.noise, seed=args.seed)
     write_dataset(args.out, ds)
     write_sidecar(
@@ -157,10 +160,16 @@ def _has_labels(args) -> bool:
     if args.labels != "auto":
         return args.labels == "yes"
     sidecar = f"{args.data}.config.json"
-    if os.path.exists(sidecar):
-        with open(sidecar) as fh:
-            return bool(json.load(fh).get("labels", False))
-    return False
+    if not os.path.exists(sidecar):
+        return False
+    with open(sidecar) as fh:
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ParseError(f"{sidecar}: not a JSON sidecar: {exc}")
+    if not isinstance(doc, dict):
+        raise ParseError(f"{sidecar}: a sidecar holds one JSON object")
+    return bool(doc.get("labels", False))
 
 
 def cmd_fit(args) -> int:

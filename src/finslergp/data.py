@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +81,11 @@ def _pinwheel_plane(n: int, arms: int, noise: float, rng) -> tuple[np.ndarray, n
     return xy + noise * rng.standard_normal((n, 2)), arm
 
 
+def _check_noise(noise: float) -> None:
+    if not 0.0 <= noise < math.inf:
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
+
+
 def gen_pinwheel_sphere(n: int = 1000, arms: int = 5, noise: float = 0.05, seed: int = 0) -> Dataset:
     """Pinwheel point cloud projected onto the unit sphere.
 
@@ -90,6 +96,7 @@ def gen_pinwheel_sphere(n: int = 1000, arms: int = 5, noise: float = 0.05, seed:
     """
     if not 1 <= arms <= n:
         raise ValueError("need n >= arms >= 1")
+    _check_noise(noise)
     xy, arm = _pinwheel_plane(n, arms, noise, np.random.default_rng(seed))
     return Dataset(
         name="pinwheel",
@@ -110,6 +117,7 @@ def gen_circles_sphere(
     radii = tuple(float(r) for r in radii)
     if len(radii) < 1 or n < len(radii):
         raise ValueError("need at least one radius and n >= len(radii)")
+    _check_noise(noise)
     rng = np.random.default_rng(seed)
     base, extra = divmod(n, len(radii))
     sizes = [base + (1 if i < extra else 0) for i in range(len(radii))]

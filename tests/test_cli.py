@@ -101,6 +101,23 @@ def test_generate_circles_labels(tmp_path):
     assert labels.count(0) == 5 and labels.count(1) == 5
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["pinwheel", "--noise", "-1"], "noise must be finite and >= 0"),
+        (["circles", "--noise", "nan"], "noise must be finite and >= 0"),
+        (["circles", "--radii", "1,x"], "--radii '1,x'"),
+    ],
+    ids=["pinwheel_negative_noise", "circles_nan_noise", "circles_bad_radii"],
+)
+def test_generate_bad_input_exits_2(tmp_path, capsys, flags, named):
+    out = tmp_path / "d.csv"
+    assert main(["generate", *flags, "--n", "20", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and named in err
+    assert not out.exists() and not (tmp_path / "d.csv.config.json").exists()
+
+
 def test_fit_steps_zero_echoes_initials(workdir, circles_model, capsys):
     model_path = workdir / "echo_model.json"
     argv = ["fit", "--data", str(workdir / "circ.csv"), "--out", str(model_path),
@@ -130,6 +147,21 @@ def test_fit_labels_flag_without_a_sidecar(workdir, circles_model, tmp_path, lab
                  "--labels", labels]) == 0
     outputs = np.array(json.loads(model_path.read_text())["outputs"])
     assert outputs.shape == (400, columns)
+
+
+@pytest.mark.parametrize("content", [b"[1,2]", b"{bad", b"\xde\xad\xbe\xef"],
+                         ids=["list", "not_json", "not_utf8"])
+def test_fit_data_sidecar_not_a_json_object_names_the_file(workdir, circles_model, tmp_path,
+                                                           capsys, content):
+    data = tmp_path / "circ_copy.csv"
+    data.write_bytes((workdir / "circ.csv").read_bytes())
+    sidecar = tmp_path / "circ_copy.csv.config.json"
+    sidecar.write_bytes(content)
+    assert main(["fit", "--data", str(data), "--out", str(tmp_path / "m.json"),
+                 "--steps", "0"]) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and err.startswith(f"error: {sidecar}: ")
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_fit_huge_lr_fails_its_trials_and_keeps_the_initial_model(workdir, circles_model, capsys):

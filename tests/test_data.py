@@ -56,6 +56,14 @@ def test_pinwheel_validation():
         gen_pinwheel_sphere(n=10, arms=0)
 
 
+@pytest.mark.parametrize("noise", [-1.0, -1e-300, float("nan"), float("inf")])
+@pytest.mark.parametrize("generate", [gen_pinwheel_sphere, gen_circles_sphere])
+def test_generators_reject_noise_that_is_negative_or_not_finite(generate, noise):
+    with pytest.raises(ValueError, match="noise must be finite and >= 0"):
+        generate(n=20, noise=noise)
+    assert generate(n=20, noise=0.0).points.shape == (20, 3)
+
+
 def test_circles_exact_split_and_norms():
     ds = gen_circles_sphere(n=1000, radii=(0.6, 1.3), seed=1)
     counts = np.bincount(ds.labels)
