@@ -4,8 +4,9 @@ indicatrices and volume fields, and run the verification sweeps.
 Every command is deterministic given its full flag set (seeds included) and
 writes a JSON sidecar with the resolved configuration next to each output,
 so reruns are byte-identical and self-describing. Exit codes: 0 success,
-1 verification failure, a kernel matrix that cannot be factorized or a 1F1
-series that does not converge, 2 usage error. A geodesic that stops at
+1 verification failure, a kernel matrix that cannot be factorized, a 1F1
+series that does not converge or out of memory, 2 usage error or malformed
+input (input files are read in `data`). A geodesic that stops at
 --max-iter before converging is not an error: `geodesic` exits 0, prints
 "pair <i> <kind>: not converged" on stderr and writes converged = 0 in its
 table.
@@ -14,9 +15,7 @@ table.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import json
 import os
 import sys
 
@@ -26,6 +25,8 @@ from . import __version__
 from ._lbfgs import TOL
 from .data import (
     ParseError,
+    _read_table,
+    _sidecar_labels,
     gen_circles_sphere,
     gen_pinwheel_sphere,
     load_csv,
@@ -83,24 +84,13 @@ def _parse_point(text: str, dim: int) -> np.ndarray:
 def _read_pairs(path: str, dim: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Endpoint pairs in a dim-d latent space, one per row: start
     coordinates then end coordinates."""
-    pairs = []
-    with open(path, newline="") as fh:
-        for i, cells in enumerate(csv.reader(fh)):
-            if not cells:
-                continue
-            try:
-                row = np.array([float(c) for c in cells], dtype=float)
-            except ValueError:
-                if i == 0:
-                    continue  # header row
-                raise ParseError(f"non-numeric endpoint in {path} row {i + 1}")
-            if row.size != 2 * dim:
-                raise ParseError(f"{path} row {i + 1} has {row.size} coordinates; two "
-                                 f"points of the model's {dim}-d latent space have {2 * dim}")
-            pairs.append((row[:dim], row[dim:]))
-    if not pairs:
-        raise ParseError(f"no endpoint pairs in {path}")
-    return pairs
+    _, rows = _read_table(path)
+    if not rows:
+        raise ParseError(f"{path}: no endpoint pairs")
+    if len(rows[0]) != 2 * dim:
+        raise ParseError(f"{path}: each row has {len(rows[0])} coordinates; two "
+                         f"points of the model's {dim}-d latent space have {2 * dim}")
+    return [(np.array(row[:dim]), np.array(row[dim:])) for row in rows]
 
 
 def _parse_dims(text: str) -> list[int]:
@@ -146,35 +136,15 @@ def cmd_generate(args) -> int:
         except ValueError:
             raise ValueError(f"--radii {args.radii!r}: expected comma-separated numbers") from None
         ds = gen_circles_sphere(n=args.n, radii=radii, noise=args.noise, seed=args.seed)
-    write_dataset(args.out, ds)
-    write_sidecar(
-        args.out,
-        _config(args, f"generate {args.shape}", labels=True, name=ds.name,
-                provenance=ds.provenance),
-    )
+    write_dataset(args.out, ds, _config(args, f"generate {args.shape}"))
     print(f"wrote {ds.points.shape[0]} x {ds.points.shape[1]} points to {args.out}")
     return 0
 
 
-def _has_labels(args) -> bool:
-    if args.labels != "auto":
-        return args.labels == "yes"
-    sidecar = f"{args.data}.config.json"
-    if not os.path.exists(sidecar):
-        return False
-    with open(sidecar) as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ParseError(f"{sidecar}: not a JSON sidecar: {exc}")
-    if not isinstance(doc, dict):
-        raise ParseError(f"{sidecar}: a sidecar holds one JSON object")
-    return bool(doc.get("labels", False))
-
-
 def cmd_fit(args) -> int:
     from .gp import Kernel, fit_gplvm, log_marginal_likelihood, save_model
-    ds = load_csv(args.data, has_labels=_has_labels(args))
+    has_labels = _sidecar_labels(args.data) if args.labels == "auto" else args.labels == "yes"
+    ds = load_csv(args.data, has_labels=has_labels)
     k0 = Kernel(args.kernel, args.lengthscale, args.variance)
     model = fit_gplvm(ds.points, args.latent_dim, k0, args.noise, steps=args.steps, lr=args.lr,
                       optimize_latents=args.optimize_latents)
@@ -361,6 +331,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (np.linalg.LinAlgError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except (OSError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,14 +4,19 @@ Generators build 2-D point clouds and push them onto the unit sphere with
 the inverse stereographic projection (x, y) -> (2x, 2y, x^2+y^2-1)/(x^2+y^2+1),
 so every output row has unit norm. CSV writing is RFC-4180 with 17
 significant digits, making export -> load lossless and reruns byte-identical.
+Every input file is read here, beside its writer: numeric CSV (datasets,
+endpoint pairs) by `_read_table`, and JSON objects (model files, dataset
+sidecars with the `labels` that `write_dataset` records) by `_read_json_object`.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,14 +177,49 @@ def write_sidecar(path: str, config: dict) -> str:
     return sidecar
 
 
-def write_dataset(path: str, ds: Dataset) -> None:
-    """Dataset CSV (points, then a final label column if present) + sidecar."""
+def write_dataset(path: str, ds: Dataset, config: dict | None = None) -> None:
+    """Dataset CSV (points, then a final label column if present) + sidecar:
+    `config` with the name, provenance and `labels` (whether there is one)."""
     if ds.labels is None:
         rows = ds.points
     else:
         rows = [list(p) + [int(label)] for p, label in zip(ds.points, ds.labels)]
     write_csv(path, rows)
-    write_sidecar(path, {"name": ds.name, "provenance": ds.provenance})
+    write_sidecar(path, {**(config or {}), "name": ds.name, "provenance": ds.provenance,
+                         "labels": ds.labels is not None})
+
+
+def _read_table(path: str) -> tuple[str, list[list[float]]]:
+    """The SHA-256 of a CSV file's bytes and its rows of numbers, all of one
+    width, from one read. Blank rows and a first row holding a non-number (a
+    header) are skipped; text that is not UTF-8, a ragged row or any other
+    non-number raises ParseError naming the file, row and column."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    rows = []
+    for i, cells in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+        if not cells:
+            continue
+        values = []
+        for c, cell in enumerate(cells, start=1):
+            try:
+                values.append(float(cell))
+            except ValueError:
+                if i == 1:
+                    break  # header line
+                raise ParseError(
+                    f"{path}: row {i}, column {c}: not a number: {cell!r}"
+                ) from None
+        else:
+            if rows and len(values) != len(rows[0]):
+                raise ParseError(f"{path}: row {i} has {len(values)} columns, "
+                                 f"expected {len(rows[0])}")
+            rows.append(values)
+    return hashlib.sha256(raw).hexdigest(), rows
 
 
 def load_csv(path: str, has_labels: bool = False) -> Dataset:
@@ -189,35 +229,12 @@ def load_csv(path: str, has_labels: bool = False) -> Dataset:
     row and column (1-based, header-aware). The dataset's provenance is the
     SHA-256 of the file bytes.
     """
-    with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for i, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if i == 1 and any(not _is_number(c) for c in row):
-                continue  # header line
-            rows.append((i, row))
+    digest, rows = _read_table(path)
     if len(rows) < 2:
         raise ParseError(f"{path}: need at least two data rows")
-    width = len(rows[0][1])
-    if width < (2 if has_labels else 1):
+    if len(rows[0]) < (2 if has_labels else 1):
         raise ParseError(f"{path}: too few columns for the requested layout")
-    matrix = np.empty((len(rows), width))
-    for r, (lineno, row) in enumerate(rows):
-        if len(row) != width:
-            raise ParseError(
-                f"{path}: row {lineno} has {len(row)} columns, expected {width}"
-            )
-        for c, cell in enumerate(row):
-            try:
-                matrix[r, c] = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: row {lineno}, column {c + 1}: not a number: {cell!r}"
-                ) from None
+    matrix = np.array(rows)
     labels = None
     if has_labels:
         label_col = matrix[:, -1]
@@ -233,9 +250,26 @@ def load_csv(path: str, has_labels: bool = False) -> Dataset:
     )
 
 
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
+def _read_json_object(path: str, what: str) -> dict:
+    """The one JSON object that a UTF-8 file holds; anything else raises
+    ParseError naming the file and calling it `what`."""
+    with open(path, "rb") as fh:
+        try:
+            doc = json.loads(fh.read().decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ParseError(f"{path}: not a JSON {what}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: a {what} holds one JSON object")
+    return doc
+
+
+def _sidecar_labels(path: str) -> bool:
+    """The sidecar's `labels` for the dataset at `path` (False if absent);
+    anything but a JSON boolean raises ParseError naming the sidecar."""
+    sidecar = f"{path}.config.json"
+    if not os.path.exists(sidecar):
         return False
+    labels = _read_json_object(sidecar, "sidecar").get("labels", False)
+    if not isinstance(labels, bool):
+        raise ParseError(f"{sidecar}: labels must be true or false, got {labels!r}")
+    return labels

@@ -160,9 +160,14 @@ def latent_lattice(field, grid: int) -> np.ndarray:
 
 
 class _Field:
-    """Shared by the fields below: `jacobian_posterior(z)`, one point's
-    posterior, bit for bit the row of `jacobian_batch`, and the box
-    [-_box, _box]^q."""
+    """Shared by the fields below: `jacobian_batch(Z)`, the posteriors of
+    `jacobian_batch_dz(Z)` (GpField and ConstantField define their own),
+    `jacobian_posterior(z)`, one point's posterior, bit for bit the row of
+    `jacobian_batch`, and the box [-_box, _box]^q."""
+
+    def jacobian_batch(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        means, covs, _, _ = self.jacobian_batch_dz(Z)
+        return means, covs
 
     def jacobian_posterior(self, z: np.ndarray) -> JacobianPosterior:
         means, covs = self.jacobian_batch(z)
@@ -262,10 +267,6 @@ class SphereField(_Field):
     def __init__(self, polar_margin: float = 0.3):
         self._margin = float(polar_margin)
 
-    def jacobian_batch(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        means, covs, _, _ = self.jacobian_batch_dz(Z)
-        return means, covs
-
     def jacobian_batch_dz(self, Z: np.ndarray):
         Z = _query_points(Z, self.latent_dim)
         n = Z.shape[0]
@@ -317,10 +318,6 @@ class SyntheticField(_Field):
         )
         self._freq_cov = rng.normal(0.0, 1.0, (latent_dim, latent_dim, latent_dim))
         self._phase_cov = rng.uniform(0.0, 2.0 * np.pi, (latent_dim, latent_dim))
-
-    def jacobian_batch(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        means, covs, _, _ = self.jacobian_batch_dz(Z)
-        return means, covs
 
     def jacobian_batch_dz(self, Z: np.ndarray):
         # mean = A sin(F z + P) and cov = R R^T / q + floor I with

@@ -57,7 +57,7 @@ import numpy as np
 
 from . import _lbfgs
 from ._lapack import cho_solve, lapack_blas, solve_triangular
-from .data import ParseError
+from .data import ParseError, _read_json_object
 from .fields import _clamp_psd_batch, _query_points
 
 __all__ = [
@@ -665,13 +665,7 @@ def load_model(path: str) -> GpModel:
     outputs not N x q and N x D matrices with the same N, non-finite data,
     negative noise).
     """
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ParseError(f"{path}: not a JSON model file: {exc}")
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: a model file holds one JSON object")
+    doc = _read_json_object(path, "model file")
     missing = [key for key in _MODEL_KEYS if key not in doc]
     if isinstance(doc.get("kernel"), dict):
         missing += [f"kernel.{key}" for key in _KERNEL_KEYS if key not in doc["kernel"]]

@@ -1,4 +1,7 @@
-"""Shared fitted-model fixtures (session-scoped: built once, read-only)."""
+"""Shared fitted-model fixtures (session-scoped: built once, read-only),
+and `opened_paths`, the path of every file a test opens."""
+
+import builtins
 
 import numpy as np
 import pytest
@@ -50,3 +53,17 @@ def gp_arc_model():
     phi = np.linspace(0.0, np.pi, 25)
     X = np.column_stack([np.cos(phi), np.sin(phi)])
     return make_model(X, _smooth_targets(X, 3), Kernel(RBF, 0.4, 1.0), 1e-4)
+
+
+@pytest.fixture
+def opened_paths(monkeypatch):
+    """The paths passed to `open` while the test runs, in order, as strings."""
+    paths = []
+    real_open = builtins.open
+
+    def recording_open(file, *args, **kwargs):
+        paths.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    return paths

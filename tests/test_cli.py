@@ -16,6 +16,7 @@ import pytest
 import finslergp
 from finslergp import cli, gp, specfun
 from finslergp.cli import _parse_dims, main
+from finslergp.data import gen_circles_sphere, write_dataset
 from finslergp.gp import load_model
 
 
@@ -149,8 +150,12 @@ def test_fit_labels_flag_without_a_sidecar(workdir, circles_model, tmp_path, lab
     assert outputs.shape == (400, columns)
 
 
-@pytest.mark.parametrize("content", [b"[1,2]", b"{bad", b"\xde\xad\xbe\xef"],
-                         ids=["list", "not_json", "not_utf8"])
+@pytest.mark.parametrize(
+    "content",
+    [b"[1,2]", b"{bad", b"\xde\xad\xbe\xef",
+     b'{"labels": "no"}', b'{"labels": 1}', b'{"labels": null}'],
+    ids=["list", "not_json", "not_utf8", "labels_string", "labels_int", "labels_null"],
+)
 def test_fit_data_sidecar_not_a_json_object_names_the_file(workdir, circles_model, tmp_path,
                                                            capsys, content):
     data = tmp_path / "circ_copy.csv"
@@ -162,6 +167,49 @@ def test_fit_data_sidecar_not_a_json_object_names_the_file(workdir, circles_mode
     err = capsys.readouterr().err
     assert _one_error_line(err) and err.startswith(f"error: {sidecar}: ")
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("labelled", [True, False], ids=["labelled", "unlabelled"])
+def test_fit_labels_auto_reads_what_write_dataset_records(tmp_path, labelled):
+    ds = gen_circles_sphere(n=40, seed=1)
+    if not labelled:
+        ds = dataclasses.replace(ds, labels=None)
+    data, model_path = tmp_path / "c.csv", tmp_path / "m.json"
+    write_dataset(str(data), ds)
+    assert main(["fit", "--data", str(data), "--out", str(model_path), "--steps", "0"]) == 0
+    assert np.array(json.loads(model_path.read_text())["outputs"]).shape == (40, 3)
+
+
+def test_generate_writes_its_sidecar_once(tmp_path, opened_paths):
+    out = tmp_path / "c.csv"
+    assert main(["generate", "circles", "--n", "40", "--seed", "1", "--out", str(out)]) == 0
+    assert opened_paths.count(f"{out}.config.json") == 1
+
+
+@pytest.mark.parametrize(
+    "command, content, named",
+    [
+        ("fit", b"0.5,\xff,1\n1,2,3\n", "not UTF-8 text"),
+        ("geodesic", b"-0.5,-0.3,\xff,0.3\n", "not UTF-8 text"),
+        ("geodesic", b"s1,s2,e1,e2\n-0.5,-0.3,0.5,0.3\n-0.4,x,0.4,-0.4\n",
+         "row 3, column 2: not a number: 'x'"),
+    ],
+    ids=["data_not_utf8", "pairs_not_utf8", "pairs_non_number"],
+)
+def test_input_file_errors_name_the_file(circles_model, tmp_path, capsys, command, content,
+                                         named):
+    path = tmp_path / "in.csv"
+    path.write_bytes(content)
+    out = tmp_path / "out.csv"
+    if command == "fit":
+        argv = ["fit", "--data", str(path), "--steps", "0"]
+    else:
+        argv = ["geodesic", "--model", str(circles_model), "--pairs", str(path),
+                "--metric", "riemann", "--nc", "9"]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and err.startswith(f"error: {path}: ") and named in err
+    assert not out.exists()
 
 
 def test_fit_huge_lr_fails_its_trials_and_keeps_the_initial_model(workdir, circles_model, capsys):
@@ -593,6 +641,27 @@ def test_model_file_not_json_names_the_file(workdir, circles_model, tmp_path, ca
                  "--out", str(tmp_path / "geo.csv")]) == 2
     err = capsys.readouterr().err
     assert _one_error_line(err) and err.startswith(f"error: {data}: not a JSON model file")
+
+
+@pytest.mark.parametrize(
+    "command, callee, flags",
+    [("geodesic", "comparison_entries", ["--start=0,0", "--end=1,1"]),
+     ("volume", "volume_field", [])],
+    ids=["geodesic", "volume"],
+)
+def test_out_of_memory_is_one_line(circles_model, tmp_path, monkeypatch, capsys, command,
+                                   callee, flags):
+    # what numpy raises for `--grid 100000`, without allocating anything
+    def exhaust(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                          "(10000000000,) and data type float64")
+
+    monkeypatch.setattr(cli, callee, exhaust)
+    rc = main([command, "--model", str(circles_model), *flags, "--grid", "100000",
+               "--out", str(tmp_path / "o.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert _one_error_line(err) and err.startswith("error: out of memory: Unable to allocate")
 
 
 def test_series_convergence_failure_exits_1(circles_model, tmp_path, monkeypatch, capsys):

@@ -119,6 +119,14 @@ def test_load_csv_provenance_hash(tmp_path):
     assert digest in str(ds.provenance)
 
 
+def test_load_csv_opens_its_file_once(tmp_path, opened_paths):
+    path = str(tmp_path / "d.csv")
+    write_csv(path, [[1.0, 2.0], [3.0, 4.0]])
+    opened_paths.clear()
+    load_csv(path)
+    assert opened_paths == [path]
+
+
 def test_load_csv_ragged_row_names_location(tmp_path):
     path = str(tmp_path / "bad.csv")
     with open(path, "w") as fh:
