@@ -20,23 +20,23 @@ import traceback
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PY = sys.executable
-STEPS = ("tests", "readme", "cli-import", "compile-peaks", "command-modules", "verify-twice",
-         "smoke", "digests-twice", "rss", "compare-base", "pipeline-twice")
-PRINT_ONLY = ("rss", "compare-base")
+STEPS = ("tests", "readme", "cli-import", "command-modules", "verify-twice", "smoke",
+         "digests-twice", "compare-base", "pipeline-twice")
+PRINT_ONLY = ("compare-base",)
 
 
 class Failed(Exception):
     """A step's check did not hold."""
 
 
-def _env(root=ROOT, **extra):
+def _env(root=ROOT):
     path = os.pathsep.join(filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, PYTHONPATH=path, **extra)
+    return dict(os.environ, PYTHONPATH=path)
 
 
-def _check(*argv, cwd=ROOT, **env):
+def _check(*argv, cwd=ROOT):
     """Run argv with its output shown; fail unless it exits 0."""
-    if subprocess.run(argv, cwd=cwd, env=_env(**env)).returncode:
+    if subprocess.run(argv, cwd=cwd, env=_env()).returncode:
         raise Failed(f"{' '.join(argv)[:120]!r} exited nonzero")
 
 
@@ -130,25 +130,6 @@ class Steps:
         if scipy or gp:
             raise Failed("import finslergp.cli loads scipy or finslergp.gp")
 
-    def compile_peaks(self):
-        """Print only: with bytecode off, a module's compile peak can set a command's peak."""
-        shutil.rmtree(f"{ROOT}/src/finslergp/__pycache__", ignore_errors=True)
-        _check(PY, "-c", """if True:
-            import glob, os, pathlib, tracemalloc
-            import numpy
-            for path in sorted(glob.glob("src/finslergp/*.py")):
-                source = pathlib.Path(path).read_text()
-                tracemalloc.start()
-                compile(source, path, "exec")
-                peak = tracemalloc.get_traced_memory()[1]
-                tracemalloc.stop()
-                print(f"compile {os.path.basename(path)}: peak {peak / 1024:.0f} KB")
-            tracemalloc.start()
-            import finslergp.cli
-            peak = tracemalloc.get_traced_memory()[1]
-            print(f"import finslergp.cli: peak {peak / 1024:.0f} KB of Python allocations")""",
-               PYTHONDONTWRITEBYTECODE="1")
-
     def command_modules(self):
         """Each of four GP commands, fresh, loads scipy's LAPACK and BLAS modules alone."""
         tmp, model = self.tmp, ["--model", f"{self.tmp}/m.json"]
@@ -216,11 +197,6 @@ class Steps:
             first = _twice(f"{self.tmp}/{workload}", run, lambda a, b: [
                 f"op {i}: {why}" for i, why in compare_digests(a, b)[1].items()])
             print(f"{workload}: {first.splitlines()[-1]}")
-
-    def rss(self):
-        """Print only: the peak RSS after each command; 11 s ends with the first refit."""
-        _check(PY, "scripts/op_rss.py", "--workload", "pipeline", "--seed", "0", "--seconds", "11",
-               "--work", f"{self.tmp}/work")
 
     def compare_base(self):
         """Print only: which op digests differ between --base's tree and this one."""

@@ -26,11 +26,8 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def workload_runner(argv, doc):
-    """The parsed op-list flags, the seeded workload writing under --work
-    and the benchmark's runner of this checkout's CLI. Exits 2 if --work is
-    not empty."""
-    ap = argparse.ArgumentParser(description=doc.split("\n\n")[0])
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True, choices=("pipeline", "verify"))
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--seconds", type=float, default=40.0)
@@ -40,7 +37,7 @@ def workload_runner(argv, doc):
     work = os.path.abspath(args.work)
     if os.path.exists(work) and os.listdir(work):
         print(f"error: --work {work} is not empty", file=sys.stderr)
-        raise SystemExit(2)
+        return 2
     os.makedirs(work, exist_ok=True)
 
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
@@ -49,11 +46,7 @@ def workload_runner(argv, doc):
     import run
     import workloads
 
-    return args, workloads.WORKLOADS[args.workload](work), run.Runner(cli_main)
-
-
-def main(argv=None) -> int:
-    args, workload, runner = workload_runner(argv, __doc__)
+    workload, runner = workloads.WORKLOADS[args.workload](work), run.Runner(cli_main)
     try:
         runner.setup(workload.setup_commands(args.seed))
     except RuntimeError as exc:

@@ -27,12 +27,24 @@ def test_workflow_runs_every_step_once_in_order():
     assert runs == list(ci.STEPS)
     assert all(callable(getattr(ci.Steps, step.replace("-", "_"))) for step in ci.STEPS)
     lenient = {named[0] for item, named in zip(items, steps) if "continue-on-error: true" in item}
-    assert lenient == set(ci.PRINT_ONLY) == {"rss", "compare-base"}
-    assert text.count("continue-on-error") == 2
+    assert lenient == set(ci.PRINT_ONLY) == {"compare-base"}
+    assert text.count("continue-on-error") == 1
     compare = next(item for item in items if "ci.py compare-base" in item)
     assert "if: github.event_name == 'pull_request'" in compare
     assert "--base ${{ github.event.pull_request.base.sha }}" in compare
     assert not re.search(r"python3? -c|awk|paste", text)
+
+
+
+def _scripts_named_in(path):
+    return set(re.findall(r"scripts/(\w+\.py)", (_ROOT / path).read_text()))
+
+
+def test_every_named_script_exists_and_readme_names_every_script():
+    scripts = {p.name for p in (_ROOT / "scripts").glob("*.py")}
+    for path in ("README.md", "scripts/ci.py", ".github/workflows/tier1.yml"):
+        assert _scripts_named_in(path) <= scripts, path
+    assert scripts <= _scripts_named_in("README.md")
 
 
 _HEAD = "0 fit_rbf 1a\n1 geodesic 2b\n2 volume 3c\ntotal 9f\n"
