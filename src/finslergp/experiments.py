@@ -38,6 +38,7 @@ from .geodesic import (
 )
 from .measure import _evaluated_directions, _ratio_bounds_from_omega, _volumes_from_norms_sq
 from .metric import (
+    BOUND_SLACK as SLACK,
     _norms_from_forms, _norms_sq_of_kinds, _sigma_and_signal, _sigma_and_signal_batch, gap_bound
 )
 from .randmat import ScalarWishart, batch_rng, wishart_scalar_moments
@@ -55,8 +56,6 @@ __all__ = [
     "export_violations_csv",
     "export_comparison_csv",
 ]
-
-SLACK = 1e-9
 
 COMPARISON_KINDS = ("riemann", "finsler", "euclid")
 
@@ -287,8 +286,8 @@ def _spec_values(specs: list) -> dict[str, np.ndarray]:
     each kind in `SWEEP_KINDS` is one `_norms_from_forms` call over all
     specs with one D per spec, so the riemann, alpha_sigma and omega values
     are the scalar functions' bit for bit. The Jensen bound
-    Var[z] / (2 E[z]^2) goes through the scalar moment formulas per spec,
-    a separate code path on purpose."""
+    Var[z] / (2 E[z]^2), free of sigma, goes through the scalar moment
+    formulas at sigma = 1 per spec, a separate code path on purpose."""
     sigma, signal = np.array([_sigma_and_signal(m, c, v) for m, c, v in specs]).T
     dims = np.array([len(m) for m, _, _ in specs])
     out = {kind: _norms_from_forms(sigma, signal, dims, kind) for kind in SWEEP_KINDS}
@@ -301,9 +300,8 @@ def _spec_values(specs: list) -> dict[str, np.ndarray]:
     out["wishart"] = gap_bound(dims, w)
     out["jensen"] = np.zeros(len(specs))  # 0 in the deterministic limit
     for i in np.nonzero(np.isfinite(w))[0]:
-        m1, m2 = wishart_scalar_moments(
-            ScalarWishart(dof=int(dims[i]), sigma=float(sigma[i]), omega=float(w[i]))
-        )
+        spec = ScalarWishart(dof=int(dims[i]), sigma=1.0, omega=float(w[i]))
+        m1, m2 = wishart_scalar_moments(spec)
         out["jensen"][i] = (m2 - m1 * m1) / (2.0 * m1 * m1)
     return out
 

@@ -8,18 +8,21 @@ together with the coefficients (alpha, omega) and the bounds that relate
 them.
 
 Every norm depends on D and two quadratic forms only: sigma = v^T Sigma v
-and signal = ||E[J] v||^2. The scalar functions take one `MetricPoint` and
-one vector. `norms_sq` evaluates a norm kind for many points and
-directions at once, on arrays of Jacobian posteriors with one data
-dimension D for all points or one per point. Callers that need several
-kinds of the same directions form sigma and the signal once
-(`_sigma_and_signal_batch`) and apply each kind's formula to them
-(`_norms_from_forms`). `_norms_sq_of_kinds` does both blockwise, as
-`norms_sq` does for one kind; `measure.volume_field`, the truncation sweep
-and the volume checks of the violation sweep call it. Geodesic segment
-norms and the sweep's curve and spec checks form their own. Each kind's
-derivatives in the two forms live in `_norm_partials`, whence the geodesic
-gradient. `gap_bound` bounds the relative gap (Wishart).
+and signal = ||E[J] v||^2. Where signal/sigma is not a finite number (sigma
+= 0, a ratio past the largest double, or both forms 0) each norm is its
+deterministic limit sqrt(signal). `_noncentrality` alone decides this, by
+no threshold on the length of v, so every norm is even and 1-homogeneous
+at every scale. The scalar functions take one `MetricPoint` and one vector.
+`norms_sq` evaluates a norm kind for many points and directions at once,
+on arrays of Jacobian posteriors with one data dimension D for all points
+or one per point. Callers that need several kinds of the same directions
+form sigma and the signal once (`_sigma_and_signal_batch`) and apply each
+kind's formula to them (`_norms_from_forms`). `_norms_sq_of_kinds` does
+both blockwise, as `norms_sq` does for one kind; `measure.volume_field`,
+the truncation sweep and the volume checks of the violation sweep call it.
+Geodesic segment norms and the sweep's curve and spec checks form their
+own. Each kind's derivatives in the two forms live in `_norm_partials`,
+whence the geodesic gradient. `gap_bound` bounds the relative gap (Wishart).
 """
 
 from __future__ import annotations
@@ -49,10 +52,6 @@ __all__ = [
     "relative_gap",
     "fundamental_form",
 ]
-
-# below this v^T Sigma v the noncentrality overflows the series; the norm
-# collapses to its deterministic limit sqrt(v^T E[J]^T E[J] v)
-DETERMINISTIC_SIGMA = 1e-14
 
 BOUND_SLACK = 1e-9
 
@@ -125,17 +124,18 @@ def finsler_norm(p: MetricPoint, v: np.ndarray) -> float:
 
         sqrt(2 sigma) * Gamma(D/2 + 1/2)/Gamma(D/2) * 1F1(-1/2, D/2, -omega/2)
 
-    with sigma = v^T Sigma v and omega = signal/sigma. For nearly
-    deterministic Jacobians (sigma below 1e-14) the deterministic limit
-    ||E[J] v|| is returned instead of overflowing the series.
+    with sigma = v^T Sigma v and omega = signal/sigma. Where omega is not
+    a finite number (`_noncentrality`) the deterministic limit ||E[J] v||
+    is returned.
     """
     v = np.asarray(v, dtype=float)
     sigma, signal = _sigma_and_signal(p.jac.mean, p.jac.cov, v)
-    if sigma < DETERMINISTIC_SIGMA:
+    w, live = _noncentrality(sigma, signal)
+    if not live:
         return math.sqrt(signal)
     b = 0.5 * p.dim_data
     ratio = math.exp(log_gamma_ratio(b + 0.5, b))
-    return math.sqrt(2.0 * sigma) * ratio * kummer_1f1(-0.5, b, -0.5 * signal / sigma)
+    return math.sqrt(2.0 * sigma) * ratio * kummer_1f1(-0.5, b, -0.5 * float(w))
 
 
 def alpha_sigma_norm(p: MetricPoint, v: np.ndarray) -> float:
@@ -163,15 +163,12 @@ def alpha_coefficient(dim_data: int) -> float:
 def omega(p: MetricPoint, v: np.ndarray) -> float:
     """Non-centrality ratio (v^T Sigma v)^{-1} v^T E[J]^T E[J] v.
 
-    Scale-invariant in v. Reported as +inf when v^T Sigma v falls below
-    1e-14, the same guard under which the norms use their deterministic
-    limit.
+    Scale-invariant in v. Reported as +inf where it is not a finite number
+    (`_noncentrality`), where the norms take their deterministic limit.
     """
     v = np.asarray(v, dtype=float)
-    sigma, signal = _sigma_and_signal(p.jac.mean, p.jac.cov, v)
-    if sigma < DETERMINISTIC_SIGMA:
-        return math.inf
-    return signal / sigma
+    w, live = _noncentrality(*_sigma_and_signal(p.jac.mean, p.jac.cov, v))
+    return float(w) if live else math.inf
 
 
 def gap_bound(d: int, omega):
@@ -214,11 +211,11 @@ def norms_sq(means, covs, dim_data, V, kind: str) -> np.ndarray:
     v^T Sigma v and the Gram unchanged). kind is one of `NORM_KINDS`: the
     squares of `riemannian_norm`, `finsler_norm`, `alpha_sigma_norm` or of
     the Euclidean norm, or (kind "omega") the noncentrality `omega` itself,
-    +inf where v^T Sigma v < 1e-14. The signal ||E[J] v||^2 comes from the
-    q x q Gram E[J]^T E[J]; each block's values are `_norms_from_forms` of
-    its `_sigma_and_signal_batch`. Points are evaluated in blocks of about
-    16384 values, so the working memory beyond the result does not grow
-    with n.
+    +inf where the norms take their deterministic limit. The signal
+    ||E[J] v||^2 comes from the q x q Gram E[J]^T E[J]; each block's values
+    are `_norms_from_forms` of its `_sigma_and_signal_batch`. Points are
+    evaluated in blocks of about 16384 values, so the working memory beyond
+    the result does not grow with n.
     """
     _check_kind(kind, NORM_KINDS)
     if kind == "euclid":
@@ -279,26 +276,34 @@ def _norms_from_forms(sigma, signal, dim_data, kind: str) -> np.ndarray:
     if kind == "riemann":
         return signal + dim_data * sigma
     if kind == "omega":
-        live = sigma >= DETERMINISTIC_SIGMA
-        return np.divide(signal, sigma, out=np.full(sigma.shape, math.inf), where=live)
+        w, live = _noncentrality(sigma, signal)
+        return np.where(live, w, math.inf)
     raise ValueError(f"no norm kind {kind!r}")
+
+
+def _noncentrality(sigma, signal):
+    """(w, live): w = signal / sigma, floats or arrays of one shape, and
+    where w is finite; elsewhere every norm is its deterministic limit."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w = np.divide(signal, sigma)
+    return w, np.isfinite(w)
 
 
 def _finsler_terms(sigma, signal, dim_data):
     """Squared Finsler norms from the forms sigma and signal, with their
-    terms: (norm_sq, live, d, h, a), live = sigma >= 1e-14 and, at the live
-    entries only, d = D, h = 1F1(-1/2, D/2, -signal/(2 sigma)) and
-    a = `alpha_coefficient(D)`. dim_data is an int or an integer array that
-    broadcasts to sigma's shape."""
-    live = sigma >= DETERMINISTIC_SIGMA
-    s = sigma[live]
+    terms: (norm_sq, live, w, d, h, a), live from `_noncentrality` and, at
+    the live entries only, w = signal/sigma, d = D, h = 1F1(-1/2, D/2, -w/2)
+    and a = `alpha_coefficient(D)`. dim_data is an int or an integer array
+    that broadcasts to sigma's shape."""
+    w, live = _noncentrality(sigma, signal)
+    w = w[live]
     if np.ndim(dim_data) > 0:
         dim_data = np.broadcast_to(dim_data, sigma.shape)[live]
-    h = kummer_1f1_array(-0.5, 0.5 * dim_data, -0.5 * signal[live] / s)
+    h = kummer_1f1_array(-0.5, 0.5 * dim_data, -0.5 * w)
     a = _alpha(dim_data)
     out = signal.copy()
-    out[live] = a * s * (h * h)
-    return out, live, dim_data, h, a
+    out[live] = a * sigma[live] * (h * h)
+    return out, live, w, dim_data, h, a
 
 
 def _norm_partials(sigma, signal, dim_data, kind: str) -> tuple:
@@ -307,15 +312,17 @@ def _norm_partials(sigma, signal, dim_data, kind: str) -> tuple:
     or an array that broadcasts to sigma's shape. riemann (D, 1);
     alpha_sigma (alpha, 0); finsler, with w = signal/sigma, h =
     1F1(-1/2, D/2, x) at x = -w/2 and hx = dh/dx = -1F1(1/2, D/2 + 1, x)/D:
-    alpha h 1F1(1/2, D/2, x) and -alpha h hx where sigma >= 1e-14, and
-    (0, 1) in the deterministic limit. d/dsigma is alpha h (h + hx w), with
-    h + hx w = 1F1(1/2, D/2, x) by x M'(a, b, x) = a (M(a+1, b, x) -
-    M(a, b, x)): a positive series, where the sum cancels as w grows."""
+    alpha h 1F1(1/2, D/2, x) and -alpha h hx where w is finite; in the
+    deterministic limit the limits as sigma -> 0+, (D - 1, 1) with a signal
+    (norm_sq = signal + (D - 1) sigma + O(sigma^2)) and (alpha, 1) without.
+    d/dsigma is alpha h (h + hx w), with h + hx w = 1F1(1/2, D/2, x) by
+    x M'(a, b, x) = a (M(a+1, b, x) - M(a, b, x)): a positive series, where
+    the sum cancels as w grows."""
     if kind == "finsler":
-        norm_sq, live, d, h, a = _finsler_terms(sigma, signal, dim_data)
-        w = signal[live] / sigma[live]
+        norm_sq, live, w, d, h, a = _finsler_terms(sigma, signal, dim_data)
         hx = kummer_1f1_array(0.5, 0.5 * d + 1.0, -0.5 * w) / -d
-        d_sigma, d_signal = np.zeros(sigma.shape), np.ones(sigma.shape)
+        d_sigma = np.where(signal > 0.0, np.subtract(dim_data, 1.0), _alpha(dim_data))
+        d_signal = np.ones(sigma.shape)
         d_sigma[live] = a * h * kummer_1f1_array(0.5, 0.5 * d, -0.5 * w)
         d_signal[live] = -a * h * hx
         return norm_sq, d_sigma, d_signal
@@ -362,8 +369,8 @@ def relative_gap(p: MetricPoint, v: np.ndarray) -> tuple[float, float, float]:
         # deterministic limit: both bounds collapse to zero
         return gap, 0.0, 0.0
     wishart_bound = gap_bound(d, w)
-    sigma, _ = _sigma_and_signal(p.jac.mean, p.jac.cov, v)
-    m1, m2 = wishart_scalar_moments(ScalarWishart(dof=d, sigma=sigma, omega=w))
+    # the Jensen bound does not depend on sigma: moments at sigma = 1
+    m1, m2 = wishart_scalar_moments(ScalarWishart(dof=d, sigma=1.0, omega=w))
     jensen_bound = (m2 - m1 * m1) / (2.0 * m1 * m1)
     return gap, wishart_bound, jensen_bound
 

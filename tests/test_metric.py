@@ -448,9 +448,9 @@ def test_norm_partials_match_central_differences(kind, dim):
     def f(s, y):
         return _norms_from_forms(s, y, dim, kind)
 
-    # central differences, forward ones at sigma = 0, where a finsler step
-    # stays below the 1e-14 threshold of the deterministic limit
-    hi = sigma + np.where(sigma > 0.0, 1e-5 * sigma, 1e-15 if kind == "finsler" else 1e-5)
+    # central differences, forward ones at sigma = 0, whose step the closed
+    # form takes: d/dsigma there is the one-sided limit
+    hi = sigma + np.where(sigma > 0.0, 1e-5 * sigma, 1e-7)
     lo = np.where(sigma > 0.0, sigma - 1e-5 * sigma, 0.0)
     hy = 1e-5 * np.maximum(signal, 1.0)
     fd_sigma = (f(hi, signal) - f(lo, signal)) / (hi - lo)
@@ -459,14 +459,18 @@ def test_norm_partials_match_central_differences(kind, dim):
     np.testing.assert_allclose(d_signal, fd_signal, rtol=1e-6, atol=1e-6)
     dead = sigma == 0.0
     if kind == "finsler":
-        assert np.all(d_sigma[dead] == 0.0) and np.all(d_signal[dead] == 1.0)
+        # D - 1 with a signal, alpha(D) without
+        dims = np.broadcast_to(dim, sigma.shape)[dead]
+        alphas = [alpha_coefficient(int(d)) for d in dims]
+        assert np.array_equal(d_sigma[dead], np.where(signal[dead] > 0.0, dims - 1.0, alphas))
+        assert np.all(d_signal[dead] == 1.0)
 
 
 @pytest.mark.parametrize("dim", [3, 64])
 def test_finsler_sigma_partial_matches_mpmath_at_large_omega(dim):
-    # signal/sigma from 1e6 to 5e13, above the 1e-14 guard: alpha h (h + hx w)
-    # cancels there (4.6e-2 off at sigma = 2e-14, D = 3); its positive
-    # series form 1F1(1/2, D/2, -w/2) does not
+    # signal/sigma from 1e6 to 5e13: alpha h (h + hx w) cancels there
+    # (4.6e-2 off at sigma = 2e-14, D = 3); its positive series form
+    # 1F1(1/2, D/2, -w/2) does not
     mpmath = pytest.importorskip("mpmath")
     sigma = np.array([1e-6, 1e-8, 1e-10, 1e-12, 1e-13, 2e-14])
     signal = np.ones_like(sigma)
@@ -485,22 +489,12 @@ def test_norms_from_forms_rejects_unknown_kinds():
             fn(np.array([0.5]), np.array([2.0]), 3, "riemman")
 
 
-# The deterministic limit is taken where sigma = v^T Sigma v < 1e-14, an
-# absolute threshold, so a stochastic metric's Finsler norm falls to its
-# zero-signal limit 0 once |v| is small enough, and 1-homogeneity fails.
-# Taking the limit scale-relatively is what these cases wait for.
-_ABSOLUTE_GUARD = pytest.mark.xfail(
-    strict=True, reason="the deterministic-limit guard on sigma is absolute, not scale-relative"
-)
-
-
 def _pure_noise_point():
     # E[J] = 0, Sigma = I, D = 4: every direction's Finsler norm is
     # sqrt(alpha(4)) |v|, as the alpha_sigma norm is
     return MetricPoint(JacobianPosterior(np.zeros((4, 2)), np.eye(2), 4))
 
 
-@_ABSOLUTE_GUARD
 def test_finsler_norm_is_homogeneous_below_the_sigma_guard():
     p, want = _pure_noise_point(), math.sqrt(alpha_coefficient(4))
     e1 = np.array([1.0, 0.0])
@@ -508,7 +502,6 @@ def test_finsler_norm_is_homogeneous_below_the_sigma_guard():
     assert finsler_norm(p, 1e-7 * e1) / 1e-7 == pytest.approx(want, rel=1e-14)
 
 
-@_ABSOLUTE_GUARD
 def test_norms_sq_finsler_is_homogeneous_below_the_sigma_guard():
     p, want = _pure_noise_point(), alpha_coefficient(4)
     V = np.array([[1.1e-7, 0.0], [1e-7, 0.0]])
@@ -516,8 +509,64 @@ def test_norms_sq_finsler_is_homogeneous_below_the_sigma_guard():
     np.testing.assert_allclose(got / V[:, 0] ** 2, want, rtol=1e-14)
 
 
-@_ABSOLUTE_GUARD
 def test_bound_report_holds_below_the_sigma_guard():
     p = _pure_noise_point()
     assert bound_report(p, np.array([1.1e-7, 0.0])).ok
     assert bound_report(p, np.array([1e-7, 0.0])).ok
+
+
+# ---------------------------------------------------------------------------
+# every scale: no threshold on the length of v
+
+
+def _drawn_point_and_vector(seed, d, posterior):
+    # a random posterior, or one with E[J] = 0 (pure noise) or Sigma = 0
+    # (deterministic), and a direction of length 0.1 to 10
+    rng = np.random.default_rng(seed)
+    p, v = random_point_and_vector(rng, d=d, q_max=3)
+    if posterior == "central":
+        p = point_from(np.zeros_like(p.jac.mean), p.jac.cov)
+    elif posterior == "deterministic":
+        p = point_from(p.jac.mean, np.zeros_like(p.jac.cov))
+    return p, v * rng.uniform(0.1, 10.0)
+
+
+_DRAWS = dict(
+    seed=st.integers(0, 2**31 - 1),
+    d=st.sampled_from([1, 2, 3, 8, 40, 512]),
+    posterior=st.sampled_from(["random", "central", "deterministic"]),
+    negative=st.booleans(),
+)
+
+
+def _batched_norms(p, V):
+    # the norms_sq rows of V at p, per kind, as norms
+    jac = p.jac
+    return {kind: np.sqrt(norms_sq(jac.mean[None], jac.cov[None], jac.dim_data, V, kind)[0])
+            for kind in SCALAR_NORMS}
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.floats(-12.0, 12.0), **_DRAWS)
+def test_norms_are_homogeneous_even_and_sandwiched_at_every_scale(seed, d, posterior, negative, k):
+    p, v = _drawn_point_and_vector(seed, d, posterior)
+    t = -(10.0**k) if negative else 10.0**k
+    scalar = {kind: norm(p, t * v) for kind, norm in SCALAR_NORMS.items()}
+    batched = _batched_norms(p, np.array([v, t * v]))
+    for kind, norm in SCALAR_NORMS.items():
+        assert scalar[kind] == pytest.approx(abs(t) * norm(p, v), rel=1e-12), kind
+        assert batched[kind][1] == pytest.approx(abs(t) * batched[kind][0], rel=1e-12), kind
+    for norms in (scalar, {kind: values[1] for kind, values in batched.items()}):
+        lower, finsler, upper = norms["alpha_sigma"], norms["finsler"], norms["riemann"]
+        assert lower <= finsler * (1.0 + 1e-12) and finsler <= upper * (1.0 + 1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.floats(-150.0, 0.0), **_DRAWS)
+def test_relative_gap_is_scale_free(seed, d, posterior, negative, k):
+    p, v = _drawn_point_and_vector(seed, d, posterior)
+    t = -(10.0**k) if negative else 10.0**k
+    (gap, *bounds), (want, *want_bounds) = relative_gap(p, t * v), relative_gap(p, v)
+    # the gap is a difference of two norms, each good to a few ulp
+    assert gap == pytest.approx(want, rel=0.0, abs=1e-13)
+    assert bounds == pytest.approx(want_bounds, rel=1e-12, abs=0.0)
