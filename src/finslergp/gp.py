@@ -15,11 +15,12 @@ and the solves `cho_solve` and `solve_triangular`. numpy's OpenBLAS keeps a
 thread pool of its own, whose spinning workers take the cores from scipy's
 (README, Timing). N x N matrices are formed in place a row block of
 `_BLOCK_ENTRIES` entries at a time, so no temporary is larger than a block.
-`make_model` forms the kernel in one N x N buffer and factors it there; the
-jitter ladder refills that buffer. A fit allocates one `_workspace`, an
-N x N buffer and two row blocks, which every L-BFGS evaluation reuses: the
-kernel's lower triangle is formed and factored in the buffer, which then
-holds M = alpha alpha^T - D K^-1. As K alpha = Yc, the variance trace is
+One routine, `_kernel_cholesky`, forms the lower triangle of K(X, X) in an
+N x N buffer, factors it there and forms it again for each step of the
+jitter ladder; `make_model` hands it a fresh buffer. A fit allocates one
+`_workspace`, an N x N buffer and two row blocks, which every L-BFGS
+evaluation reuses: the factor in the buffer is then overwritten by
+M = alpha alpha^T - D K^-1. As K alpha = Yc, the variance trace is
 sum(alpha Yc) - D N - s tr(M), s the noise and any jitter; a second
 row-block pass forms the squared distances and the radial coefficient c
 again for the lengthscale trace and, for free latents, M * c (README,
@@ -137,24 +138,25 @@ def _sqdist(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
 
 
 def _row_blocks(n: int, m: int) -> list:
-    """The rows of an n x m array as slices of `_BLOCK_ENTRIES` entries."""
+    """The rows of an n x m array as slices of `_BLOCK_ENTRIES` entries (at
+    least one row), each stopping at or before n."""
     rows = max(1, _BLOCK_ENTRIES // m)
-    return [slice(i, i + rows) for i in range(0, n, rows)]
+    return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
 
 
-def _kernel_matrix(k: Kernel, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+def _kernel_matrix(k: Kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """k between the rows of a and b, formed a block of `_BLOCK_ENTRIES`
-    entries at a time from that block's squared distances, into out (fresh
-    when None): the result is the one n x m array."""
-    out = np.empty((len(a), len(b))) if out is None else out
+    entries at a time from that block's squared distances: the result is
+    the one n x m array."""
+    out = np.empty((len(a), len(b)))
     for rows in _row_blocks(len(a), len(b)):
         _kernel_of_r2(k, _sqdist(a[rows], b), out=out[rows])
     return out
 
 
 def _workspace(n: int) -> tuple:
-    """A fit's N x N buffer and two row blocks of `_BLOCK_ENTRIES` entries."""
-    return np.empty((n, n)), *np.empty((2, min(n, _BLOCK_ENTRIES // n) or 1, n))
+    """A fit's N x N buffer and two row blocks of `_row_blocks(n, n)`."""
+    return np.empty((n, n)), *np.empty((2, _row_blocks(n, n)[0].stop, n))
 
 
 # The kernel and its radial coefficients below are evaluated one operation
@@ -289,35 +291,35 @@ def _finite_cholesky(kmat: np.ndarray) -> np.ndarray | None:
     # checked, a row block of `_BLOCK_ENTRIES` at a time: no N x N mask
     upper, info = lapack_blas()[0].dpotrf(kmat.T, lower=False, overwrite_a=True)
     lower = upper.T
-    rows = max(1, _BLOCK_ENTRIES // len(lower))
-    if info != 0 or not all(np.isfinite(lower[i : i + rows]).all()
-                            for i in range(0, len(lower), rows)):
+    if info != 0 or not all(np.isfinite(lower[rows]).all()
+                            for rows in _row_blocks(len(lower), len(lower))):
         return None
     return lower
 
 
-def _robust_cholesky(kmat: np.ndarray, noise: float, variance: float, rebuild) -> tuple:
-    """Lower Cholesky factor of K + noise I + jitter I, and the jitter, for
-    the kernel matrix K in the lower triangle of the C-ordered kmat, factored
-    in kmat's buffer. rebuild() writes K there again after a failed
-    factorization; the jitter is 0 unless one failed."""
-    diag = kmat.reshape(-1)[:: len(kmat) + 1]
-    diag += noise
-    chol = _finite_cholesky(kmat)
-    if chol is not None:
-        return chol, 0.0
-    # jitter ladder: 1e-8 * variance, escalated tenfold at most five times;
-    # each attempt rebuilds the buffer the failed one overwrote
-    jitter = _JITTER0 * variance
-    with np.errstate(invalid="ignore"):
-        for _ in range(_JITTER_ESCALATIONS):
-            rebuild()
+def _kernel_cholesky(k: Kernel, X: np.ndarray, noise: float, buf: np.ndarray) -> tuple:
+    """Lower Cholesky factor of K(X, X) + noise I + jitter I, and the jitter
+    (0 unless a factorization failed), in the C-ordered N x N buf. K's lower
+    triangle is formed there a row block at a time, each block against the
+    points up to its last row, and factored in place; each step of the
+    jitter ladder forms it there again."""
+    n = len(X)
+    diag = buf.reshape(-1)[:: n + 1]
+    jitter, errstate = 0.0, {}
+    for _ in range(_JITTER_ESCALATIONS + 1):
+        with np.errstate(**errstate):
+            for rows in _row_blocks(n, n):
+                r2 = _sqdist(X[rows], X[: rows.stop], out=buf[rows, : rows.stop])
+                _kernel_of_r2(k, r2, out=r2)
             diag += noise
-            diag += jitter
-            chol = _finite_cholesky(kmat)
-            if chol is not None:
-                return chol, jitter
-            jitter *= 10.0
+            diag += jitter  # 0.0 at first: the diagonal is positive or not finite
+            chol = _finite_cholesky(buf)
+        if chol is not None:
+            return chol, jitter
+        # jitter ladder: 1e-8 * variance, escalated tenfold at most five
+        # times; its attempts ignore invalid-value warnings
+        jitter = jitter * 10.0 if jitter else _JITTER0 * k.variance
+        errstate = {"invalid": "ignore"}
     if math.isfinite(jitter):
         detail = f" even with jitter up to {jitter / 10:.1e}"
     else:
@@ -342,10 +344,7 @@ def make_model(X: np.ndarray, Y: np.ndarray, kernel: Kernel, noise: float) -> Gp
     if not 0.0 <= noise < math.inf:
         raise ValueError("noise must be finite and nonnegative")
     means = Y.mean(axis=0)
-    # the kernel matrix is built, and rebuilt, in the buffer that is factored
-    kmat = _kernel_matrix(kernel, X, X)
-    chol, _ = _robust_cholesky(kmat, noise, kernel.variance,
-                               lambda: _kernel_matrix(kernel, X, X, kmat))
+    chol, _ = _kernel_cholesky(kernel, X, noise, np.empty((len(X), len(X))))
     alpha = cho_solve((chol.T, False), Y - means)
     return GpModel(
         kernel=kernel,
@@ -476,24 +475,14 @@ def _log_marginal_terms(
     c the radial coefficient at X's squared distances. work is a
     `_workspace` (fresh when None), used as the module docstring says."""
     buf, r2buf, cbuf = _workspace(len(X)) if work is None else work
-    blocks = _row_blocks(len(X), len(X))
-
-    def fill():
-        # each row block against the points up to its last row
-        for rows in blocks:
-            xr = X[rows]
-            r2 = _sqdist(xr, X[: rows.stop], r2buf[: len(xr), : rows.stop])
-            _kernel_of_r2(kernel, r2, out=buf[rows, : rows.stop])
-
-    fill()
-    chol, jitter = _robust_cholesky(buf, noise, kernel.variance, fill)
+    chol, jitter = _kernel_cholesky(kernel, X, noise, buf)
     alpha = cho_solve((chol.T, False), Yc)
     lml = _log_marginal(chol, alpha, Yc)
     mmat = _gradient_matrix(chol, alpha)
     trace_m = float(np.trace(mmat))
     trace_var = float(np.sum(alpha * Yc)) - Yc.size - (noise + jitter) * trace_m
     trace_ell = 0.0
-    for rows in blocks:
+    for rows in _row_blocks(len(X), len(X)):
         xr = X[rows]
         r2 = _sqdist(xr, X, r2buf[: len(xr)])
         c = _radial_coefficients(kernel, r2, hessian=False, out=cbuf[: len(xr)])[0]

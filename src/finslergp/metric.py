@@ -302,7 +302,14 @@ def _finsler_terms(sigma, signal, dim_data):
     h = kummer_1f1_array(-0.5, 0.5 * dim_data, -0.5 * w)
     a = _alpha(dim_data)
     out = signal.copy()
-    out[live] = a * sigma[live] * (h * h)
+    # (a sigma) h^2, but (a sigma h) h where h^2 overflows: at D = 1,
+    # h ~ sqrt(pi w / 2), whose square overflows as w nears the largest double
+    scaled = a * sigma[live]
+    with np.errstate(over="ignore"):
+        hh = h * h
+    over = np.isinf(hh)
+    scaled[over], hh[over] = scaled[over] * h[over], h[over]
+    out[live] = scaled * hh
     return out, live, w, dim_data, h, a
 
 

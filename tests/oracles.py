@@ -32,13 +32,15 @@ from finslergp.geodesic import (
 )
 from finslergp.gp import (
     RBF,
+    _JITTER0,
+    _JITTER_ESCALATIONS,
     _differences,
+    _finite_cholesky,
     _gradient_matrix,
     _jacobian_pass,
     _kernel_matrix,
     _log_marginal,
     _log_marginal_terms,
-    _robust_cholesky,
     _sqdist,
     cho_solve,
 )
@@ -290,12 +292,22 @@ def radial_coefficients_formula(k, r2) -> tuple:
 def log_marginal_terms_separate_exps(X, Yc, kernel, noise, latents=False, work=None):
     """`gp._log_marginal_terms` with the kernel and its radial coefficient
     each from its own formula (an exp each) on the full squared distances,
-    and the trace in the lengthscale a full N x N product."""
+    the factor from a jitter ladder of its own on that full kernel, and the
+    trace in the lengthscale a full N x N product."""
     r2 = _sqdist(X, X)
     gram = kernel_of_r2_formula(kernel, r2)
-    factor = gram.copy()
-    chol, jitter = _robust_cholesky(factor, noise, kernel.variance,
-                                    lambda: np.copyto(factor, gram))
+    eye = np.eye(len(X))
+    # jitter 0, then 1e-8 * variance escalated tenfold at most five times,
+    # added after the noise
+    jitters = [0.0, _JITTER0 * kernel.variance]
+    while len(jitters) <= _JITTER_ESCALATIONS:
+        jitters.append(10.0 * jitters[-1])
+    for jitter in jitters:
+        chol = _finite_cholesky(gram + noise * eye + jitter * eye)
+        if chol is not None:
+            break
+    else:
+        raise np.linalg.LinAlgError("kernel matrix factorization failed")
     alpha = cho_solve((chol.T, False), Yc)
     lml = _log_marginal(chol, alpha, Yc)
     mmat = _gradient_matrix(chol, alpha)

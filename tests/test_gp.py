@@ -524,14 +524,14 @@ def test_variance_trace_from_alpha_is_the_full_product(family, jitter, monkeypat
     Y = smooth_targets(X, 3) + 0.05 * rng.standard_normal((len(X), 3))
     Yc = Y - Y.mean(axis=0)
     k = Kernel(family, 0.8, 1.3)
-    robust, jitters = gp._robust_cholesky, []
+    factor, jitters = gp._kernel_cholesky, []
 
     def recorded(*args):
-        chol, added = robust(*args)
+        chol, added = factor(*args)
         jitters.append(added)
         return chol, added
 
-    monkeypatch.setattr(gp, "_robust_cholesky", recorded)
+    monkeypatch.setattr(gp, "_kernel_cholesky", recorded)
     _, grad, mmat = _log_marginal_grad_mmat(X, Yc, k, noise)
     assert (jitters[0] > 0.0) == jitter
     full = mmat * _kernel_matrix(k, X, X)
@@ -910,26 +910,42 @@ def test_fit_objective_shares_its_exp_bit_for_bit(family, latents, monkeypatch):
     assert got[1].tobytes() == want[1].tobytes()
 
 
-def test_jitter_ladder_rebuilds_the_kernel_from_the_latents(monkeypatch):
-    # make_model factors the kernel in the buffer it built; when that
-    # attempt fails, the next one rebuilds K from X and adds the jitter
-    m = make_smooth_model(noise=1e-3, seed=5)
+@pytest.mark.parametrize("case", ["one_block", "blocked", "duplicates"])
+@pytest.mark.parametrize("family", [RBF, MATERN52])
+def test_jitter_ladder_rebuilds_the_kernel_from_the_latents(family, case, monkeypatch):
+    # make_model forms K's lower triangle a row block at a time and factors
+    # it in place; after a failed attempt the next forms it again from X and
+    # adds the jitter. The first attempt is made to fail at 25 rows (one
+    # block) and at 300 (blocks of 109, 109 and 82 rows); 300 rows of which
+    # 20 repeat, with zero noise, fail on their own
+    n = 25 if case == "one_block" else 300
+    X, Y = _memory_model_inputs(n)
+    noise = 1e-3
+    if case == "duplicates":
+        X, Y, noise = np.vstack([X[:-20], X[:20]]), np.vstack([Y[:-20], Y[:20]]), 0.0
+    kernel = Kernel(family, 0.8, 1.3)
     factor = gp._finite_cholesky
     attempts = []
 
-    def first_fails(kmat):
-        attempts.append(kmat.copy())
-        return None if len(attempts) == 1 else factor(kmat)
+    def recorded(kmat):
+        attempts.append(np.tril(kmat))
+        return None if case != "duplicates" and len(attempts) == 1 else factor(kmat)
 
-    monkeypatch.setattr(gp, "_finite_cholesky", first_fails)
-    jittered = make_model(m.latent_inputs, m.outputs, m.kernel, m.noise)
-    want = _kernel_matrix(m.kernel, m.latent_inputs, m.latent_inputs)
-    diag = want.reshape(-1)[::26]
-    diag += m.noise
-    assert len(attempts) == 2 and attempts[0].tobytes() == want.tobytes()
-    diag += gp._JITTER0 * m.kernel.variance
-    assert attempts[1].tobytes() == want.tobytes()
-    assert jittered.chol.tobytes() == factor(want).tobytes()
+    monkeypatch.setattr(gp, "_finite_cholesky", recorded)
+    jittered = make_model(X, Y, kernel, noise)
+    assert len(attempts) >= 2
+    base = _kernel_matrix(kernel, X, X)
+    base.reshape(-1)[:: n + 1] += noise
+    jitter = 0.0
+    for attempt in attempts:  # jitter 0, then 1e-8 * variance, tenfold each step
+        want = base.copy()
+        want.reshape(-1)[:: n + 1] += jitter
+        assert attempt.tobytes() == np.tril(want).tobytes()
+        jitter = 10.0 * jitter if jitter else gp._JITTER0 * kernel.variance
+    chol = factor(want)
+    assert jittered.chol.tobytes() == chol.tobytes()
+    alpha = gp.cho_solve((chol.T, False), Y - Y.mean(axis=0))
+    assert jittered.alpha.tobytes() == alpha.tobytes()
 
 
 # ---------------------------------------------------------------------------

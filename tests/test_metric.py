@@ -2,6 +2,7 @@
 homogeneity/convexity structure of the expected-norm metric."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -481,6 +482,21 @@ def test_finsler_sigma_partial_matches_mpmath_at_large_omega(dim):
             want = (mpmath.mpf(alpha_coefficient(dim)) * mpmath.hyp1f1(-0.5, dim / 2, x)
                     * mpmath.hyp1f1(0.5, dim / 2, x))
             assert abs(got - want) <= 1e-14 * abs(want), s
+
+
+def test_finsler_norm_at_d1_where_h_squared_overflows():
+    # at D = 1, h = 1F1(-1/2, 1/2, -w/2) ~ sqrt(pi w / 2), so h^2 overflows
+    # with w = 1.5e308; the norm (about 1.5) is finite and warns of nothing
+    p = point_from([[math.sqrt(1.5)]], [[1e-308]])
+    v = np.array([1.0])
+    sigma, signal = np.array([1e-308]), np.array([float(p.jac.mean[0, 0]) ** 2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm_sq = _norms_from_forms(sigma, signal, 1, "finsler")
+        partials = _norm_partials(sigma, signal, 1, "finsler")
+    assert all(np.all(np.isfinite(x)) for x in partials)
+    assert np.array_equal(partials[0], norm_sq)
+    assert norm_sq[0] == pytest.approx(finsler_norm(p, v) ** 2, rel=1e-12, abs=0.0)
 
 
 def test_norms_from_forms_rejects_unknown_kinds():
